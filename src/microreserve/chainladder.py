@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .claims import Dataset, Triangle, build_triangle
+from .claims import Dataset, Triangle, build_triangle, format_number
 from .credibility import age_to_ultimate, link_ratios
 from .errors import DataError, FactorError
 
@@ -247,10 +247,10 @@ def write_cl_report(result: ClResult, path: str) -> None:
             writer.writerow(
                 [
                     i,
-                    repr(float(result.ultimate_paid[row])),
-                    repr(float(result.mu[row])),
-                    repr(float(result.ibnr[row])),
-                    repr(float(result.rbns_ocl[row])),
+                    format_number(result.ultimate_paid[row]),
+                    format_number(result.mu[row]),
+                    format_number(result.ibnr[row]),
+                    format_number(result.rbns_ocl[row]),
                     int(result.stable[row]),
                 ]
             )

@@ -45,6 +45,11 @@ CAS_COLUMNS = ["claim_no", "claim_size", "txn_time", "cumpaid", "accident_period
 _SETTLE_RTOL = 1e-6
 
 
+def format_number(v: float | None) -> str:
+    """CSV cell for a number: shortest round-trip float text, empty for None."""
+    return "" if v is None else repr(float(v))
+
+
 def period_of(txn_time: float) -> int:
     """Calendar period containing a transaction time, interval (t-1, t]."""
     return int(math.ceil(txn_time))
@@ -125,16 +130,6 @@ class Claim:
                 break
         return paid
 
-    def case_at(self, t: int) -> float | None:
-        """Latest case OCL estimate observed by the end of period t."""
-        case = None
-        for txn in self.transactions:
-            if txn.period > t:
-                break
-            if txn.case_ocl is not None:
-                case = txn.case_ocl
-        return case
-
     def incurred_at(self, t: int) -> float | None:
         """Latest case estimate of the ultimate observed by end of period t."""
         inc = None
@@ -145,23 +140,9 @@ class Claim:
                 inc = txn.incurred
         return inc
 
-    def true_ocl_at(self, t: int) -> float | None:
-        """Ultimate minus paid-to-date; requires the claim to be settled."""
-        ult = self.ultimate
-        if ult is None:
-            return None
-        return ult - self.paid_at(t)
-
     def psn_at(self, t: int) -> int:
         """Periods since notification, counting the notification period as 1."""
         return t - self.notification_period + 1
-
-    def dev_record_at(self, t: int) -> DevelopmentRecord | None:
-        j = t + 1 - self.accident_period
-        for rec in self.dev_records:
-            if rec.dev_period == j:
-                return rec
-        return None
 
 
 @dataclass
@@ -196,13 +177,6 @@ class Dataset:
     def open_claims(self, at: int) -> list[Claim]:
         return [c for c in self.claims if c.open_at(at)]
 
-    def accident_periods(self) -> list[int]:
-        if not self.claims:
-            return []
-        lo = min(c.accident_period for c in self.claims)
-        hi = max(c.accident_period for c in self.claims)
-        return list(range(lo, hi + 1))
-
 
 @dataclass
 class Triangle:
@@ -216,15 +190,6 @@ class Triangle:
     @property
     def max_dev(self) -> int:
         return self.values.shape[1]
-
-    def cell(self, i: int, j: int) -> float:
-        import numpy as np
-
-        row = self.aps.index(i)
-        v = self.values[row, j - 1]
-        if np.isnan(v):
-            raise KeyError(f"cell ({i}, {j}) beyond valuation {self.valuation}")
-        return float(v)
 
     def latest_dev(self, i: int) -> int:
         """Latest observed development column for accident period i."""
@@ -550,9 +515,6 @@ def write_transactions(dataset: Dataset, path: str, schema: str | None = None) -
         raise DataError(f"unknown schema {schema!r}")
     cols = SPLICE_COLUMNS if schema == "splice" else CAS_COLUMNS
 
-    def fmt(v: float | None) -> str:
-        return "" if v is None else repr(float(v))
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
@@ -562,12 +524,12 @@ def write_transactions(dataset: Dataset, path: str, schema: str | None = None) -
                     writer.writerow(
                         [
                             txn.claim_no,
-                            fmt(txn.claim_size),
-                            fmt(txn.txn_time),
+                            format_number(txn.claim_size),
+                            format_number(txn.txn_time),
                             txn.txn_type,
-                            fmt(txn.incurred),
-                            fmt(txn.case_ocl),
-                            fmt(txn.cumpaid),
+                            format_number(txn.incurred),
+                            format_number(txn.case_ocl),
+                            format_number(txn.cumpaid),
                             txn.accident_period,
                         ]
                     )
@@ -575,9 +537,9 @@ def write_transactions(dataset: Dataset, path: str, schema: str | None = None) -
                     writer.writerow(
                         [
                             txn.claim_no,
-                            fmt(txn.claim_size),
-                            fmt(txn.txn_time),
-                            fmt(txn.cumpaid),
+                            format_number(txn.claim_size),
+                            format_number(txn.txn_time),
+                            format_number(txn.cumpaid),
                             txn.accident_period,
                         ]
                     )
@@ -606,10 +568,10 @@ def write_dev_records(dataset: Dataset, path: str) -> None:
                         claim.claim_no,
                         claim.accident_period,
                         rec.dev_period,
-                        repr(rec.cum_paid),
+                        format_number(rec.cum_paid),
                         rec.n_pay,
-                        "" if rec.case is None else repr(rec.case),
+                        format_number(rec.case),
                         "|".join(sorted(rec.txn_types)),
-                        "" if rec.true_ocl is None else repr(rec.true_ocl),
+                        format_number(rec.true_ocl),
                     ]
                 )

@@ -3,7 +3,17 @@
 Subcommands: simulate, ingest, chain-ladder, train-rl, train-fnn, tune,
 evaluate, report, run (full pipeline), verify (golden single-claim
 replay). A JSON run-config drives the pipeline; command-line flags
-override config keys, which override built-in defaults.
+override config keys, which override built-in defaults. A key that no
+section knows, in the config or in a tuning grid point, is a
+configuration error.
+
+Every command that models data takes it from one helper: acquire the
+seed's data, resolve the train/test boundary and censor there. The rl
+and fnn models each have one fit path, shared by ``run``, by tuning and
+(for prediction) by ``evaluate``; rl and fnn share one scoring tail, and
+the chain ladder writes its aggregate ratios through the same metrics
+writer. Every number written to a CSV goes through
+``claims.format_number``.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 numeric
 fault during training or evaluation.
@@ -20,12 +30,18 @@ import math
 import os
 import sys
 from importlib import resources
-
-import numpy as np
+from types import SimpleNamespace
 
 from . import chainladder as cl
-from .claims import Dataset, discretize, load_transactions, write_dev_records, write_transactions
-from .credibility import build_init_tables, write_init_tables
+from .claims import (
+    Dataset,
+    discretize,
+    format_number,
+    load_transactions,
+    write_dev_records,
+    write_transactions,
+)
+from .credibility import InitTables, build_init_tables, write_init_tables
 from .env import (
     EnvConfig,
     ScriptedPolicy,
@@ -36,13 +52,12 @@ from .errors import ConfigError, DataError, LeakageError, NumericFault
 from .evaluation import (
     CAS_VALUATION,
     SPLICE_VALUATION,
-    SplitSpec,
+    MetricsReport,
     action_histogram,
     evaluate_predictions,
     guard_fnn_rows,
     guard_transitions,
     guard_validation,
-    relative_ocl,
     rsv_folds,
     size_tercile_report,
     split,
@@ -60,6 +75,9 @@ DEFAULT_MODELS = ("rl", "fnn", "cl")
 
 # -- configuration ---------------------------------------------------------------
 
+# Config sections whose keys are the fields of a model config class.
+MODEL_SECTIONS = {"env": EnvConfig, "sac": SacConfig, "fnn": FnnConfig}
+
 
 def default_config() -> dict:
     return {
@@ -71,7 +89,7 @@ def default_config() -> dict:
             "schema": "splice",
             "write_transactions": False,
         },
-        "split": {"kind": "ts", "boundary": None, "k_folds": 3},
+        "split": {"boundary": None, "k_folds": 3},
         "env": {},
         "sac": {},
         "fnn": {},
@@ -111,7 +129,35 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
+def _check_keys(where: str, given, allowed) -> None:
+    if not isinstance(given, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(given) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {where} keys {unknown}")
+
+
+def _fields(section: str) -> list[str]:
+    return [f.name for f in dataclasses.fields(MODEL_SECTIONS[section])]
+
+
+def _grid_sections(family: str, point: dict) -> dict:
+    """A tuning grid point as {config section: overrides}.
+
+    An fnn point holds fnn keys; an rl point holds "env" and "sac" objects.
+    """
+    if family == "fnn":
+        return {"fnn": point}
+    _check_keys("rl tuning grid point", point, ("env", "sac"))
+    return point
+
+
 def validate_config(cfg: dict) -> None:
+    defaults = default_config()
+    for section in ("data", "split", "tuning"):
+        _check_keys(section, cfg[section], defaults[section])
+    for section in MODEL_SECTIONS:
+        _check_keys(section, cfg[section], _fields(section))
     data = cfg["data"]
     if data["source"] not in ("simulate", "ingest"):
         raise ConfigError(f"unknown data source {data['source']!r}")
@@ -122,17 +168,25 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError("ingest source needs data.path")
         if data.get("schema") not in ("splice", "cas"):
             raise ConfigError(f"unknown schema {data.get('schema')!r}")
-    if cfg["split"]["kind"] not in ("ts", "csc", "nsc"):
-        raise ConfigError(f"unknown split kind {cfg['split']['kind']!r}")
+    if cfg["split"]["k_folds"] < 2:
+        raise ConfigError("split.k_folds must be >= 2")
     for model in cfg["models"]:
         if model not in DEFAULT_MODELS:
             raise ConfigError(f"unknown model {model!r}")
     if not cfg["seeds"]:
         raise ConfigError("at least one seed required")
+    family = cfg["tuning"]["family"]
+    if family not in ("fnn", "rl"):
+        raise ConfigError(f"unknown tuning family {family!r}")
+    for point in cfg["tuning"]["grid"]:
+        for section, params in _grid_sections(family, point).items():
+            _check_keys(f"{section} tuning grid", params, _fields(section))
     # Constructor validation of the model configs, before any work.
-    EnvConfig(**cfg["env"])
-    SacConfig(**{**cfg["sac"], "hidden": tuple(cfg["sac"].get("hidden", (64, 64)))})
-    FnnConfig(**{**cfg["fnn"], "hidden": tuple(cfg["fnn"].get("hidden", (64, 64)))})
+    try:
+        for section, cls in MODEL_SECTIONS.items():
+            cls(**cfg[section])
+    except TypeError as exc:
+        raise ConfigError(f"bad model config value: {exc}") from None
 
 
 def _config_hash(cfg: dict) -> str:
@@ -170,10 +224,45 @@ def resolve_boundary(cfg: dict, dataset: Dataset) -> int:
     return int(boundary)
 
 
-def _profile_for(dataset: Dataset, requested: str | None) -> str:
-    if requested:
-        return requested
+def _acquire_view(cfg: dict, seed: int) -> tuple[Dataset, int, Dataset]:
+    """The seed's full data, its train/test boundary and the view censored there."""
+    dataset = acquire_dataset(cfg, seed)
+    boundary = resolve_boundary(cfg, dataset)
+    return dataset, boundary, split(dataset, boundary)
+
+
+def _profile(cfg: dict, dataset: Dataset) -> str:
+    """The configured state profile, else the richest one the schema supports."""
+    if cfg["env"].get("state_profile"):
+        return cfg["env"]["state_profile"]
     return "splice_full" if dataset.schema == "splice" else "cas"
+
+
+# -- models ------------------------------------------------------------------------
+
+
+def _fit_rl(cfg: dict, view: Dataset, boundary: int, seed: int, tables: InitTables):
+    """Train SAC on the view and replay it; returns (predictions, replay, agent, log)."""
+    env_cfg = EnvConfig(**{**cfg["env"], "state_profile": _profile(cfg, view)})
+    sac_cfg = SacConfig(**{**cfg["sac"], "seed": seed})
+    agent, log = train_sac(view, tables, env_cfg, sac_cfg, boundary=boundary)
+    return (*_predict_rl(agent, view, tables, boundary), agent, log)
+
+
+def _predict_rl(agent, view: Dataset, tables: InitTables, boundary: int):
+    """Leakage-guarded deterministic replay: (final estimate per claim, replay)."""
+    replay = predict_ocl_sac(agent, view, tables, boundary)
+    guard_transitions(replay.transitions, view, boundary)
+    return replay.final_predictions(), replay
+
+
+def _fit_fnn(cfg: dict, view: Dataset, boundary: int, seed: int):
+    """Train the FNN on leakage-guarded rows; returns (open-claim predictions, model)."""
+    fnn_cfg = FnnConfig(**{**cfg["fnn"], "state_profile": _profile(cfg, view), "seed": seed})
+    rows = build_training_rows(view, boundary, fnn_cfg)
+    guard_fnn_rows(rows.claim_nos, view, boundary)
+    model = train_fnn(rows, fnn_cfg)
+    return predict_ocl_fnn(model, view, boundary), model
 
 
 # -- pipeline ----------------------------------------------------------------------
@@ -182,109 +271,58 @@ def _profile_for(dataset: Dataset, requested: str | None) -> str:
 def run_seed(cfg: dict, seed: int, out_dir: str) -> dict:
     """Train every requested model for one seed and write its reports."""
     os.makedirs(out_dir, exist_ok=True)
-    dataset = acquire_dataset(cfg, seed)
-    boundary = resolve_boundary(cfg, dataset)
-    ts = split(dataset, SplitSpec(kind="ts", boundary=boundary, k_folds=cfg["split"]["k_folds"]))
-    view = ts.train
+    dataset, boundary, view = _acquire_view(cfg, seed)
     tables = build_init_tables(view, boundary)
     actuals = true_ocl_map(dataset, boundary)
 
     outputs: list[str] = []
     summary: dict = {"seed": seed, "boundary": boundary, "n_test_claims": len(actuals)}
 
+    def output(name: str) -> str:
+        outputs.append(os.path.join(out_dir, name))
+        return outputs[-1]
+
     if cfg["data"].get("write_transactions"):
-        path = os.path.join(out_dir, "transactions.csv")
-        write_transactions(dataset, path)
-        outputs.append(path)
-
-    tables_path = os.path.join(out_dir, "init_tables.csv")
-    write_init_tables(tables, tables_path)
-    outputs.append(tables_path)
-
-    env_kwargs = dict(cfg["env"])
-    env_kwargs["state_profile"] = _profile_for(dataset, env_kwargs.get("state_profile"))
-    env_cfg = EnvConfig(**env_kwargs)
-
+        write_transactions(dataset, output("transactions.csv"))
+    write_init_tables(tables, output("init_tables.csv"))
     ultimates = {cn: dataset.by_no(cn).ultimate for cn in actuals}
 
+    predictions: dict[str, dict[str, float]] = {}
     if "rl" in cfg["models"]:
-        sac_cfg = SacConfig(
-            **{**cfg["sac"], "hidden": tuple(cfg["sac"].get("hidden", (64, 64))), "seed": seed}
-        )
-        agent, log = train_sac(view, tables, env_cfg, sac_cfg, boundary=boundary)
-        replay = predict_ocl_sac(agent, view, tables, boundary)
-        guard_transitions(replay.transitions, view, boundary)
-        preds = {cn: replay.final_prediction(cn) for cn in actuals if cn in replay.predictions}
-        report = evaluate_predictions(preds, dataset, boundary)
-        write_metrics_csv(report, "rl", seed, os.path.join(out_dir, "metrics_rl.csv"))
-        outputs.append(os.path.join(out_dir, "metrics_rl.csv"))
-        export_transition_log(replay.transitions, os.path.join(out_dir, "rl_transitions.csv"))
-        outputs.append(os.path.join(out_dir, "rl_transitions.csv"))
-        counts, edges = action_histogram(replay.transitions, env_cfg.k)
-        write_histogram_csv(counts, edges, os.path.join(out_dir, "rl_action_hist.csv"))
-        outputs.append(os.path.join(out_dir, "rl_action_hist.csv"))
-        facets, edges = action_histogram(replay.transitions, env_cfg.k, by_psn=True)
-        write_histogram_csv(facets, edges, os.path.join(out_dir, "rl_action_hist_psn.csv"))
-        outputs.append(os.path.join(out_dir, "rl_action_hist_psn.csv"))
-        write_training_log(log, os.path.join(out_dir, "rl_training_log.csv"))
-        outputs.append(os.path.join(out_dir, "rl_training_log.csv"))
+        predictions["rl"], replay, agent, log = _fit_rl(cfg, view, boundary, seed, tables)
+        export_transition_log(replay.transitions, output("rl_transitions.csv"))
+        counts, edges = action_histogram(replay.transitions, agent.env_cfg.k)
+        write_histogram_csv(counts, edges, output("rl_action_hist.csv"))
+        facets, edges = action_histogram(replay.transitions, agent.env_cfg.k, by_psn=True)
+        write_histogram_csv(facets, edges, output("rl_action_hist_psn.csv"))
+        write_training_log(log, output("rl_training_log.csv"))
         save_agent(agent, os.path.join(out_dir, "rl_checkpoint"))
-        _write_terciles(preds, actuals, ultimates, os.path.join(out_dir, "terciles_rl.csv"))
-        outputs.append(os.path.join(out_dir, "terciles_rl.csv"))
-        summary["rl_ratio"] = report.overall_ratio
-        summary["rl_rmse"] = report.rmse_overall
-
     if "fnn" in cfg["models"]:
-        fnn_cfg = FnnConfig(
-            **{
-                **cfg["fnn"],
-                "hidden": tuple(cfg["fnn"].get("hidden", (64, 64))),
-                "state_profile": env_cfg.state_profile,
-                "seed": seed,
-            }
-        )
-        rows = build_training_rows(view, boundary, fnn_cfg)
-        guard_fnn_rows(rows.claim_nos, view, boundary)
-        model = train_fnn(rows, fnn_cfg)
-        preds = predict_ocl_fnn(model, view, boundary)
-        report = evaluate_predictions(preds, dataset, boundary)
-        write_metrics_csv(report, "fnn", seed, os.path.join(out_dir, "metrics_fnn.csv"))
-        outputs.append(os.path.join(out_dir, "metrics_fnn.csv"))
+        predictions["fnn"], model = _fit_fnn(cfg, view, boundary, seed)
         save_fnn(model, os.path.join(out_dir, "fnn_model"))
-        _write_terciles(preds, actuals, ultimates, os.path.join(out_dir, "terciles_fnn.csv"))
-        outputs.append(os.path.join(out_dir, "terciles_fnn.csv"))
-        summary["fnn_ratio"] = report.overall_ratio
-        summary["fnn_rmse"] = report.rmse_overall
+    for name, preds in predictions.items():
+        report = evaluate_predictions(preds, dataset, boundary)
+        write_metrics_csv(report, name, seed, output(f"metrics_{name}.csv"))
+        _write_terciles(preds, actuals, ultimates, output(f"terciles_{name}.csv"))
+        summary[f"{name}_ratio"] = report.overall_ratio
+        summary[f"{name}_rmse"] = report.rmse_overall
 
     if "cl" in cfg["models"]:
         result = cl.rbns_ocl(view, boundary)
-        cl.write_cl_report(result, os.path.join(out_dir, "cl_report.csv"))
-        outputs.append(os.path.join(out_dir, "cl_report.csv"))
+        cl.write_cl_report(result, output("cl_report.csv"))
         true_by_ap: dict[int, float] = {}
         for cn, v in actuals.items():
             ap = dataset.by_no(cn).accident_period
             true_by_ap[ap] = true_by_ap.get(ap, 0.0) + v
         total_true = sum(true_by_ap.values())
         summary["cl_ratio"] = result.total_rbns_ocl / total_true if total_true > 0 else None
-        path = os.path.join(out_dir, "metrics_cl.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["model", "seed", "slice", "key", "relative_ocl", "rmse", "ocl_share"])
-            writer.writerow(["cl", seed, "overall", "", repr(summary["cl_ratio"]), "", ""])
-            for row, ap in enumerate(result.aps):
-                if true_by_ap.get(ap, 0.0) > 0:
-                    writer.writerow(
-                        [
-                            "cl",
-                            seed,
-                            "ap",
-                            ap,
-                            repr(float(result.rbns_ocl[row]) / true_by_ap[ap]),
-                            "",
-                            "",
-                        ]
-                    )
-        outputs.append(path)
+        ratio_by_ap = {
+            ap: float(result.rbns_ocl[row]) / true_by_ap[ap]
+            for row, ap in enumerate(result.aps)
+            if true_by_ap.get(ap, 0.0) > 0
+        }
+        report = MetricsReport(summary["cl_ratio"], ratio_by_ap)
+        write_metrics_csv(report, "cl", seed, output("metrics_cl.csv"))
 
     summary["outputs"] = outputs
     return summary
@@ -308,8 +346,8 @@ def run_pipeline(cfg: dict) -> str:
             manifest["stage_reached"] = "tuning"
             best = tune_from_config(cfg)
             manifest["tuned_params"] = best
-            family = cfg["tuning"]["family"]
-            cfg[family].update(best)
+            for section, params in _grid_sections(cfg["tuning"]["family"], best).items():
+                cfg[section].update(params)
         for seed in cfg["seeds"]:
             manifest["stage_reached"] = f"seed {seed}"
             summaries.append(run_seed(cfg, seed, os.path.join(out_root, f"seed_{seed}")))
@@ -325,8 +363,8 @@ def run_pipeline(cfg: dict) -> str:
                             [
                                 s["seed"],
                                 model,
-                                repr(s[f"{model}_ratio"]),
-                                repr(s.get(f"{model}_rmse", "")),
+                                format_number(s[f"{model}_ratio"]),
+                                format_number(s.get(f"{model}_rmse")),
                             ]
                         )
         for s in summaries:
@@ -353,68 +391,27 @@ def _write_terciles(preds, actuals, ultimates, path) -> None:
         writer.writerow(["tercile", "relative_ocl"])
         for name in ("small", "medium", "large"):
             if name in report:
-                writer.writerow([name, repr(report[name])])
+                writer.writerow([name, format_number(report[name])])
 
 
 def tune_from_config(cfg: dict) -> dict:
     """Rolling-settlement tuning for the configured family on seed[0]."""
     seed = cfg["seeds"][0]
-    dataset = acquire_dataset(cfg, seed)
-    boundary = resolve_boundary(cfg, dataset)
-    view = split(dataset, SplitSpec(kind="ts", boundary=boundary)).train
+    _, boundary, view = _acquire_view(cfg, seed)
     folds = rsv_folds(view, cfg["split"]["k_folds"], window_end=boundary)
     for fold in folds:
         guard_validation(fold.validation_claims, fold.boundary)
     family = cfg["tuning"]["family"]
-    grid = cfg["tuning"]["grid"]
-    profile = _profile_for(dataset, cfg["env"].get("state_profile"))
 
-    if family == "fnn":
+    def family_fn(fold, params):
+        sections = _grid_sections(family, params)
+        trial = {**cfg, **{k: {**cfg[k], **v} for k, v in sections.items()}}
+        if family == "fnn":
+            return _fit_fnn(trial, fold.train_view, fold.boundary, seed)[0]
+        tables = build_init_tables(fold.train_view, fold.boundary)
+        return _fit_rl(trial, fold.train_view, fold.boundary, seed, tables)[0]
 
-        def family_fn(fold, params):
-            fnn_cfg = FnnConfig(
-                **{
-                    **cfg["fnn"],
-                    **params,
-                    "hidden": tuple(params.get("hidden", cfg["fnn"].get("hidden", (64, 64)))),
-                    "state_profile": profile,
-                    "seed": seed,
-                }
-            )
-            rows = build_training_rows(fold.train_view, fold.boundary, fnn_cfg)
-            guard_fnn_rows(rows.claim_nos, fold.train_view, fold.boundary)
-            model = train_fnn(rows, fnn_cfg)
-            wanted = {c.claim_no for c in fold.validation_claims}
-            preds = predict_ocl_fnn(model, fold.train_view, fold.boundary)
-            return {cn: preds[cn] for cn in wanted if cn in preds}
-
-    elif family == "rl":
-
-        def family_fn(fold, params):
-            env_cfg = EnvConfig(**{**cfg["env"], **params.get("env", {}), "state_profile": profile})
-            sac_cfg = SacConfig(
-                **{
-                    **cfg["sac"],
-                    **params.get("sac", {}),
-                    "hidden": tuple(
-                        params.get("sac", {}).get("hidden", cfg["sac"].get("hidden", (64, 64)))
-                    ),
-                    "seed": seed,
-                }
-            )
-            tables = build_init_tables(fold.train_view, fold.boundary)
-            agent, _ = train_sac(fold.train_view, tables, env_cfg, sac_cfg, boundary=fold.boundary)
-            replay = predict_ocl_sac(agent, fold.train_view, tables, fold.boundary)
-            guard_transitions(replay.transitions, fold.train_view, fold.boundary)
-            wanted = {c.claim_no for c in fold.validation_claims}
-            return {
-                cn: replay.final_prediction(cn) for cn in wanted if cn in replay.predictions
-            }
-
-    else:
-        raise ConfigError(f"unknown tuning family {family!r}")
-
-    best, _entries = tune(grid, folds, family_fn)
+    best, _entries = tune(cfg["tuning"]["grid"], folds, family_fn)
     return best
 
 
@@ -537,9 +534,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_chain_ladder(args) -> int:
     cfg = load_config(args.config, _data_overrides(args))
-    dataset = acquire_dataset(cfg, cfg["seeds"][0])
-    boundary = resolve_boundary(cfg, dataset)
-    view = split(dataset, SplitSpec(kind="ts", boundary=boundary)).train
+    dataset, boundary, view = _acquire_view(cfg, cfg["seeds"][0])
     result = cl.rbns_ocl(view, boundary)
     cl.write_cl_report(result, args.out)
     actuals = true_ocl_map(dataset, boundary)
@@ -548,18 +543,6 @@ def cmd_chain_ladder(args) -> int:
         print(f"aggregate relative OCL {ratio:.4f}")
     print(f"report -> {args.out}")
     return 0
-
-
-def cmd_train_rl(args) -> int:
-    cfg = load_config(args.config, _data_overrides(args))
-    cfg["models"] = ["rl"]
-    return _run_with_manifest(cfg)
-
-
-def cmd_train_fnn(args) -> int:
-    cfg = load_config(args.config, _data_overrides(args))
-    cfg["models"] = ["fnn"]
-    return _run_with_manifest(cfg)
 
 
 def cmd_tune(args) -> int:
@@ -577,35 +560,23 @@ def cmd_tune(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, _data_overrides(args))
-    dataset = acquire_dataset(cfg, cfg["seeds"][0])
-    boundary = resolve_boundary(cfg, dataset)
-    view = split(dataset, SplitSpec(kind="ts", boundary=boundary)).train
-    os.makedirs(cfg["output_dir"], exist_ok=True)
-    produced = False
+    seed = cfg["seeds"][0]
+    dataset, boundary, view = _acquire_view(cfg, seed)
+    predictions: dict[str, dict[str, float]] = {}
     if args.rl_checkpoint:
         agent = load_agent(args.rl_checkpoint)
         tables = build_init_tables(view, boundary)
-        replay = predict_ocl_sac(agent, view, tables, boundary)
-        preds = {
-            cn: replay.final_prediction(cn)
-            for cn in true_ocl_map(dataset, boundary)
-            if cn in replay.predictions
-        }
-        report = evaluate_predictions(preds, dataset, boundary)
-        path = os.path.join(cfg["output_dir"], "metrics_rl.csv")
-        write_metrics_csv(report, "rl", cfg["seeds"][0], path)
-        print(f"rl ratio {report.overall_ratio:.4f} -> {path}")
-        produced = True
+        predictions["rl"], _ = _predict_rl(agent, view, tables, boundary)
     if args.fnn_model:
-        model = load_fnn(args.fnn_model)
-        preds = predict_ocl_fnn(model, view, boundary)
-        report = evaluate_predictions(preds, dataset, boundary)
-        path = os.path.join(cfg["output_dir"], "metrics_fnn.csv")
-        write_metrics_csv(report, "fnn", cfg["seeds"][0], path)
-        print(f"fnn ratio {report.overall_ratio:.4f} -> {path}")
-        produced = True
-    if not produced:
+        predictions["fnn"] = predict_ocl_fnn(load_fnn(args.fnn_model), view, boundary)
+    if not predictions:
         raise ConfigError("evaluate needs --rl-checkpoint and/or --fnn-model")
+    os.makedirs(cfg["output_dir"], exist_ok=True)
+    for name, preds in predictions.items():
+        report = evaluate_predictions(preds, dataset, boundary)
+        path = os.path.join(cfg["output_dir"], f"metrics_{name}.csv")
+        write_metrics_csv(report, name, seed, path)
+        print(f"{name} ratio {report.overall_ratio:.4f} -> {path}")
     return 0
 
 
@@ -615,14 +586,7 @@ def cmd_report(args) -> int:
     if not rows:
         raise DataError("transition log is empty")
 
-    class _Row:
-        __slots__ = ("action", "tau")
-
-        def __init__(self, action, tau):
-            self.action = action
-            self.tau = tau
-
-    txns = [_Row(float(r["action"]), int(r["tau"])) for r in rows]
+    txns = [SimpleNamespace(action=float(r["action"]), tau=int(r["tau"])) for r in rows]
     counts, edges = action_histogram(txns, args.k, bins=args.bins, by_psn=args.by_psn)
     write_histogram_csv(counts, edges, args.out)
     print(f"histogram -> {args.out}")
@@ -710,13 +674,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_chain_ladder)
 
+    # The single-model subcommands are runs with the model list fixed.
     p = sub.add_parser("train-rl", help="train the RL reserve model")
     common(p)
-    p.set_defaults(fn=cmd_train_rl)
+    p.set_defaults(fn=cmd_run, models="rl")
 
     p = sub.add_parser("train-fnn", help="train the supervised benchmark")
     common(p)
-    p.set_defaults(fn=cmd_train_fnn)
+    p.set_defaults(fn=cmd_run, models="fnn")
 
     p = sub.add_parser("tune", help="rolling-settlement hyperparameter search")
     common(p)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .claims import Dataset, Triangle, build_triangle
+from .claims import Dataset, Triangle, build_triangle, format_number
 from .errors import FactorError, InitError
 
 
@@ -76,10 +76,6 @@ class InitTables:
     credibility: dict[int, float]  # z_i = 1/pi_i clamped to [0, 1]
     adj_mean_ultimate: dict[int, float]  # pi'_i * mean_i
     overall_adj_mean: float
-
-    def weights(self) -> dict[int, float]:
-        n = sum(self.settled_counts.values())
-        return {i: c / n for i, c in self.settled_counts.items()}
 
 
 def build_init_tables(train: Dataset, valuation: int) -> InitTables:
@@ -181,11 +177,11 @@ def write_init_tables(tables: InitTables, path: str) -> None:
                 [
                     i,
                     tables.settled_counts[i],
-                    repr(tables.mean_ultimate[i]),
-                    repr(tables.pi_paid[i]),
-                    repr(tables.pi_ppci[i]),
-                    repr(tables.credibility[i]),
-                    repr(tables.adj_mean_ultimate[i]),
-                    repr(tables.overall_adj_mean),
+                    format_number(tables.mean_ultimate[i]),
+                    format_number(tables.pi_paid[i]),
+                    format_number(tables.pi_ppci[i]),
+                    format_number(tables.credibility[i]),
+                    format_number(tables.adj_mean_ultimate[i]),
+                    format_number(tables.overall_adj_mean),
                 ]
             )

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .claims import Claim, Dataset
+from .claims import Claim, Dataset, format_number
 from .credibility import InitTables, initialise_claim
 from .errors import ConfigError, DataError
 
@@ -68,14 +68,9 @@ class EnvConfig:
         return math.log(self.k)
 
 
-def state_dim(profile: str, n_past: int) -> int:
-    if profile == "minimal":
-        return 4
-    if profile == "cas":
-        return 5 + n_past
-    if profile == "splice_full":
-        return 5 + n_past + len(ONE_HOT_TYPES) + 4
-    raise ConfigError(f"unknown state profile {profile!r}")
+# Index of the previous estimate in every state layout; the supervised
+# benchmark's features are the n_past=0 layout without this slot.
+PREV_OCL_SLOT = 2
 
 
 def currency_mask(profile: str, n_past: int) -> np.ndarray:
@@ -90,14 +85,23 @@ def currency_mask(profile: str, n_past: int) -> np.ndarray:
     return np.array(mask, dtype=bool)
 
 
-def build_state(
+def state_dim(profile: str, n_past: int) -> int:
+    return currency_mask(profile, n_past).size
+
+
+def state_features(
     claim: Claim,
     t: int,
     prev_ocl: float,
     past_preds: list[float],
-    cfg: EnvConfig,
-) -> np.ndarray:
-    """Observation for one claim at the end of calendar period t."""
+    profile: str,
+    n_past: int,
+) -> list[float]:
+    """Observation for one claim at the end of calendar period t.
+
+    The last n_past predictions fill the past-prediction slots, zero-padded
+    on the left while fewer have been made.
+    """
     rec = claim.dev_records[t - claim.notification_period]
     assert rec.dev_period == t + 1 - claim.accident_period
     feats = [
@@ -106,30 +110,26 @@ def build_state(
         prev_ocl,
         rec.cum_paid,
     ]
-    if cfg.state_profile in ("cas", "splice_full"):
+    if profile in ("cas", "splice_full"):
         feats.append(float(claim.repdel))
-        padded = [0.0] * max(cfg.n_past - len(past_preds), 0) + past_preds[-cfg.n_past :]
-        feats.extend(padded)
-    if cfg.state_profile == "splice_full":
+        feats.extend([0.0] * max(n_past - len(past_preds), 0))
+        feats.extend(past_preds[max(len(past_preds) - n_past, 0) :])
+    if profile == "splice_full":
         feats.extend(1.0 if typ in rec.txn_types else 0.0 for typ in ONE_HOT_TYPES)
         feats.append(float(rec.n_pay))
         feats.append(float((claim.accident_period - 1) % 4 + 1))
         feats.append(float((t - 1) % 4 + 1))
         feats.append(rec.case if rec.case is not None else 0.0)
-    return np.array(feats, dtype=np.float64)
+    return feats
 
 
-def apply_action(prev_ocl: float, action: float, k: float) -> float:
-    """Next estimate prev_ocl * exp(a) with a clipped to [-ln k, ln k]."""
+def apply_action(prev_ocl: float, action: float, k: float) -> tuple[float, float]:
+    """Clip a to [-ln k, ln k]; returns (prev_ocl * exp(a), the clipped a)."""
     if prev_ocl <= 0:
         raise ValueError("previous OCL estimate must be strictly positive")
     bound = math.log(k)
-    return prev_ocl * math.exp(min(max(action, -bound), bound))
-
-
-def clip_action(action: float, k: float) -> float:
-    bound = math.log(k)
-    return min(max(action, -bound), bound)
+    action = min(max(action, -bound), bound)
+    return prev_ocl * math.exp(action), action
 
 
 def smape_h(y: float, y_hat: float) -> float:
@@ -179,11 +179,14 @@ def reward_stability(
     payment: bool,
     gamma: float,
     k: float,
-    horizon: int,
+    horizon: float,
 ) -> float:
     """Stability shaping at periods-since-notification tau.
 
-    ul_path holds the implied ultimates UL_0..UL_tau. The first step
+    horizon is the claim's settlement periods-since-notification, so its
+    last prediction step is horizon - 1; a claim still open has no last
+    step (horizon math.inf). ul_path holds the implied ultimates
+    UL_0..UL_tau. The first step
     penalises the squared relative action; interior steps take the
     potential difference gamma*h(UL_tau, UL_{tau-1}) - h(UL_{tau-1},
     UL_{tau-2}); the final prediction step drops the forward term. Any
@@ -267,8 +270,6 @@ class RewardBreakdown:
     r_acc: float = 0.0
     r_stab: float = 0.0
     r_smooth: float = 0.0
-    stab_gate: float = 1.0
-    smooth_gate: float = 1.0
     weight: float = 1.0
 
 
@@ -308,11 +309,11 @@ class ScriptedPolicy:
 class _Tracker:
     ocl: float
     ul0: float
+    horizon: float  # settlement periods-since-notification; inf while open
     preds: list[float] = field(default_factory=list)
     pred_records: list[tuple[int, int, float]] = field(default_factory=list)
     ul_path: list[float] = field(default_factory=list)
     pending: Transition | None = None
-    pending_future_term: float = 0.0
     emitted: list[Transition] = field(default_factory=list)
 
 
@@ -322,8 +323,9 @@ class RolloutResult:
     predictions: dict[str, list[tuple[int, int, float]]]
     n_skipped: int
 
-    def final_prediction(self, claim_no: str) -> float:
-        return self.predictions[claim_no][-1][2]
+    def final_predictions(self) -> dict[str, float]:
+        """Each claim's last estimate: its reserve at the end of the rollout."""
+        return {cn: records[-1][2] for cn, records in self.predictions.items()}
 
 
 def _initial_ocl(init, claim: Claim, cfg: EnvConfig) -> float:
@@ -399,11 +401,19 @@ def rollout_calendar(
                 if ocl0 <= 0:
                     raise DataError(f"non-positive initial OCL for {claim.claim_no}")
                 paid0 = claim.dev_records[0].cum_paid
-                tracker = _Tracker(ocl=ocl0, ul0=ocl0 + paid0, ul_path=[ocl0 + paid0])
+                tracker = _Tracker(
+                    ocl=ocl0,
+                    ul0=ocl0 + paid0,
+                    horizon=claim.psn_at(claim.settlement_period) if claim.settled else math.inf,
+                    ul_path=[ocl0 + paid0],
+                )
                 trackers[claim.claim_no] = tracker
 
             tau = claim.psn_at(t)
-            state = build_state(claim, t, tracker.ocl, tracker.preds, cfg)
+            state = np.array(
+                state_features(claim, t, tracker.ocl, tracker.preds, cfg.state_profile, cfg.n_past),
+                dtype=np.float64,
+            )
             if tracker.pending is not None:
                 tracker.pending.next_state = state
                 emit(tracker.pending)
@@ -411,8 +421,7 @@ def rollout_calendar(
                 tracker.pending = None
 
             raw = policy.act(state, explore=explore, claim_no=claim.claim_no, tau=tau)
-            action = clip_action(float(raw), cfg.k)
-            new_ocl = apply_action(tracker.ocl, action, cfg.k)
+            new_ocl, action = apply_action(tracker.ocl, float(raw), cfg.k)
             rec = claim.dev_records[t - claim.notification_period]
             payment = rec.has_payment
 
@@ -421,24 +430,12 @@ def rollout_calendar(
             tracker.pred_records.append((tau, t, new_ocl))
             tracker.ul_path.append(new_ocl + rec.cum_paid)
 
-            if tau == 1:
-                r_stab = 0.0 if payment else -((abs(action) / cfg.ln_k) ** 2)
-                future_term = 0.0
-            else:
-                backward = smape_h(tracker.ul_path[tau - 1], tracker.ul_path[tau - 2])
-                forward = cfg.gamma * smape_h(
-                    tracker.ul_path[tau], tracker.ul_path[tau - 1]
-                )
-                r_stab = 0.0 if payment else forward - backward
-                future_term = 0.0 if payment else forward
+            r_stab = reward_stability(
+                tau, tracker.ul_path, action, payment, cfg.gamma, cfg.k, tracker.horizon
+            )
             r_smooth = reward_smoothing(action, tau - 1, cfg.m_warmup, cfg.k, payment)
 
-            breakdown = RewardBreakdown(
-                r_stab=r_stab,
-                r_smooth=r_smooth,
-                stab_gate=0.0 if payment else 1.0,
-                smooth_gate=0.0 if payment else 1.0,
-            )
+            breakdown = RewardBreakdown(r_stab=r_stab, r_smooth=r_smooth)
             tracker.pending = Transition(
                 claim_no=claim.claim_no,
                 accident_period=claim.accident_period,
@@ -452,7 +449,6 @@ def rollout_calendar(
                 pred_ocl=new_ocl,
                 breakdown=breakdown,
             )
-            tracker.pending_future_term = future_term
 
     # Open claims: attach lower-bound importance weights to the log.
     for claim_no, tracker in trackers.items():
@@ -480,18 +476,14 @@ def rollout_calendar(
 
 
 def _finalize_settlement(claim: Claim, tracker: _Tracker | None, cfg: EnvConfig, emit):
-    """Close the episode: correct the last stability term and add r_acc."""
+    """Close the episode: add r_acc to the last prediction step."""
     if tracker is None or tracker.pending is None:
         return
     pending = tracker.pending
-    pending.breakdown.r_stab -= tracker.pending_future_term
-    pending.reward = pending.breakdown.r_stab + pending.breakdown.r_smooth
-
     ult = claim.ultimate
-    horizon = claim.settlement_period - claim.notification_period + 1
     ocl_path = []
     weights = []
-    for tau in range(1, horizon):
+    for tau in range(1, tracker.horizon):
         t = claim.notification_period + tau - 1
         rec = claim.dev_records[t - claim.notification_period]
         true_ocl = max(ult - rec.cum_paid, 0.0)
@@ -540,12 +532,12 @@ def export_transition_log(transitions: list[Transition], path: str) -> None:
                     txn.tau,
                     txn.accident_period,
                     txn.dev_period,
-                    repr(txn.action),
-                    repr(math.exp(txn.action)),
-                    repr(txn.breakdown.r_acc),
-                    repr(txn.breakdown.r_stab),
-                    repr(txn.breakdown.r_smooth),
-                    repr(txn.breakdown.weight),
-                    repr(txn.pred_ocl),
+                    format_number(txn.action),
+                    format_number(math.exp(txn.action)),
+                    format_number(txn.breakdown.r_acc),
+                    format_number(txn.breakdown.r_stab),
+                    format_number(txn.breakdown.r_smooth),
+                    format_number(txn.breakdown.weight),
+                    format_number(txn.pred_ocl),
                 ]
             )

@@ -1,12 +1,17 @@
-"""Splitting, rolling-settlement validation, tuning and metrics.
+"""Splitting, rolling-settlement validation, tuning, metrics and their CSVs.
 
-The train/test boundary is temporal: everything observable up to the
-boundary trains, claims still open then form the test set and are scored
-against their realised outstanding amounts. Hyperparameter folds extend
-the same idea inside the training window: partition it into equal
+The train/test boundary is temporal and is the only split: ``split``
+checks the boundary and censors the data there, so everything observable
+up to the boundary trains, and claims still open then form the test set,
+scored against their realised outstanding amounts. Hyperparameter folds
+extend the same idea inside the training window: partition it into equal
 intervals, train on an expanding prefix and validate on claims settling
 in the next interval, so no fold ever sees a validation claim's outcome.
-Leakage guards make those promises assertable.
+Leakage guards make those promises assertable. ``tune`` marks a grid
+point invalid only for data, configuration and numeric failures; a leak
+or a programming error propagates. The metrics writer takes a report
+with empty slices too, which is how the chain ladder's aggregate ratios
+share it.
 """
 
 from __future__ import annotations
@@ -17,87 +22,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .claims import Claim, Dataset, censor, discretize
+from .claims import Claim, Dataset, censor, format_number
 from .env import Transition
-from .errors import ConfigError, DataError, LeakageError
+from .errors import ConfigError, DataError, LeakageError, NumericFault
 
 CAS_VALUATION = 15
 SPLICE_VALUATION = 40
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    kind: str  # "ts" | "csc" | "nsc"
-    boundary: int
-    k_folds: int = 3
-    seed: int = 0  # used by the naive split only
+def split(dataset: Dataset, boundary: int) -> Dataset:
+    """The training view: every claim censored at a boundary inside the horizon.
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("ts", "csc", "nsc"):
-            raise ConfigError(f"unknown split kind {self.kind!r}")
-        if self.k_folds < 2:
-            raise ConfigError("k_folds must be >= 2")
-
-
-@dataclass
-class Split:
-    kind: str
-    boundary: int
-    train: Dataset
-    test_claims: list[Claim]
-
-
-def split(dataset: Dataset, spec: SplitSpec) -> Split:
-    """Train/test partition of the full data.
-
-    "ts" censors every claim at the boundary (developments after it are
-    unseen); "csc" keeps only claims settled by the boundary; "nsc" is a
-    naive random split by claim, provided solely so the leakage guards
-    have something to catch.
+    Developments after the boundary are unseen; claims still open then form
+    the test set, scored against their realised outstanding amounts.
     """
-    if not (1 <= spec.boundary <= dataset.max_calendar_period):
+    if not (1 <= boundary <= dataset.max_calendar_period):
         raise DataError(
-            f"boundary {spec.boundary} outside horizon 1..{dataset.max_calendar_period}"
+            f"boundary {boundary} outside horizon 1..{dataset.max_calendar_period}"
         )
-    test = [c for c in dataset.claims if c.open_at(spec.boundary)]
-    if spec.kind == "ts":
-        train = censor(dataset, spec.boundary)
-    elif spec.kind == "csc":
-        claims = [c for c in dataset.claims if c.settled_by(spec.boundary)]
-        train = discretize(
-            Dataset(
-                claims=[_clone_claim(c) for c in claims],
-                period_unit=dataset.period_unit,
-                schema=dataset.schema,
-                max_calendar_period=spec.boundary,
-            )
-        )
-    else:
-        rng = np.random.default_rng(spec.seed)
-        picks = rng.uniform(size=len(dataset.claims)) < 0.5
-        claims = [c for c, keep in zip(dataset.claims, picks) if keep]
-        train = discretize(
-            Dataset(
-                claims=[_clone_claim(c) for c in claims],
-                period_unit=dataset.period_unit,
-                schema=dataset.schema,
-                max_calendar_period=dataset.max_calendar_period,
-            )
-        )
-        test = [c for c, keep in zip(dataset.claims, picks) if not keep]
-    return Split(kind=spec.kind, boundary=spec.boundary, train=train, test_claims=test)
-
-
-def _clone_claim(c: Claim) -> Claim:
-    return Claim(
-        claim_no=c.claim_no,
-        accident_period=c.accident_period,
-        notification_period=c.notification_period,
-        settlement_period=c.settlement_period,
-        repdel=c.repdel,
-        claim_size=c.claim_size,
-        transactions=list(c.transactions),
-    )
+    return censor(dataset, boundary)
 
 
 @dataclass
@@ -316,15 +259,16 @@ def size_tercile_report(
 
 @dataclass
 class MetricsReport:
-    overall_ratio: float
+    """One model's slicings; the chain ladder fills the aggregate ratios only."""
+
+    overall_ratio: float | None
     ratio_by_ap: dict[int, float]
-    ratio_by_psn: dict[int, float]
-    rmse_overall: float
-    rmse_by_ap: dict[int, float]
-    rmse_by_psn: dict[int, float]
-    share_by_ap: list[tuple[int, float]]
-    share_by_psn: list[tuple[int, float]]
-    n_claims: int
+    ratio_by_psn: dict[int, float] = field(default_factory=dict)
+    rmse_overall: float | None = None
+    rmse_by_ap: dict[int, float] = field(default_factory=dict)
+    rmse_by_psn: dict[int, float] = field(default_factory=dict)
+    share_by_ap: list[tuple[int, float]] = field(default_factory=list)
+    share_by_psn: list[tuple[int, float]] = field(default_factory=list)
 
 
 def evaluate_predictions(
@@ -348,7 +292,6 @@ def evaluate_predictions(
         rmse_by_psn=rmse_per_claim(preds, actuals_used, group_of=psn_of.get),
         share_by_ap=ocl_share_curve(actuals_used, key_of=ap_of.get),
         share_by_psn=ocl_share_curve(actuals_used, key_of=psn_of.get),
-        n_claims=len(keys),
     )
 
 
@@ -373,8 +316,9 @@ def tune(
 
     family_fn(fold, params) must return predictions for the fold's
     validation claims at the fold boundary. Ties break on lower mean
-    per-claim RMSE, then on grid order. A configuration that fails in
-    any fold is marked invalid.
+    per-claim RMSE, then on grid order. A configuration that raises a
+    DataError, ConfigError or NumericFault in any fold is marked invalid;
+    any other exception (a leak, a programming error) propagates.
     """
     if not grid:
         raise ConfigError("empty tuning grid")
@@ -392,7 +336,7 @@ def tune(
                 preds = family_fn(fold, params)
                 ratios.append(relative_ocl(preds, actuals))
                 rmses.append(rmse_per_claim(preds, actuals))
-            except Exception:
+            except (DataError, ConfigError, NumericFault):
                 valid = False
                 break
         entries.append(
@@ -424,34 +368,32 @@ def write_metrics_csv(report: MetricsReport, model: str, seed: int, path: str) -
         writer = csv.writer(fh)
         writer.writerow(["model", "seed", "slice", "key", "relative_ocl", "rmse", "ocl_share"])
         writer.writerow(
-            [model, seed, "overall", "", repr(report.overall_ratio), repr(report.rmse_overall), ""]
+            [
+                model,
+                seed,
+                "overall",
+                "",
+                format_number(report.overall_ratio),
+                format_number(report.rmse_overall),
+                "",
+            ]
         )
-        share_ap = dict(report.share_by_ap)
-        share_psn = dict(report.share_by_psn)
-        for ap in sorted(set(report.ratio_by_ap) | set(share_ap)):
-            writer.writerow(
-                [
-                    model,
-                    seed,
-                    "ap",
-                    ap,
-                    repr(report.ratio_by_ap[ap]) if ap in report.ratio_by_ap else "",
-                    repr(report.rmse_by_ap[ap]) if ap in report.rmse_by_ap else "",
-                    repr(share_ap[ap]) if ap in share_ap else "",
-                ]
-            )
-        for psn in sorted(set(report.ratio_by_psn) | set(share_psn)):
-            writer.writerow(
-                [
-                    model,
-                    seed,
-                    "psn",
-                    psn,
-                    repr(report.ratio_by_psn[psn]) if psn in report.ratio_by_psn else "",
-                    repr(report.rmse_by_psn[psn]) if psn in report.rmse_by_psn else "",
-                    repr(share_psn[psn]) if psn in share_psn else "",
-                ]
-            )
+        for name, ratios, rmses, shares in (
+            ("ap", report.ratio_by_ap, report.rmse_by_ap, dict(report.share_by_ap)),
+            ("psn", report.ratio_by_psn, report.rmse_by_psn, dict(report.share_by_psn)),
+        ):
+            for key in sorted(set(ratios) | set(shares)):
+                writer.writerow(
+                    [
+                        model,
+                        seed,
+                        name,
+                        key,
+                        format_number(ratios.get(key)),
+                        format_number(rmses.get(key)),
+                        format_number(shares.get(key)),
+                    ]
+                )
 
 
 def write_histogram_csv(counts, edges, path: str) -> None:
@@ -461,8 +403,8 @@ def write_histogram_csv(counts, edges, path: str) -> None:
             writer.writerow(["psn", "bin_left", "bin_right", "count"])
             for psn, row in counts.items():
                 for b, c in enumerate(row):
-                    writer.writerow([psn, repr(float(edges[b])), repr(float(edges[b + 1])), int(c)])
+                    writer.writerow([psn, format_number(edges[b]), format_number(edges[b + 1]), int(c)])
         else:
             writer.writerow(["bin_left", "bin_right", "count"])
             for b, c in enumerate(counts):
-                writer.writerow([repr(float(edges[b])), repr(float(edges[b + 1])), int(c)])
+                writer.writerow([format_number(edges[b]), format_number(edges[b + 1]), int(c)])

@@ -2,16 +2,17 @@
 
 Settled claims each contribute one training row per observed development
 period (a claim with J development periods and reporting delay d gives
-J - d rows). Features mirror the environment's state profile without the
-model-generated slots (previous estimate, past predictions). The target
-is the outstanding amount at that period; regression runs on the log1p
-scale against an importance-weighted MSE, with weights (OCL / s)^alpha
-and zero weight on zero-OCL rows. Early stopping uses an 80/20 split of
-the training claims (split by claim, never by row). The output bias starts
-at the weighted mean log1p target of the training split, the best constant
-predictor under that loss; the log-scale targets sit far from zero (about
-10.7 on the default portfolio), so a zero start spends the early epochs on
-the offset.
+J - d rows). Features are the environment's state layout for the same
+profile without the model-generated slots: no past predictions
+(``n_past=0``) and no previous estimate. The target is the outstanding
+amount at that period; regression runs on the log1p scale against an MSE
+weighted by the environment's settled-claim importance weight
+(OCL / s)^alpha, which is zero on zero-OCL rows. Early stopping uses an
+80/20 split of the training claims (split by claim, never by row). The
+output bias starts at the weighted mean log1p target of the training
+split, the best constant predictor under that loss; the log-scale targets
+sit far from zero (about 10.7 on the default portfolio), so a zero start
+spends the early epochs on the offset.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .claims import Claim, Dataset
-from .env import ONE_HOT_TYPES
+from .env import PREV_OCL_SLOT, currency_mask, ocl_importance_weight, state_features
 from .errors import ConfigError, DataError, NumericFault
 from .nets import AdamState, FeatureScaler, Mlp, adam_step, backward, forward, init_mlp
 
@@ -49,41 +50,14 @@ class FnnConfig:
             raise ConfigError("alpha_w must be >= 0")
         if self.patience < 0:
             raise ConfigError("patience must be >= 0")
+        object.__setattr__(self, "hidden", tuple(self.hidden))
 
 
-def feature_dim(profile: str) -> int:
-    if profile == "minimal":
-        return 3  # ap, dp, paid
-    if profile == "cas":
-        return 4  # + repdel
-    if profile == "splice_full":
-        return 4 + len(ONE_HOT_TYPES) + 4  # + one-hot, n_pay, aq, dq, case
-    raise ConfigError(f"unknown state profile {profile!r}")
-
-
-def feature_currency_mask(profile: str) -> np.ndarray:
-    mask = [False, False, True]  # ap, dp, paid
-    if profile in ("cas", "splice_full"):
-        mask += [False]
-    if profile == "splice_full":
-        mask += [False] * len(ONE_HOT_TYPES)
-        mask += [False, False, False, True]
-    return np.array(mask, dtype=bool)
-
-
-def claim_period_features(claim: Claim, t: int, profile: str) -> np.ndarray:
-    """Supervised feature vector for one claim-period."""
-    rec = claim.dev_records[t - claim.notification_period]
-    feats = [float(claim.accident_period), float(rec.dev_period), rec.cum_paid]
-    if profile in ("cas", "splice_full"):
-        feats.append(float(claim.repdel))
-    if profile == "splice_full":
-        feats.extend(1.0 if typ in rec.txn_types else 0.0 for typ in ONE_HOT_TYPES)
-        feats.append(float(rec.n_pay))
-        feats.append(float((claim.accident_period - 1) % 4 + 1))
-        feats.append(float((t - 1) % 4 + 1))
-        feats.append(rec.case if rec.case is not None else 0.0)
-    return np.array(feats, dtype=np.float64)
+def row_features(claim: Claim, t: int, profile: str) -> list[float]:
+    """The environment's state at n_past=0 without the previous-estimate slot."""
+    row = state_features(claim, t, 0.0, [], profile, 0)
+    del row[PREV_OCL_SLOT]
+    return row
 
 
 @dataclass
@@ -95,28 +69,20 @@ class FnnRows:
     s_scale: float
 
 
-def importance_weight_supervised(ocl: float, alpha: float, s: float) -> float:
-    if s <= 0:
-        raise ConfigError("weight scale s must be positive")
-    if ocl <= 0:
-        return 0.0
-    return (ocl / s) ** alpha
-
-
 def build_training_rows(train: Dataset, cutoff: int, cfg: FnnConfig) -> FnnRows:
     """Rows from claims settled by the cutoff, one per development period."""
     settled = train.settled_claims(by=cutoff)
     if not settled:
         raise DataError("no settled claims before the cutoff")
 
-    feats: list[np.ndarray] = []
+    feats: list[list[float]] = []
     targets: list[float] = []
     claim_nos: list[str] = []
     for claim in settled:
         ult = claim.ultimate
         for t in range(claim.notification_period, claim.settlement_period + 1):
             rec = claim.dev_records[t - claim.notification_period]
-            feats.append(claim_period_features(claim, t, cfg.state_profile))
+            feats.append(row_features(claim, t, cfg.state_profile))
             targets.append(max(ult - rec.cum_paid, 0.0))
             claim_nos.append(claim.claim_no)
 
@@ -128,10 +94,10 @@ def build_training_rows(train: Dataset, cutoff: int, cfg: FnnConfig) -> FnnRows:
             raise DataError("all training targets are zero")
         s = float(positive.mean())
     weights = np.array(
-        [importance_weight_supervised(y, cfg.alpha_w, s) for y in targets]
+        [ocl_importance_weight(True, cfg.alpha_w, s, ocl_tau=y) for y in targets]
     )
     return FnnRows(
-        features=np.stack(feats),
+        features=np.array(feats, dtype=np.float64),
         targets=targets_arr,
         weights=weights,
         claim_nos=claim_nos,
@@ -189,7 +155,7 @@ def train_fnn(rows: FnnRows, cfg: FnnConfig, seed: int | None = None) -> FnnMode
     seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(np.random.SeedSequence([seed, 23]))
 
-    mask = feature_currency_mask(cfg.state_profile)
+    mask = np.delete(currency_mask(cfg.state_profile, 0), PREV_OCL_SLOT)
     scaler = FeatureScaler.fit(rows.features, mask)
     x_all = scaler.transform(rows.features)
     y_all = np.log1p(rows.targets)
@@ -284,7 +250,6 @@ def load_fnn(directory: str) -> FnnModel:
 
     with open(os.path.join(directory, "config.json"), encoding="utf-8") as fh:
         payload = json.load(fh)
-    payload["cfg"]["hidden"] = tuple(payload["cfg"]["hidden"])
     data = np.load(os.path.join(directory, "scaler.npz"))
     return FnnModel(
         net=load_mlp(os.path.join(directory, "net.json")),
@@ -300,6 +265,6 @@ def predict_ocl_fnn(model: FnnModel, view: Dataset, at: int) -> dict[str, float]
     """Predictions for every claim open at the valuation period."""
     preds: dict[str, float] = {}
     for claim in view.open_claims(at):
-        feats = claim_period_features(claim, at, model.cfg.state_profile)
-        preds[claim.claim_no] = float(model.predict(feats.reshape(1, -1))[0])
+        row = np.array([row_features(claim, at, model.cfg.state_profile)], dtype=np.float64)
+        preds[claim.claim_no] = float(model.predict(row)[0])
     return preds

@@ -208,13 +208,6 @@ class FeatureScaler:
         z = (z - self.shift) / self.scale
         return z[0] if squeeze else z
 
-    def inverse(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        squeeze = z.ndim == 1
-        x = (z.reshape(1, -1) if squeeze else z) * self.scale + self.shift
-        x[:, self.currency] = np.expm1(x[:, self.currency])
-        return x[0] if squeeze else x
-
 
 @dataclass
 class GradCheckReport:

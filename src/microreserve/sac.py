@@ -17,12 +17,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .claims import Dataset
+from .claims import Dataset, format_number
 from .env import (
     EnvConfig,
     Transition,
     ZeroPolicy,
-    build_state,
     currency_mask,
     mean_training_ocl,
     rollout_calendar,
@@ -62,6 +61,7 @@ class SacConfig:
             raise ConfigError("updates_per_step must be >= 0")
         if self.init_temp <= 0:
             raise ConfigError("init_temp must be positive")
+        object.__setattr__(self, "hidden", tuple(self.hidden))
 
 
 class ReplayBuffer:
@@ -359,7 +359,6 @@ def load_agent(directory: str) -> SacAgent:
 
     with open(os.path.join(directory, "config.json"), encoding="utf-8") as fh:
         payload = json.load(fh)
-    payload["sac"]["hidden"] = tuple(payload["sac"]["hidden"])
     env_cfg = EnvConfig(**payload["env"])
     cfg = SacConfig(**payload["sac"])
     dim = state_dim(env_cfg.state_profile, env_cfg.n_past)
@@ -439,9 +438,9 @@ def write_training_log(log: list[dict], path: str) -> None:
             writer.writerow(
                 [
                     row["update"],
-                    repr(row["critic_loss"]),
-                    repr(row["actor_loss"]),
-                    repr(row["temperature"]),
+                    format_number(row["critic_loss"]),
+                    format_number(row["actor_loss"]),
+                    format_number(row["temperature"]),
                     row["buffer"],
                 ]
             )

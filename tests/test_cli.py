@@ -1,0 +1,137 @@
+import csv
+import json
+import os
+
+import pytest
+
+from microreserve import cli
+from microreserve.errors import NumericFault
+
+# A seeded portfolio small enough for a full rl + fnn + cl run in a few seconds.
+TINY = {
+    "data": {"source": "simulate", "preset": "complexity1", "claims_per_period": 4},
+    "sac": {"warmup_steps": 50, "hidden": [8], "batch_size": 16},
+    "fnn": {"max_epochs": 3, "hidden": [8]},
+    "seeds": [3],
+}
+
+LABELS = {
+    "model": {"rl", "fnn", "cl"},
+    "slice": {"overall", "ap", "psn"},
+    "tercile": {"small", "medium", "large"},
+}
+
+
+def write_config(path, cfg) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(cfg, fh)
+    return str(path)
+
+
+def run_tiny(out_dir, **extra) -> dict:
+    cfg = {**TINY, **extra, "output_dir": str(out_dir)}
+    path = write_config(os.path.join(str(out_dir) + ".json"), cfg)
+    assert cli.main(["run", "--config", path]) == 0
+    with open(os.path.join(str(out_dir), "manifest.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny") / "run"
+    return out, run_tiny(out)
+
+
+def cell_ok(column: str, cell: str) -> bool:
+    if cell == "":
+        return True
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        pass
+    if column == "claim_no":
+        return True
+    return cell in LABELS.get(column, ())
+
+
+class TestExitCodes:
+    def test_verify_exits_zero(self, capsys):
+        assert cli.main(["verify"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_unknown_model_is_config_error(self, tmp_path):
+        assert cli.main(["run", "--models", "bogus", "--output-dir", str(tmp_path)]) == 1
+
+    def test_missing_ingest_file_is_data_error(self, tmp_path):
+        cfg = {
+            "data": {"source": "ingest", "path": str(tmp_path / "absent.csv")},
+            "output_dir": str(tmp_path / "out"),
+        }
+        assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+
+    def test_numeric_fault_exits_three(self, tmp_path, monkeypatch):
+        def diverge(cfg, seed):
+            raise NumericFault("diverged")
+
+        monkeypatch.setattr(cli, "acquire_dataset", diverge)
+        assert cli.main(["run", "--output-dir", str(tmp_path)]) == 3
+
+    # Each config is otherwise the tiny run, so a key that slipped through
+    # would fail the test in seconds rather than run the default portfolio.
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"sac": {**TINY["sac"], "bogus": 1}},
+            {"split": {"kind": "ts"}},
+            {"data": {**TINY["data"], "bogus": 1}},
+            {"tuning": {"enabled": True, "family": "fnn", "grid": [{"lr": 0.01}, {"bogus": 1}]}},
+            {"tuning": {"enabled": True, "family": "rl", "grid": [{"sac": {"lr": 0.01}}]}},
+        ],
+        ids=["sac", "split_kind", "data", "fnn_grid", "rl_grid"],
+    )
+    def test_unknown_key_is_config_error(self, tmp_path, extra):
+        cfg = {**TINY, **extra, "models": ["cl"], "output_dir": str(tmp_path)}
+        assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+
+    def test_single_fold_is_config_error(self, tmp_path):
+        cfg = {**TINY, "split": {"k_folds": 1}, "models": ["cl"], "output_dir": str(tmp_path)}
+        assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+
+
+class TestRun:
+    def test_manifest_done_with_every_model(self, tiny_run):
+        out, manifest = tiny_run
+        assert manifest["stage_reached"] == "done"
+        summary = manifest["summaries"][0]
+        for model in ("rl", "fnn", "cl"):
+            assert summary[f"{model}_ratio"] > 0
+        for rel, digest in manifest["outputs"].items():
+            assert cli._sha256(os.path.join(str(out), rel)) == digest
+
+    def test_every_csv_cell_parses(self, tiny_run):
+        out, _ = tiny_run
+        bad = []
+        for root, _dirs, files in os.walk(str(out)):
+            for name in sorted(f for f in files if f.endswith(".csv")):
+                with open(os.path.join(root, name), newline="", encoding="utf-8") as fh:
+                    rows = csv.reader(fh)
+                    header = next(rows)
+                    for row in rows:
+                        bad += [(name, c, v) for c, v in zip(header, row) if not cell_ok(c, v)]
+        assert bad == []
+
+    def test_same_config_same_output_hashes(self, tiny_run, tmp_path):
+        _, first = tiny_run
+        again = run_tiny(tmp_path / "again")
+        assert again["outputs"] == first["outputs"]
+
+    def test_rl_tuning_run_completes(self, tmp_path):
+        tuning = {
+            "enabled": True,
+            "family": "rl",
+            "grid": [{"sac": {"actor_lr": 0.001}}, {"env": {"gamma": 0.95}}],
+        }
+        manifest = run_tiny(tmp_path / "tuned", models=["rl"], tuning=tuning)
+        assert manifest["stage_reached"] == "done"
+        assert manifest["tuned_params"] in tuning["grid"]

@@ -19,6 +19,7 @@ from microreserve.env import (
     reward_stability,
     rollout_calendar,
     smape_h,
+    state_dim,
 )
 from microreserve.errors import ConfigError, DataError
 
@@ -43,16 +44,16 @@ class TestApplyAction:
     def test_golden_first_step(self):
         # prev 499175.5 -> 519377.1 back-solves to about +0.0397
         a = math.log(519377.1 / 499175.5)
-        assert apply_action(499175.5, a, 2.0) == pytest.approx(519377.1)
+        assert apply_action(499175.5, a, 2.0) == (pytest.approx(519377.1), a)
         assert a == pytest.approx(0.0397, abs=1e-4)
 
     def test_identity(self):
-        assert apply_action(100.0, 0.0, 2.0) == 100.0
+        assert apply_action(100.0, 0.0, 2.0) == (100.0, 0.0)
 
     def test_clipping_at_bound(self):
-        # Oracle: clip then exp by hand.
-        assert apply_action(100.0, 1.5, 2.0) == pytest.approx(200.0)
-        assert apply_action(100.0, -5.0, 2.0) == pytest.approx(50.0)
+        # Oracle: clip then exp by hand; the clipped action comes back too.
+        assert apply_action(100.0, 1.5, 2.0) == (pytest.approx(200.0), LN2)
+        assert apply_action(100.0, -5.0, 2.0) == (pytest.approx(50.0), -LN2)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
@@ -288,6 +289,35 @@ class TestRollout:
             if rec.has_payment:
                 assert txn.breakdown.r_stab == 0.0
                 assert txn.breakdown.r_smooth == 0.0
+
+    @pytest.mark.parametrize("n_past", [0, 1, 5, 20])
+    def test_every_state_has_state_dim_slots(self, golden_config, n_past):
+        data = discretize(load_transactions(fixture_path("golden_claim_txns.csv"), "splice"))
+        cfg = golden_env(golden_config, n_past=n_past)
+        result = rollout_calendar(data, ZeroPolicy(), {data.claims[0].claim_no: 499175.5}, cfg)
+        dim = state_dim(cfg.state_profile, n_past)
+        assert dim == 14 + n_past
+        assert {len(t.state) for t in result.transitions} == {dim}
+
+    def test_stability_terms_follow_the_claim_horizon(self):
+        # Oracle: potential differences recomputed from the logged estimates.
+        # Notified in period 2 and settled in period 5, so the horizon is 4
+        # and tau 3, a period without payments, is the last prediction step.
+        claim = build_claim(
+            "h1",
+            1,
+            [(1.5, "Ma", 0.0, 90.0), (2.5, "Ma", 0.0, 80.0), (4.5, "PMa", 100.0, 0.0)],
+        )
+        data = build_dataset([claim])
+        cfg = EnvConfig(state_profile="minimal", s_scale=50.0, gamma=0.9)
+        policy = ScriptedPolicy({("h1", 1): 0.1, ("h1", 2): -0.2, ("h1", 3): 0.3})
+        result = rollout_calendar(data, policy, {"h1": 80.0}, cfg)
+        ul = [80.0] + [t.pred_ocl for t in result.transitions]  # nothing paid yet
+        assert [t.tau for t in result.transitions] == [1, 2, 3]
+        interior, last = result.transitions[1], result.transitions[2]
+        assert interior.breakdown.r_stab == 0.9 * smape_h(ul[2], ul[1]) - smape_h(ul[1], ul[0])
+        assert last.breakdown.r_stab == -smape_h(ul[2], ul[1])
+        assert last.reward == last.breakdown.r_stab + last.breakdown.r_smooth + last.breakdown.r_acc
 
     def test_determinism(self, golden_config):
         data = discretize(load_transactions(fixture_path("golden_claim_txns.csv"), "splice"))

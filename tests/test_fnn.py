@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
+from microreserve.env import PREV_OCL_SLOT, currency_mask, state_features
 from microreserve.errors import ConfigError, DataError
 from microreserve.fnn import (
     FnnConfig,
     FnnRows,
     build_training_rows,
-    claim_period_features,
-    feature_dim,
     load_fnn,
     predict_ocl_fnn,
+    row_features,
     save_fnn,
     train_fnn,
     weighted_mse,
@@ -81,9 +81,17 @@ class TestRows:
     def test_features_exclude_model_feedback(self):
         data = settled_fixture()
         claim = data.by_no("f1")
-        feats = claim_period_features(claim, 2, "minimal")
-        assert feats.shape == (feature_dim("minimal"),)
-        assert feats.tolist() == [1.0, 2.0, 0.0]  # ap, dp, paid
+        feats = row_features(claim, 2, "minimal")
+        assert len(feats) == currency_mask("minimal", 0).size - 1
+        assert feats == [1.0, 2.0, 0.0]  # ap, dp, paid
+
+    @pytest.mark.parametrize("profile", ["minimal", "cas", "splice_full"])
+    def test_features_are_env_state_without_previous_estimate(self, profile):
+        claim = settled_fixture().by_no("f1")
+        for t in range(2, 6):
+            state = state_features(claim, t, 123.0, [], profile, 0)
+            assert state[PREV_OCL_SLOT] == 123.0
+            assert row_features(claim, t, profile) == state[:PREV_OCL_SLOT] + state[PREV_OCL_SLOT + 1 :]
 
 
 class TestWeightedMse:

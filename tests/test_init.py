@@ -98,10 +98,6 @@ class TestInitTables:
         assert tables.pi_ppci[2] > 1.0
         assert tables.adj_mean_ultimate[2] > tables.mean_ultimate[2]
 
-    def test_weights_sum_to_one(self):
-        tables = build_init_tables(two_ap_fixture(), 4)
-        assert sum(tables.weights().values()) == pytest.approx(1.0)
-
     def test_no_settled_claims_errors(self):
         claims = [build_claim("o1", 1, [(1.5, "Ma", 0.0, 10.0), (2.5, "P", 3.0, 7.0)])]
         data = build_dataset(claims, max_t=3)

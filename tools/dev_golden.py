@@ -4,6 +4,9 @@ Back-solves actions from the published prediction path, re-derives every
 reward row from first principles (independent of env.py), pins the
 smoothing ramp length, and solves the weight scale that reproduces the
 published terminal accuracy reward at alpha = 1.
+
+Run from the repository root, ``python tools/dev_golden.py``; it rewrites
+the three ``golden_claim_*`` files under ``src/microreserve/fixtures``.
 """
 
 import csv
