@@ -113,7 +113,7 @@ def delay_profile(dataset: Dataset, valuation: int) -> tuple[np.ndarray, np.ndar
     for claim in dataset.claims:
         if claim.notification_period > valuation:
             continue
-        inc = claim.incurred_at(valuation)
+        inc = claim.record_at(valuation).incurred
         if inc is not None:
             amounts.append(inc)
             delays.append(claim.repdel)
@@ -196,8 +196,7 @@ def rbns_ocl(
     scaling: DelayScaling | None = None,
 ) -> ClResult:
     """Full pipeline: triangles, CL projection, IBNR strip, open-claim OCL."""
-    paid = build_triangle(dataset, "cum_paid", cutoff)
-    counts = build_triangle(dataset, "cum_count", cutoff)
+    paid, counts = build_triangle(dataset, cutoff)
     ult_paid, ult_count, mu = cl_ultimates(paid, counts)
     if scaling is None:
         amounts, delays = delay_profile(dataset, cutoff)
@@ -206,12 +205,14 @@ def rbns_ocl(
 
     settled_ult = np.zeros(len(paid.aps))
     open_paid = np.zeros(len(paid.aps))
-    observed = np.zeros(len(paid.aps))
+    # Claims notified by the cutoff: the count triangle's latest diagonal.
+    observed = np.array(
+        [counts.values[row, counts.latest_dev(i) - 1] for row, i in enumerate(counts.aps)]
+    )
     for claim in dataset.claims:
         if claim.notification_period > cutoff:
             continue
-        row = paid.aps.index(claim.accident_period)
-        observed[row] += 1
+        row = claim.accident_period - paid.aps[0]
         if claim.settled_by(cutoff):
             settled_ult[row] += claim.ultimate
         else:

@@ -14,7 +14,12 @@ Conventions used throughout:
 * amounts are in money units as paid (inflation, if any, is already
   materialized in ``cumpaid`` by whoever produced the file);
 * a settled claim's ultimate is its final cumulative paid, and the true
-  outstanding liability at development ``j`` is ``ultimate - paid_j``.
+  outstanding liability at development ``j`` is ``max(ultimate - paid_j, 0)``.
+
+``Claim.dev_records`` (built by ``discretize``) is the one per-period view
+of a claim; only loading, censoring and CSV export walk the transactions.
+``Claim.record_at(t)`` reads it, returning the last record for any period
+after it, since the claim no longer changes.
 """
 
 from __future__ import annotations
@@ -84,6 +89,7 @@ class DevelopmentRecord:
     txn_types: frozenset[str]
     n_pay: int
     case: float | None
+    incurred: float | None
     true_ocl: float | None  # None while the claim is open / censored
 
     @property
@@ -120,25 +126,20 @@ class Claim:
         """Notified by t but not yet settled at the end of t."""
         return self.notification_period <= t and not self.settled_by(t)
 
+    def record_at(self, t: int) -> DevelopmentRecord:
+        """Development record at the end of calendar period t.
+
+        Past the last record the claim no longer changes, so its last record
+        holds; before notification there is none.
+        """
+        k = t - self.notification_period
+        if k < 0:
+            raise DataError(f"claim {self.claim_no}: period {t} precedes notification")
+        return self.dev_records[min(k, len(self.dev_records) - 1)]
+
     def paid_at(self, t: int) -> float:
         """Cumulative paid by the end of calendar period t."""
-        paid = 0.0
-        for txn in self.transactions:
-            if txn.period <= t:
-                paid = txn.cumpaid
-            else:
-                break
-        return paid
-
-    def incurred_at(self, t: int) -> float | None:
-        """Latest case estimate of the ultimate observed by end of period t."""
-        inc = None
-        for txn in self.transactions:
-            if txn.period > t:
-                break
-            if txn.incurred is not None:
-                inc = txn.incurred
-        return inc
+        return self.record_at(t).cum_paid
 
     def psn_at(self, t: int) -> int:
         """Periods since notification, counting the notification period as 1."""
@@ -182,7 +183,6 @@ class Dataset:
 class Triangle:
     """Cumulative run-off triangle; cells exist for i + j - 1 <= valuation."""
 
-    kind: str  # "cum_paid" | "cum_count" | "ppci"
     aps: list[int]
     valuation: int
     values: "object"  # numpy (len(aps), max_dev) array, NaN where absent
@@ -363,21 +363,17 @@ def load_transactions(path: str, schema: str = "splice", period_unit: str | None
 def discretize(dataset: Dataset) -> Dataset:
     """Populate per-period development records for every claim.
 
-    One record per development period from notification to settlement
-    (or to the last observed period for open claims); paid and case
-    values carry forward through quiet periods.
+    One record per development period from notification to the claim's
+    last transaction; open claims continue to the data horizon. Paid,
+    incurred and case values carry forward through quiet periods. A
+    settled claim's ledger may hold case rows after its settlement period
+    (its last payment), so its records run on to those rows.
     """
     for claim in dataset.claims:
-        if claim.settled:
-            last_t = claim.settlement_period
-        else:
-            # Open claims stay observable through the data horizon; quiet
-            # trailing periods carry the last known values forward.
-            last_t = max(
-                dataset.max_calendar_period,
-                period_of(claim.transactions[-1].txn_time),
-                claim.notification_period,
-            )
+        last_t = period_of(claim.transactions[-1].txn_time)
+        if not claim.settled:
+            # Open claims stay observable through the data horizon.
+            last_t = max(dataset.max_calendar_period, last_t)
         by_period: dict[int, list[Transaction]] = {}
         for txn in claim.transactions:
             by_period.setdefault(txn.period, []).append(txn)
@@ -385,6 +381,7 @@ def discretize(dataset: Dataset) -> Dataset:
         records: list[DevelopmentRecord] = []
         paid = 0.0
         case: float | None = None
+        incurred: float | None = None
         n_pay = 0
         ultimate = claim.ultimate
         for t in range(claim.notification_period, last_t + 1):
@@ -393,6 +390,8 @@ def discretize(dataset: Dataset) -> Dataset:
                 paid = txn.cumpaid
                 if txn.case_ocl is not None:
                     case = txn.case_ocl
+                if txn.incurred is not None:
+                    incurred = txn.incurred
                 if txn.txn_type:
                     types.add(txn.txn_type)
                 if txn.is_payment:
@@ -413,6 +412,7 @@ def discretize(dataset: Dataset) -> Dataset:
                     txn_types=frozenset(types),
                     n_pay=n_pay,
                     case=case,
+                    incurred=incurred,
                     true_ocl=true_ocl,
                 )
             )
@@ -421,18 +421,15 @@ def discretize(dataset: Dataset) -> Dataset:
 
 
 def build_triangle(
-    dataset: Dataset, kind: str, valuation: int, settled_only: bool = False
-) -> Triangle:
-    """Aggregate claims into a cumulative triangle at the given valuation.
+    dataset: Dataset, valuation: int, settled_only: bool = False
+) -> tuple[Triangle, Triangle]:
+    """Cumulative paid and claim-count triangles at the given valuation.
 
-    kind "cum_paid" sums paid-to-date, "cum_count" counts claims notified
-    by each (i, j) cell, and "ppci" divides paid by count cellwise with
-    0/0 -> 0.
+    The paid cell (i, j) sums paid-to-date over the claims of accident
+    period i notified by its calendar period; the count cell counts them.
     """
     import numpy as np
 
-    if kind not in ("cum_paid", "cum_count", "ppci"):
-        raise DataError(f"unknown triangle kind {kind!r}")
     included = [
         c
         for c in dataset.claims
@@ -447,30 +444,20 @@ def build_triangle(
     max_dev = valuation - lo + 1
 
     paid = np.full((len(aps), max_dev), np.nan)
-    count = np.full((len(aps), max_dev), np.nan)
     for row, i in enumerate(aps):
-        for j in range(1, valuation - i + 2):
-            t = i + j - 1
-            paid[row, j - 1] = 0.0
-            count[row, j - 1] = 0.0
+        paid[row, : valuation - i + 1] = 0.0
+    count = paid.copy()
     for c in included:
-        row = aps.index(c.accident_period)
-        for j in range(1, valuation - c.accident_period + 2):
-            t = c.accident_period + j - 1
-            if c.notification_period <= t:
-                count[row, j - 1] += 1
-                paid[row, j - 1] += c.paid_at(t)
+        row = c.accident_period - lo
+        for t in range(c.notification_period, valuation + 1):
+            j = t + 1 - c.accident_period
+            count[row, j - 1] += 1
+            paid[row, j - 1] += c.paid_at(t)
 
-    if kind == "cum_paid":
-        values = paid
-    elif kind == "cum_count":
-        values = count
-    else:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            values = np.where(count > 0, paid / np.where(count > 0, count, 1.0), 0.0)
-        values[np.isnan(paid)] = np.nan
-
-    return Triangle(kind=kind, aps=aps, valuation=valuation, values=values)
+    return (
+        Triangle(aps=aps, valuation=valuation, values=paid),
+        Triangle(aps=aps, valuation=valuation, values=count),
+    )
 
 
 def censor(dataset: Dataset, boundary: int) -> Dataset:

@@ -137,8 +137,13 @@ def _check_keys(where: str, given, allowed) -> None:
         raise ConfigError(f"unknown {where} keys {unknown}")
 
 
+# Fields the fits set themselves: the run seed, and the env's state profile.
+RUN_SET_FIELDS = {"sac": ("seed",), "fnn": ("seed", "state_profile")}
+
+
 def _fields(section: str) -> list[str]:
-    return [f.name for f in dataclasses.fields(MODEL_SECTIONS[section])]
+    skip = RUN_SET_FIELDS.get(section, ())
+    return [f.name for f in dataclasses.fields(MODEL_SECTIONS[section]) if f.name not in skip]
 
 
 def _grid_sections(family: str, point: dict) -> dict:

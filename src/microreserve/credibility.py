@@ -91,17 +91,14 @@ def build_init_tables(train: Dataset, valuation: int) -> InitTables:
         totals[c.accident_period] = totals.get(c.accident_period, 0.0) + c.ultimate
     means = {i: totals[i] / counts[i] for i in counts}
 
-    paid_tri = build_triangle(train, "cum_paid", valuation, settled_only=True)
-    count_tri = build_triangle(train, "cum_count", valuation, settled_only=True)
+    paid_tri, count_tri = build_triangle(train, valuation, settled_only=True)
     ppci_values = np.where(
         count_tri.values > 0,
         paid_tri.values / np.where(count_tri.values > 0, count_tri.values, 1.0),
         0.0,
     )
     ppci_values[np.isnan(paid_tri.values)] = np.nan
-    ppci_tri = Triangle(
-        kind="ppci", aps=paid_tri.aps, valuation=valuation, values=ppci_values
-    )
+    ppci_tri = Triangle(aps=paid_tri.aps, valuation=valuation, values=ppci_values)
 
     if paid_tri.max_dev >= 2:
         pi_paid = age_to_ultimate(paid_tri)

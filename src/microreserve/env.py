@@ -102,7 +102,7 @@ def state_features(
     The last n_past predictions fill the past-prediction slots, zero-padded
     on the left while fewer have been made.
     """
-    rec = claim.dev_records[t - claim.notification_period]
+    rec = claim.record_at(t)
     assert rec.dev_period == t + 1 - claim.accident_period
     feats = [
         float(claim.accident_period),
@@ -253,10 +253,8 @@ def mean_training_ocl(dataset: Dataset, boundary: int) -> float:
     total = 0.0
     n = 0
     for claim in dataset.settled_claims(by=boundary):
-        ult = claim.ultimate
         for t in range(claim.notification_period, claim.settlement_period):
-            rec = claim.dev_records[t - claim.notification_period]
-            ocl = ult - rec.cum_paid
+            ocl = claim.record_at(t).true_ocl
             if ocl > 0:
                 total += ocl
                 n += 1
@@ -328,20 +326,6 @@ class RolloutResult:
         return {cn: records[-1][2] for cn, records in self.predictions.items()}
 
 
-def _initial_ocl(init, claim: Claim, cfg: EnvConfig) -> float:
-    if isinstance(init, InitTables):
-        _, ocl0 = initialise_claim(
-            claim.accident_period,
-            claim.paid_at(claim.notification_period),
-            init,
-            k=cfg.k,
-        )
-        return ocl0
-    if isinstance(init, dict):
-        return init[claim.claim_no]
-    return init(claim)
-
-
 def rollout_calendar(
     dataset: Dataset,
     policy,
@@ -353,13 +337,12 @@ def rollout_calendar(
 ) -> RolloutResult:
     """Advance every claim in calendar order, producing transitions.
 
-    ``init`` is an InitTables, a {claim_no: OCL_0} mapping, or a callable
-    claim -> OCL_0. Claims settling in their notification period make no
-    predictions and are counted in ``n_skipped``. Open claims at the
-    boundary keep their final prediction but that last step has no
-    observable successor state, so it is not emitted as a transition.
-    With ``explore=False`` and a deterministic policy the rollout is a
-    pure function of its inputs.
+    ``init`` is an InitTables or a {claim_no: OCL_0} mapping. Claims
+    settling in their notification period make no predictions and are
+    counted in ``n_skipped``. Open claims at the boundary keep their final
+    prediction but that last step has no observable successor state, so it
+    is not emitted as a transition. With ``explore=False`` and a
+    deterministic policy the rollout is a pure function of its inputs.
     """
     if cfg.s_scale is None:
         raise ConfigError("s_scale must be resolved before rolling out")
@@ -397,10 +380,13 @@ def rollout_calendar(
                 continue
 
             if tracker is None:
-                ocl0 = _initial_ocl(init, claim, cfg)
+                paid0 = claim.dev_records[0].cum_paid
+                if isinstance(init, InitTables):
+                    _, ocl0 = initialise_claim(claim.accident_period, paid0, init, k=cfg.k)
+                else:
+                    ocl0 = init[claim.claim_no]
                 if ocl0 <= 0:
                     raise DataError(f"non-positive initial OCL for {claim.claim_no}")
-                paid0 = claim.dev_records[0].cum_paid
                 tracker = _Tracker(
                     ocl=ocl0,
                     ul0=ocl0 + paid0,
@@ -422,7 +408,7 @@ def rollout_calendar(
 
             raw = policy.act(state, explore=explore, claim_no=claim.claim_no, tau=tau)
             new_ocl, action = apply_action(tracker.ocl, float(raw), cfg.k)
-            rec = claim.dev_records[t - claim.notification_period]
+            rec = claim.record_at(t)
             payment = rec.has_payment
 
             tracker.ocl = new_ocl
@@ -457,10 +443,9 @@ def rollout_calendar(
         if claim.settled and claim.settlement_period <= horizon:
             continue
         last_t = tracker.pred_records[-1][1]
-        rec_curr = claim.dev_records[last_t - claim.notification_period]
+        rec_curr = claim.record_at(last_t)
         for txn in tracker.emitted:
-            t_tau = claim.notification_period + txn.tau - 1
-            p_tau = claim.dev_records[t_tau - claim.notification_period].cum_paid
+            p_tau = claim.record_at(claim.notification_period + txn.tau - 1).cum_paid
             txn.breakdown.weight = ocl_importance_weight(
                 settled_in_train=False,
                 alpha=cfg.alpha_w,
@@ -480,13 +465,10 @@ def _finalize_settlement(claim: Claim, tracker: _Tracker | None, cfg: EnvConfig,
     if tracker is None or tracker.pending is None:
         return
     pending = tracker.pending
-    ult = claim.ultimate
     ocl_path = []
     weights = []
     for tau in range(1, tracker.horizon):
-        t = claim.notification_period + tau - 1
-        rec = claim.dev_records[t - claim.notification_period]
-        true_ocl = max(ult - rec.cum_paid, 0.0)
+        true_ocl = claim.record_at(claim.notification_period + tau - 1).true_ocl
         ocl_path.append(true_ocl)
         weights.append(
             ocl_importance_weight(

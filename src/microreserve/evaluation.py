@@ -139,7 +139,7 @@ def true_ocl_map(dataset: Dataset, valuation: int) -> dict[str, float]:
     out = {}
     for c in dataset.open_claims(valuation):
         if c.settled:
-            out[c.claim_no] = max(c.ultimate - c.paid_at(valuation), 0.0)
+            out[c.claim_no] = c.record_at(valuation).true_ocl
     return out
 
 
@@ -329,8 +329,7 @@ def tune(
         valid = True
         for fold in folds:
             actuals = {
-                c.claim_no: max(c.ultimate - c.paid_at(fold.boundary), 0.0)
-                for c in fold.validation_claims
+                c.claim_no: c.record_at(fold.boundary).true_ocl for c in fold.validation_claims
             }
             try:
                 preds = family_fn(fold, params)

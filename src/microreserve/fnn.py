@@ -79,11 +79,9 @@ def build_training_rows(train: Dataset, cutoff: int, cfg: FnnConfig) -> FnnRows:
     targets: list[float] = []
     claim_nos: list[str] = []
     for claim in settled:
-        ult = claim.ultimate
         for t in range(claim.notification_period, claim.settlement_period + 1):
-            rec = claim.dev_records[t - claim.notification_period]
             feats.append(row_features(claim, t, cfg.state_profile))
-            targets.append(max(ult - rec.cum_paid, 0.0))
+            targets.append(claim.record_at(t).true_ocl)
             claim_nos.append(claim.claim_no)
 
     targets_arr = np.array(targets)

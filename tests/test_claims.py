@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microreserve.claims import (
+    PAYMENT_TYPES,
     build_triangle,
     censor,
     discretize,
@@ -18,8 +21,11 @@ from microreserve.errors import DataError, IntegrityError, ParseError
 from conftest import build_claim, build_dataset, fixture_path
 
 
-def write_csv(tmp_path, rows, header=None):
-    header = header or "claim_no,claim_size,txn_time,txn_type,incurred,OCL,cumpaid,accident_period"
+SPLICE_HEADER = "claim_no,claim_size,txn_time,txn_type,incurred,OCL,cumpaid,accident_period"
+CAS_HEADER = "claim_no,claim_size,txn_time,cumpaid,accident_period"
+
+
+def write_csv(tmp_path, rows, header=SPLICE_HEADER):
     path = tmp_path / "txns.csv"
     path.write_text("\n".join([header] + rows) + "\n")
     return str(path)
@@ -83,7 +89,7 @@ class TestLoad:
                 "x1,100.0,2,40.0,1",
                 "x1,100.0,3,100.0,1",
             ],
-            header="claim_no,claim_size,txn_time,cumpaid,accident_period",
+            header=CAS_HEADER,
         )
         data = load_transactions(path, "cas")
         claim = data.by_no("x1")
@@ -99,7 +105,7 @@ class TestLoad:
                 "x2,0.0,1,0.0,1",  # zero loss -> dropped
                 "x3,50.0,2,50.0,1",
             ],
-            header="claim_no,claim_size,txn_time,cumpaid,accident_period",
+            header=CAS_HEADER,
         )
         data = load_transactions(path, "cas")
         assert len(data) == 2
@@ -154,29 +160,22 @@ class TestDiscretize:
 class TestTriangle:
     def test_single_claim_paid_row(self):
         claim = build_claim("t1", 1, [(0.5, "P", 10.0, 5.0), (1.5, "PMa", 15.0, 0.0)])
-        tri = build_triangle(build_dataset([claim]), "cum_paid", valuation=2)
-        assert tri.values[0, 0] == 10.0
-        assert tri.values[0, 1] == 15.0
+        paid, _ = build_triangle(build_dataset([claim]), valuation=2)
+        assert paid.values[0, 0] == 10.0
+        assert paid.values[0, 1] == 15.0
 
     def test_count_row_increments_at_notification(self):
         # Oracle: manual count of notified claims per cell.
         c1 = build_claim("t1", 1, [(0.5, "P", 10.0, 5.0), (1.5, "PMa", 15.0, 0.0)])
         c2 = build_claim("t2", 1, [(1.5, "PMa", 8.0, 0.0)])
-        tri = build_triangle(build_dataset([c1, c2]), "cum_count", valuation=2)
-        assert tri.values[0, 0] == 1.0
-        assert tri.values[0, 1] == 2.0
-
-    def test_ppci_zero_over_zero(self):
-        c1 = build_claim("t1", 1, [(0.5, "P", 10.0, 5.0), (1.5, "PMa", 15.0, 0.0)])
-        c2 = build_claim("t2", 2, [(2.5, "PMa", 8.0, 0.0)])
-        tri = build_triangle(build_dataset([c2, c1]), "ppci", valuation=3)
-        row2 = tri.aps.index(2)
-        assert tri.values[row2, 0] == 0.0  # AP 2 has nothing notified at dev 1
+        _, count = build_triangle(build_dataset([c1, c2]), valuation=2)
+        assert count.values[0, 0] == 1.0
+        assert count.values[0, 1] == 2.0
 
     def test_cumulative_rows_non_decreasing(self):
         data = discretize(load_transactions(fixture_path("golden_claim_txns.csv"), "splice"))
-        tri = build_triangle(data, "cum_paid", valuation=47)
-        row = tri.values[0]
+        paid, _ = build_triangle(data, valuation=47)
+        row = paid.values[0]
         observed = row[~np.isnan(row)]
         assert np.all(np.diff(observed) >= 0)
 
@@ -184,7 +183,7 @@ class TestTriangle:
         from microreserve.claims import Dataset
 
         with pytest.raises(DataError):
-            build_triangle(Dataset(claims=[], max_calendar_period=5), "cum_paid", 5)
+            build_triangle(Dataset(claims=[], max_calendar_period=5), 5)
 
 
 class TestRoundTrip:
@@ -252,3 +251,115 @@ def test_censor_hides_future(three_period_claim):
     assert not claim.settled
     assert claim.dev_records[-1].true_ocl is None
     assert max(t.period for t in claim.transactions) <= 3
+
+
+# -- the development records against the ledger ------------------------------------
+
+
+def scan_paid(claim, t):
+    """Reference: cumulative paid by the end of calendar period t, read off the ledger."""
+    paid = 0.0
+    for txn in claim.transactions:
+        if txn.period <= t:
+            paid = txn.cumpaid
+        else:
+            break
+    return paid
+
+
+def scan_incurred(claim, t):
+    """Reference: latest case estimate of the ultimate by the end of period t."""
+    inc = None
+    for txn in claim.transactions:
+        if txn.period > t:
+            break
+        if txn.incurred is not None:
+            inc = txn.incurred
+    return inc
+
+
+STEPS = [0.0, 0.3, 1.0, 1.6, 2.5]
+
+
+@st.composite
+def ledger_claim(draw, schema):
+    """One claim's CSV rows: payments, then non-payment rows after the last payment.
+
+    When the claim settles, the trailing rows come after its settlement
+    period, which is the period of its last payment.
+    """
+    ap = draw(st.integers(1, 3))
+    time = ap - 1 + draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.75]))
+    rows = []  # (time, type, cumpaid, case)
+    paid = 0.0
+    for _ in range(draw(st.integers(1, 5))):
+        typ = draw(st.sampled_from(["Mi", "Ma", "P", "PMi", "PMa"]))
+        if typ in PAYMENT_TYPES:
+            paid += draw(st.sampled_from([1.0, 25.5, 300.0]))
+        rows.append((time, typ, paid, draw(st.sampled_from([5.0, 40.0, 120.0]))))
+        time += draw(st.sampled_from(STEPS))
+    for _ in range(draw(st.integers(0, 3))):
+        time += draw(st.sampled_from(STEPS[1:]))
+        rows.append((time, draw(st.sampled_from(["Mi", "Ma"])), paid, 7.0))
+    settled = draw(st.booleans())
+    if settled:
+        rows[-1] = rows[-1][:3] + (0.0,)
+    size = paid if settled else paid + 50.0
+    if schema == "splice":
+        return [
+            f"{{no}},{size},{t},{typ},{cum + case},{case},{cum},{ap}" for t, typ, cum, case in rows
+        ]
+    return [f"{{no}},{size},{t},{cum},{ap}" for t, _typ, cum, _case in rows]
+
+
+@st.composite
+def ledger(draw):
+    schema = draw(st.sampled_from(["splice", "cas"]))
+    claims = draw(st.lists(ledger_claim(schema), min_size=1, max_size=4))
+    rows = [row.format(no=f"c{n}") for n, claim in enumerate(claims) for row in claim]
+    boundary = draw(st.integers(1, 12))
+    return schema, rows, boundary
+
+
+def assert_records_match_scans(data, horizon):
+    for claim in data.claims:
+        for t in range(claim.notification_period, horizon + 3):
+            rec = claim.record_at(t)
+            assert rec.cum_paid == claim.paid_at(t) == scan_paid(claim, t), (claim.claim_no, t)
+            assert rec.incurred == scan_incurred(claim, t), (claim.claim_no, t)
+        with pytest.raises(DataError, match="notification"):
+            claim.record_at(claim.notification_period - 1)
+
+
+@given(ledger())
+@settings(max_examples=150, deadline=None)
+def test_record_reads_equal_ledger_scans(case):
+    schema, rows, boundary = case
+    header = SPLICE_HEADER if schema == "splice" else CAS_HEADER
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ledger.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join([header] + rows) + "\n")
+        data = discretize(load_transactions(path, schema))
+    assert_records_match_scans(data, data.max_calendar_period)
+    boundary = min(boundary, data.max_calendar_period)
+    assert_records_match_scans(censor(data, boundary), boundary)
+
+
+def test_settled_claim_records_cover_rows_after_settlement(tmp_path):
+    # Settles in period 3 with its last payment; case rows follow in 4 and 5.
+    path = write_csv(
+        tmp_path,
+        [
+            "s1,60.0,1.5,P,100.0,60.0,40.0,1",
+            "s1,60.0,2.5,PMa,60.0,0.0,60.0,1",
+            "s1,60.0,3.5,Mi,70.0,10.0,60.0,1",
+            "s1,60.0,4.5,Ma,60.0,0.0,60.0,1",
+        ],
+    )
+    claim = discretize(load_transactions(path, "splice")).by_no("s1")
+    assert claim.settlement_period == 3
+    assert [r.dev_period for r in claim.dev_records] == [2, 3, 4, 5]
+    assert [r.incurred for r in claim.dev_records] == [100.0, 60.0, 70.0, 60.0]
+    assert [r.true_ocl for r in claim.dev_records] == [20.0, 0.0, 0.0, 0.0]
+    assert claim.record_at(9).incurred == 60.0

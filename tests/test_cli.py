@@ -87,8 +87,16 @@ class TestExitCodes:
             {"data": {**TINY["data"], "bogus": 1}},
             {"tuning": {"enabled": True, "family": "fnn", "grid": [{"lr": 0.01}, {"bogus": 1}]}},
             {"tuning": {"enabled": True, "family": "rl", "grid": [{"sac": {"lr": 0.01}}]}},
+            # Set by the run itself: the run seed and the environment's profile.
+            {"sac": {**TINY["sac"], "seed": 5}},
+            {"fnn": {**TINY["fnn"], "seed": 5}},
+            {"fnn": {**TINY["fnn"], "state_profile": "minimal"}},
+            {"tuning": {"enabled": True, "family": "fnn", "grid": [{"seed": 5}]}},
         ],
-        ids=["sac", "split_kind", "data", "fnn_grid", "rl_grid"],
+        ids=[
+            "sac", "split_kind", "data", "fnn_grid", "rl_grid",
+            "sac_seed", "fnn_seed", "fnn_state_profile", "fnn_grid_seed",
+        ],
     )
     def test_unknown_key_is_config_error(self, tmp_path, extra):
         cfg = {**TINY, **extra, "models": ["cl"], "output_dir": str(tmp_path)}

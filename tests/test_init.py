@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from microreserve.claims import Dataset, Triangle, build_triangle
+from microreserve.claims import Triangle
 from microreserve.credibility import (
     age_to_ultimate,
     build_init_tables,
@@ -21,7 +21,6 @@ def triangle_from_rows(rows, valuation=None):
     for i, r in enumerate(rows):
         vals[i, : len(r)] = r
     return Triangle(
-        kind="cum_paid",
         aps=list(range(1, n + 1)),
         valuation=valuation or (n + width - 1) - (width - 1) + width - 1,
         values=vals,
@@ -97,6 +96,18 @@ class TestInitTables:
         assert tables.mean_ultimate[2] == pytest.approx(12.0)
         assert tables.pi_ppci[2] > 1.0
         assert tables.adj_mean_ultimate[2] > tables.mean_ultimate[2]
+
+    def test_ppci_zero_over_zero(self):
+        # Oracle: AP 2 has nothing notified at dev 1, so its PPCI cell there
+        # is 0/0 = 0 and still enters the first factor: (15 + 8) / (10 + 0).
+        # Read as missing, that factor would be 15 / 10.
+        claims = [
+            build_claim("t1", 1, [(0.5, "P", 10.0, 5.0), (1.5, "PMa", 15.0, 0.0)]),
+            build_claim("t2", 2, [(2.5, "PMa", 8.0, 0.0)]),
+            build_claim("t3", 3, [(2.5, "PMa", 6.0, 0.0)]),
+        ]
+        tables = build_init_tables(build_dataset(claims, max_t=3), 3)
+        assert tables.pi_ppci[3] == pytest.approx(2.3)
 
     def test_no_settled_claims_errors(self):
         claims = [build_claim("o1", 1, [(1.5, "Ma", 0.0, 10.0), (2.5, "P", 3.0, 7.0)])]

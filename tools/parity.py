@@ -1,0 +1,178 @@
+#!/usr/bin/env python3
+"""Byte-for-byte output parity between this working tree and a git revision.
+
+Exports the revision with ``git archive`` into a temporary directory, runs
+one fixed matrix of ``microreserve`` commands on each tree's ``src`` (BLAS
+pinned to one thread, the same relative paths inside a fresh run directory
+per tree) and compares every file the commands write, and each command's
+stdout and exit code, byte for byte. Prints the first differing line of
+each file that differs and exits 1 on any difference.
+
+    python tools/parity.py --against HEAD~1
+
+The matrix: the ``perfbench/workloads.py`` run configs (rl_train seeds
+1-3, portfolio_fit seed 1, ingest_tune seed 1), ``simulate`` in both
+schemas, ``ingest --dev-out`` in both schemas, ``chain-ladder`` on
+ingested and on simulated data, ``evaluate`` on the saved rl checkpoint
+and fnn model, ``report`` and ``verify``. It takes about a minute per
+tree on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+BLAS_PINS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+RUNS = [("rl_train", 1), ("rl_train", 2), ("rl_train", 3), ("portfolio_fit", 1), ("ingest_tune", 1)]
+INGEST_CSV = "ingest_tune_input.csv"
+
+
+def inputs() -> dict[str, dict]:
+    """Config files the matrix reads, by relative path."""
+    files = {}
+    for name, seed in RUNS:
+        csv_path = INGEST_CSV if "ingest" in workloads.WORKLOADS[name] else None
+        files[f"{name}_{seed}.json"] = workloads.run_config(
+            name, seed, f"runs/{name}_{seed}", csv_path
+        )
+    files["cl_cas.json"] = {"data": {"source": "ingest", "path": "sim_cas.csv", "schema": "cas"}}
+    return files
+
+
+def matrix() -> list[tuple[str, list[str]]]:
+    """(label, microreserve arguments) in the order they run."""
+    ingest = workloads.WORKLOADS["ingest_tune"]["ingest"]
+    cmds = [
+        ("simulate_ingest_input", [
+            "simulate", "--preset", ingest["preset"], "--seed", "1",
+            "--claims-per-period", str(ingest["claims_per_period"]), "--out", INGEST_CSV,
+        ]),
+    ]
+    cmds += [(f"run_{name}_{seed}", ["run", "--config", f"{name}_{seed}.json"]) for name, seed in RUNS]
+    sim = ["simulate", "--preset", "complexity1", "--seed", "2", "--claims-per-period", "10"]
+    seed_1 = "runs/{}_1/seed_1/{}"
+    cmds += [
+        ("simulate_splice", sim + ["--out", "sim_splice.csv"]),
+        ("simulate_cas", sim + ["--schema", "cas", "--out", "sim_cas.csv"]),
+        ("ingest_splice", ["ingest", "--path", "sim_splice.csv", "--dev-out", "dev_splice.csv"]),
+        ("ingest_cas", [
+            "ingest", "--path", "sim_cas.csv", "--schema", "cas", "--dev-out", "dev_cas.csv",
+        ]),
+        ("ingest_complexity5", ["ingest", "--path", INGEST_CSV, "--dev-out", "dev_complexity5.csv"]),
+        ("chain_ladder_cas", ["chain-ladder", "--config", "cl_cas.json", "--out", "cl_cas.csv"]),
+        ("chain_ladder_simulated", [
+            "chain-ladder", "--preset", "complexity1", "--seeds", "2",
+            "--claims-per-period", "40", "--out", "cl_simulated.csv",
+        ]),
+        ("evaluate_rl", [
+            "evaluate", "--config", "rl_train_1.json", "--output-dir", "runs/evaluate_rl",
+            "--rl-checkpoint", seed_1.format("rl_train", "rl_checkpoint"),
+        ]),
+        ("evaluate_fnn", [
+            "evaluate", "--config", "portfolio_fit_1.json", "--output-dir", "runs/evaluate_fnn",
+            "--fnn-model", seed_1.format("portfolio_fit", "fnn_model"),
+        ]),
+        ("report", [
+            "report", "--transitions", seed_1.format("rl_train", "rl_transitions.csv"),
+            "--out", "report_hist.csv",
+        ]),
+        ("report_by_psn", [
+            "report", "--transitions", seed_1.format("rl_train", "rl_transitions.csv"),
+            "--by-psn", "--out", "report_hist_psn.csv",
+        ]),
+        ("verify", ["verify"]),
+    ]
+    return cmds
+
+
+def export_revision(rev: str, dest: Path) -> None:
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run_matrix(tree: Path, run_dir: Path) -> None:
+    """Run every command on tree's sources; stdout and exit code land in run_dir/stdout."""
+    run_dir.mkdir(parents=True)
+    for rel, cfg in inputs().items():
+        (run_dir / rel).write_text(json.dumps(cfg, indent=1, sort_keys=True), encoding="utf-8")
+    env = {**os.environ, **BLAS_PINS, "PYTHONPATH": str(tree / "src"), "PYTHONHASHSEED": "0"}
+    (run_dir / "stdout").mkdir()
+    for n, (label, args) in enumerate(matrix()):
+        proc = subprocess.run(
+            [sys.executable, "-m", "microreserve.cli", *args],
+            cwd=run_dir, env=env, capture_output=True, text=True,
+        )
+        (run_dir / "stdout" / f"{n:02d}_{label}.txt").write_text(
+            f"{proc.stdout}exit {proc.returncode}\n", encoding="utf-8"
+        )
+        if proc.returncode != 0:
+            print(f"{tree}: {label} exited {proc.returncode}\n{proc.stderr}", file=sys.stderr)
+
+
+def _files(root: Path) -> set[str]:
+    return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+
+
+def first_difference(a: bytes, b: bytes) -> str:
+    """The first line on which two different byte strings differ."""
+    lines_a, lines_b = a.split(b"\n"), b.split(b"\n")
+    for n, (x, y) in enumerate(zip(lines_a, lines_b), start=1):
+        if x != y:
+            return f"line {n}: {x.decode(errors='replace')!r} != {y.decode(errors='replace')!r}"
+    return f"line {min(len(lines_a), len(lines_b)) + 1}: one side ends first"
+
+
+def compare_dirs(a: Path, b: Path) -> tuple[list[str], int]:
+    """(one message per differing or unmatched file, number of identical files)."""
+    files_a, files_b = _files(a), _files(b)
+    diffs = [f"{rel}: only in {a}" for rel in sorted(files_a - files_b)]
+    diffs += [f"{rel}: only in {b}" for rel in sorted(files_b - files_a)]
+    same = 0
+    for rel in sorted(files_a & files_b):
+        bytes_a, bytes_b = (a / rel).read_bytes(), (b / rel).read_bytes()
+        if bytes_a == bytes_b:
+            same += 1
+        else:
+            diffs.append(f"{rel}: {first_difference(bytes_a, bytes_b)}")
+    return diffs, same
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", required=True, help="git revision to compare with")
+    args = parser.parse_args(argv)
+
+    tmp = Path(tempfile.mkdtemp(prefix="parity-"))
+    try:
+        base = tmp / "tree"
+        export_revision(args.against, base)
+        run_matrix(base, tmp / "against")
+        run_matrix(ROOT, tmp / "this")
+        diffs, same = compare_dirs(tmp / "against", tmp / "this")
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    for line in diffs:
+        print(line)
+    print(f"{same} files identical, {len(diffs)} differ (against {args.against})")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
