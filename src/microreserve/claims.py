@@ -16,10 +16,12 @@ Conventions used throughout:
 * a settled claim's ultimate is its final cumulative paid, and the true
   outstanding liability at development ``j`` is ``max(ultimate - paid_j, 0)``.
 
-``Claim.dev_records`` (built by ``discretize``) is the one per-period view
-of a claim; only loading, censoring and CSV export walk the transactions.
-``Claim.record_at(t)`` reads it, returning the last record for any period
-after it, since the claim no longer changes.
+``Claim.dev_records`` is the one per-period view of a claim, derived once
+per acquisition by ``discretize``; censored views slice the parent's
+records. Only loading, censoring and CSV export walk the transactions.
+``Claim.record_at(t)`` reads the records, returning the last one for any
+period after them, since the claim no longer changes. ``Dataset.by_no`` is
+a dict lookup built at construction: the claim list is treated as immutable.
 """
 
 from __future__ import annotations
@@ -156,20 +158,17 @@ class Dataset:
     n_flagged_unsettled: int = 0
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
+        self._index: dict[str, Claim] = {}
         for c in self.claims:
-            if c.claim_no in seen:
+            if c.claim_no in self._index:
                 raise IntegrityError(f"duplicate claim_no {c.claim_no!r}")
-            seen.add(c.claim_no)
+            self._index[c.claim_no] = c
 
     def __len__(self) -> int:
         return len(self.claims)
 
     def by_no(self, claim_no: str) -> Claim:
-        for c in self.claims:
-            if c.claim_no == claim_no:
-                return c
-        raise KeyError(claim_no)
+        return self._index[claim_no]
 
     def settled_claims(self, by: int | None = None) -> list[Claim]:
         t = by if by is not None else self.max_calendar_period
@@ -441,19 +440,23 @@ def build_triangle(
     lo = min(c.accident_period for c in included)
     hi = max(c.accident_period for c in included)
     aps = list(range(lo, hi + 1))
-    max_dev = valuation - lo + 1
 
-    paid = np.full((len(aps), max_dev), np.nan)
-    for row, i in enumerate(aps):
-        paid[row, : valuation - i + 1] = 0.0
-    count = paid.copy()
+    # Cells add up in claim order, as Python floats (IEEE doubles like numpy's).
+    rows = [([0.0] * (valuation - i + 1), [0.0] * (valuation - i + 1)) for i in aps]
     for c in included:
-        row = c.accident_period - lo
-        for t in range(c.notification_period, valuation + 1):
-            j = t + 1 - c.accident_period
-            count[row, j - 1] += 1
-            paid[row, j - 1] += c.paid_at(t)
+        paid_row, count_row = rows[c.accident_period - lo]
+        n_cells = valuation - c.notification_period + 1
+        path = [r.cum_paid for r in c.dev_records[:n_cells]]
+        path += [path[-1]] * (n_cells - len(path))  # the claim no longer changes
+        for col, value in enumerate(path, c.notification_period - c.accident_period):
+            paid_row[col] += value
+            count_row[col] += 1.0
 
+    paid = np.full((len(aps), valuation - lo + 1), np.nan)
+    count = paid.copy()
+    for row, (paid_row, count_row) in enumerate(rows):
+        paid[row, : len(paid_row)] = paid_row
+        count[row, : len(count_row)] = count_row
     return (
         Triangle(aps=aps, valuation=valuation, values=paid),
         Triangle(aps=aps, valuation=valuation, values=count),
@@ -461,20 +464,31 @@ def build_triangle(
 
 
 def censor(dataset: Dataset, boundary: int) -> Dataset:
-    """Temporal view of the data as observable at the end of `boundary`.
+    """Temporal view of a discretized dataset as observable at the end of `boundary`.
 
     Claims notified after the boundary disappear; transactions beyond it
     are dropped; settlement (and hence the ultimate and true OCL path) is
-    known only when it happened inside the window.
+    known only when it happened inside the window. Records are the parent's,
+    cut where ``discretize`` would stop on the view, and copied where its
+    ultimate differs.
     """
+    horizon = min(dataset.max_calendar_period, boundary)
     out: list[Claim] = []
     for c in dataset.claims:
         if c.notification_period > boundary:
             continue
+        if not c.dev_records:
+            raise DataError(f"claim {c.claim_no}: censor needs a discretized dataset")
         txns = [t for t in c.transactions if t.period <= boundary]
-        if not txns:
-            continue
         settled = c.settled_by(boundary)
+        last_t = txns[-1].period if settled else max(horizon, txns[-1].period)
+        records = c.dev_records[: last_t - c.notification_period + 1]
+        ultimate = txns[-1].cumpaid if settled else None
+        if ultimate != c.ultimate:  # open at the boundary, or cumpaid moved after it
+            records = [
+                replace(r, true_ocl=None if ultimate is None else max(ultimate - r.cum_paid, 0.0))
+                for r in records
+            ]
         out.append(
             Claim(
                 claim_no=c.claim_no,
@@ -484,15 +498,15 @@ def censor(dataset: Dataset, boundary: int) -> Dataset:
                 repdel=c.repdel,
                 claim_size=c.claim_size,
                 transactions=txns,
+                dev_records=records,
             )
         )
-    view = Dataset(
+    return Dataset(
         claims=out,
         period_unit=dataset.period_unit,
         schema=dataset.schema,
-        max_calendar_period=min(dataset.max_calendar_period, boundary),
+        max_calendar_period=horizon,
     )
-    return discretize(view)
 
 
 def write_transactions(dataset: Dataset, path: str, schema: str | None = None) -> None:

@@ -273,10 +273,10 @@ def _fit_fnn(cfg: dict, view: Dataset, boundary: int, seed: int):
 # -- pipeline ----------------------------------------------------------------------
 
 
-def run_seed(cfg: dict, seed: int, out_dir: str) -> dict:
-    """Train every requested model for one seed and write its reports."""
+def run_seed(cfg: dict, seed: int, out_dir: str, acquired: tuple | None = None) -> dict:
+    """Train every requested model for one seed (``acquired``: its data, if held) and report."""
     os.makedirs(out_dir, exist_ok=True)
-    dataset, boundary, view = _acquire_view(cfg, seed)
+    dataset, boundary, view = acquired or _acquire_view(cfg, seed)
     tables = build_init_tables(view, boundary)
     actuals = true_ocl_map(dataset, boundary)
 
@@ -346,16 +346,19 @@ def run_pipeline(cfg: dict) -> str:
     }
     manifest_path = os.path.join(out_root, "manifest.json")
     summaries = []
+    acquired = None  # seeds[0]'s data, once tuning has acquired it
     try:
         if cfg["tuning"].get("enabled") and cfg["tuning"].get("grid"):
             manifest["stage_reached"] = "tuning"
-            best = tune_from_config(cfg)
+            acquired = _acquire_view(cfg, cfg["seeds"][0])
+            best = tune_from_config(cfg, acquired)
             manifest["tuned_params"] = best
             for section, params in _grid_sections(cfg["tuning"]["family"], best).items():
                 cfg[section].update(params)
         for seed in cfg["seeds"]:
             manifest["stage_reached"] = f"seed {seed}"
-            summaries.append(run_seed(cfg, seed, os.path.join(out_root, f"seed_{seed}")))
+            summaries.append(run_seed(cfg, seed, os.path.join(out_root, f"seed_{seed}"), acquired))
+            acquired = None
         manifest["stage_reached"] = "reports"
         summary_path = os.path.join(out_root, "summary.csv")
         with open(summary_path, "w", newline="", encoding="utf-8") as fh:
@@ -399,10 +402,10 @@ def _write_terciles(preds, actuals, ultimates, path) -> None:
                 writer.writerow([name, format_number(report[name])])
 
 
-def tune_from_config(cfg: dict) -> dict:
-    """Rolling-settlement tuning for the configured family on seed[0]."""
+def tune_from_config(cfg: dict, acquired: tuple) -> dict:
+    """Rolling-settlement tuning for the configured family on seed[0]'s acquired data."""
     seed = cfg["seeds"][0]
-    _, boundary, view = _acquire_view(cfg, seed)
+    _, boundary, view = acquired
     folds = rsv_folds(view, cfg["split"]["k_folds"], window_end=boundary)
     for fold in folds:
         guard_validation(fold.validation_claims, fold.boundary)
@@ -554,7 +557,7 @@ def cmd_tune(args) -> int:
     cfg = load_config(args.config, _data_overrides(args))
     if not cfg["tuning"].get("grid"):
         raise ConfigError("tuning.grid is empty")
-    best = tune_from_config(cfg)
+    best = tune_from_config(cfg, _acquire_view(cfg, cfg["seeds"][0]))
     os.makedirs(cfg["output_dir"], exist_ok=True)
     out = os.path.join(cfg["output_dir"], "best_params.json")
     with open(out, "w", encoding="utf-8") as fh:

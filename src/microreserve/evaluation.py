@@ -305,6 +305,7 @@ class TuneEntry:
     mean_rmse: float
     valid: bool
     fold_ratios: list[float] = field(default_factory=list)
+    reason: str = ""  # "<ExceptionType>: <message>" when a fold failed
 
 
 def tune(
@@ -326,7 +327,7 @@ def tune(
     for params in grid:
         ratios: list[float] = []
         rmses: list[float] = []
-        valid = True
+        reason = ""
         for fold in folds:
             actuals = {
                 c.claim_no: c.record_at(fold.boundary).true_ocl for c in fold.validation_claims
@@ -335,9 +336,10 @@ def tune(
                 preds = family_fn(fold, params)
                 ratios.append(relative_ocl(preds, actuals))
                 rmses.append(rmse_per_claim(preds, actuals))
-            except (DataError, ConfigError, NumericFault):
-                valid = False
+            except (DataError, ConfigError, NumericFault) as exc:
+                reason = f"{type(exc).__name__}: {exc}"
                 break
+        valid = not reason
         entries.append(
             TuneEntry(
                 params=params,
@@ -347,6 +349,7 @@ def tune(
                 mean_rmse=float(np.mean(rmses)) if valid else math.inf,
                 valid=valid,
                 fold_ratios=ratios,
+                reason=reason,
             )
         )
     if all(not e.valid for e in entries):

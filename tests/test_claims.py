@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import tempfile
@@ -9,9 +10,12 @@ from hypothesis import strategies as st
 
 from microreserve.claims import (
     PAYMENT_TYPES,
+    Claim,
+    Dataset,
     build_triangle,
     censor,
     discretize,
+    format_number,
     load_transactions,
     period_of,
     write_transactions,
@@ -180,8 +184,6 @@ class TestTriangle:
         assert np.all(np.diff(observed) >= 0)
 
     def test_empty_dataset_errors(self, tmp_path):
-        from microreserve.claims import Dataset
-
         with pytest.raises(DataError):
             build_triangle(Dataset(claims=[], max_calendar_period=5), 5)
 
@@ -286,7 +288,8 @@ def ledger_claim(draw, schema):
     """One claim's CSV rows: payments, then non-payment rows after the last payment.
 
     When the claim settles, the trailing rows come after its settlement
-    period, which is the period of its last payment.
+    period, which is the period of its last payment. In the cas schema a
+    trailing row that raises cumpaid is read as a payment.
     """
     ap = draw(st.integers(1, 3))
     time = ap - 1 + draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.75]))
@@ -298,8 +301,12 @@ def ledger_claim(draw, schema):
             paid += draw(st.sampled_from([1.0, 25.5, 300.0]))
         rows.append((time, typ, paid, draw(st.sampled_from([5.0, 40.0, 120.0]))))
         time += draw(st.sampled_from(STEPS))
+    # Trailing rows may move cumpaid without being payments (a splice ledger
+    # can record that), which moves the ultimate past the settlement period.
+    late_paid = draw(st.sampled_from([0.0, 0.0, 12.5]))
     for _ in range(draw(st.integers(0, 3))):
         time += draw(st.sampled_from(STEPS[1:]))
+        paid += late_paid
         rows.append((time, draw(st.sampled_from(["Mi", "Ma"])), paid, 7.0))
     settled = draw(st.booleans())
     if settled:
@@ -331,16 +338,20 @@ def assert_records_match_scans(data, horizon):
             claim.record_at(claim.notification_period - 1)
 
 
-@given(ledger())
-@settings(max_examples=150, deadline=None)
-def test_record_reads_equal_ledger_scans(case):
-    schema, rows, boundary = case
+def load_ledger(schema, rows):
     header = SPLICE_HEADER if schema == "splice" else CAS_HEADER
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ledger.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join([header] + rows) + "\n")
-        data = discretize(load_transactions(path, schema))
+        return discretize(load_transactions(path, schema))
+
+
+@given(ledger())
+@settings(max_examples=150, deadline=None)
+def test_record_reads_equal_ledger_scans(case):
+    schema, rows, boundary = case
+    data = load_ledger(schema, rows)
     assert_records_match_scans(data, data.max_calendar_period)
     boundary = min(boundary, data.max_calendar_period)
     assert_records_match_scans(censor(data, boundary), boundary)
@@ -363,3 +374,210 @@ def test_settled_claim_records_cover_rows_after_settlement(tmp_path):
     assert [r.incurred for r in claim.dev_records] == [100.0, 60.0, 70.0, 60.0]
     assert [r.true_ocl for r in claim.dev_records] == [20.0, 0.0, 0.0, 0.0]
     assert claim.record_at(9).incurred == 60.0
+
+
+# -- censored views and triangles against their re-derivations -----------------------
+
+
+def rederived_censor(dataset, boundary):
+    """Reference: the view re-derived from the filtered ledger by ``discretize``."""
+    out = []
+    for c in dataset.claims:
+        if c.notification_period > boundary:
+            continue
+        txns = [t for t in c.transactions if t.period <= boundary]
+        if not txns:
+            continue
+        settled = c.settled_by(boundary)
+        out.append(
+            Claim(
+                claim_no=c.claim_no,
+                accident_period=c.accident_period,
+                notification_period=c.notification_period,
+                settlement_period=c.settlement_period if settled else None,
+                repdel=c.repdel,
+                claim_size=c.claim_size,
+                transactions=txns,
+            )
+        )
+    view = Dataset(
+        claims=out,
+        period_unit=dataset.period_unit,
+        schema=dataset.schema,
+        max_calendar_period=min(dataset.max_calendar_period, boundary),
+    )
+    return discretize(view)
+
+
+def per_cell_triangle(dataset, valuation, settled_only=False):
+    """Reference: one ``paid_at`` read and one numpy add per claim and cell."""
+    included = [
+        c
+        for c in dataset.claims
+        if c.notification_period <= valuation and (not settled_only or c.settled_by(valuation))
+    ]
+    if not included:
+        raise DataError("no claims available to build a triangle")
+    lo = min(c.accident_period for c in included)
+    hi = max(c.accident_period for c in included)
+    paid = np.full((hi - lo + 1, valuation - lo + 1), np.nan)
+    for row, i in enumerate(range(lo, hi + 1)):
+        paid[row, : valuation - i + 1] = 0.0
+    count = paid.copy()
+    for c in included:
+        row = c.accident_period - lo
+        for t in range(c.notification_period, valuation + 1):
+            j = t + 1 - c.accident_period
+            count[row, j - 1] += 1
+            paid[row, j - 1] += c.paid_at(t)
+    return paid, count
+
+
+def record_fields(rec):
+    """Every field of a record, floats as their round-trip text (so -0.0 != 0.0)."""
+    return [
+        format_number(v) if isinstance(v, float) else v
+        for v in (getattr(rec, f.name) for f in dataclasses.fields(rec))
+    ]
+
+
+def assert_same_view(view, expected):
+    assert view.max_calendar_period == expected.max_calendar_period
+    assert [c.claim_no for c in view.claims] == [c.claim_no for c in expected.claims]
+    for got, want in zip(view.claims, expected.claims):
+        assert got.settlement_period == want.settlement_period
+        assert got.transactions == want.transactions
+        assert got.ultimate == want.ultimate
+        assert len(got.dev_records) == len(want.dev_records), got.claim_no
+        for a, b in zip(got.dev_records, want.dev_records):
+            assert record_fields(a) == record_fields(b), (got.claim_no, a.dev_period)
+
+
+def assert_same_triangles(data, valuation, settled_only):
+    try:
+        want = per_cell_triangle(data, valuation, settled_only)
+    except DataError:
+        with pytest.raises(DataError):
+            build_triangle(data, valuation, settled_only=settled_only)
+        return
+    got = build_triangle(data, valuation, settled_only=settled_only)
+    for tri, ref in zip(got, want):
+        assert np.array_equal(tri.values, ref, equal_nan=True), (valuation, settled_only)
+
+
+@given(ledger())
+@settings(max_examples=150, deadline=None)
+def test_censored_views_equal_their_rederivation(case):
+    schema, rows, _ = case
+    data = load_ledger(schema, rows)
+    for boundary in range(1, data.max_calendar_period + 1):
+        view = censor(data, boundary)
+        assert_same_view(view, rederived_censor(data, boundary))
+        # A fold view is a view of a view.
+        for inner in range(1, boundary + 1):
+            assert_same_view(censor(view, inner), rederived_censor(view, inner))
+
+
+@given(ledger())
+@settings(max_examples=100, deadline=None)
+def test_triangles_equal_the_per_cell_sums(case):
+    schema, rows, _ = case
+    data = load_ledger(schema, rows)
+    for valuation in range(1, data.max_calendar_period + 3):
+        for settled_only in (False, True):
+            assert_same_triangles(data, valuation, settled_only)
+            assert_same_triangles(censor(data, min(valuation, data.max_calendar_period)),
+                                  valuation, settled_only)
+
+
+def test_portfolio_views_and_triangles_equal_the_references():
+    from microreserve.simulator import preset, simulate_portfolio, with_seed
+
+    sim = dataclasses.replace(
+        with_seed(preset("complexity5"), 2),
+        n_accident_periods=10,
+        mean_claims_per_period=15.0,
+        structural_break_period=5,
+    )
+    data = discretize(simulate_portfolio(sim))
+    for boundary in (3, 7, 12, data.max_calendar_period):
+        view = censor(data, boundary)
+        assert_same_view(view, rederived_censor(data, boundary))
+        for settled_only in (False, True):
+            assert_same_triangles(view, boundary, settled_only)
+            assert_same_triangles(data, boundary, settled_only)
+
+
+def test_late_non_payment_row_moves_the_views_ultimate(tmp_path):
+    # Settles in period 3 with its last payment; a case row in period 4 raises
+    # cumpaid, so the full ledger's ultimate is 75 and the view at 3 sees 60.
+    path = write_csv(
+        tmp_path,
+        [
+            "s1,75.0,1.5,P,100.0,60.0,40.0,1",
+            "s1,75.0,2.5,PMa,60.0,0.0,60.0,1",
+            "s1,75.0,3.5,Mi,75.0,0.0,75.0,1",
+        ],
+    )
+    data = discretize(load_transactions(path, "splice"))
+    assert [r.true_ocl for r in data.by_no("s1").dev_records] == [35.0, 15.0, 0.0]
+    view = censor(data, 3)
+    assert [r.true_ocl for r in view.by_no("s1").dev_records] == [20.0, 0.0]
+    assert_same_view(view, rederived_censor(data, 3))
+
+
+def test_censor_needs_a_discretized_dataset(three_period_claim):
+    raw = Dataset(claims=[dataclasses.replace(c, dev_records=[]) for c in three_period_claim.claims])
+    with pytest.raises(DataError, match="discretize"):
+        censor(raw, 3)
+
+
+# -- the claim index ------------------------------------------------------------------
+
+
+class CountingList(list):
+    """A claim list that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class TestIndex:
+    def claims(self):
+        return [
+            build_claim("k1", 1, [(0.5, "PMa", 10.0, 0.0)]),
+            build_claim("k2", 1, [(0.7, "P", 5.0, 5.0), (1.5, "PMa", 10.0, 0.0)]),
+        ]
+
+    def test_by_no_returns_the_listed_claim(self):
+        data = build_dataset(self.claims())
+        for claim in data.claims:
+            assert data.by_no(claim.claim_no) is claim
+
+    def test_unknown_claim_no_is_key_error(self):
+        with pytest.raises(KeyError):
+            build_dataset(self.claims()).by_no("k9")
+
+    def test_duplicate_claim_no_is_integrity_error(self):
+        claims = self.claims()
+        with pytest.raises(IntegrityError, match="k1"):
+            Dataset(claims=claims + [claims[0]])
+
+    def test_view_index_holds_the_views_claims(self):
+        data = build_dataset(self.claims())
+        view = censor(data, 1)
+        assert view.by_no("k2") is view.claims[1]
+        assert view.by_no("k2") is not data.by_no("k2")
+        assert not view.by_no("k2").settled
+
+    def test_lookups_do_not_walk_the_claims(self):
+        claims = CountingList(self.claims())
+        data = Dataset(claims=claims, max_calendar_period=2)
+        before = claims.iterations
+        for _ in range(50):
+            data.by_no("k2")
+            data.by_no("k1")
+        assert claims.iterations == before

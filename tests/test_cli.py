@@ -143,3 +143,17 @@ class TestRun:
         manifest = run_tiny(tmp_path / "tuned", models=["rl"], tuning=tuning)
         assert manifest["stage_reached"] == "done"
         assert manifest["tuned_params"] in tuning["grid"]
+
+    def test_tuned_run_acquires_each_seed_once(self, tmp_path, monkeypatch):
+        seeds = []
+        acquire = cli.acquire_dataset
+
+        def counted(cfg, seed):
+            seeds.append(seed)
+            return acquire(cfg, seed)
+
+        monkeypatch.setattr(cli, "acquire_dataset", counted)
+        tuning = {"enabled": True, "family": "fnn", "grid": [{"lr": 0.01}]}
+        manifest = run_tiny(tmp_path / "tuned", models=["fnn"], tuning=tuning, seeds=[3, 4])
+        assert manifest["stage_reached"] == "done"
+        assert seeds == [3, 4]

@@ -3,7 +3,7 @@ import pytest
 
 from microreserve.claims import censor
 from microreserve.env import Transition
-from microreserve.errors import ConfigError, DataError, LeakageError
+from microreserve.errors import ConfigError, DataError, LeakageError, NumericFault
 from microreserve.evaluation import (
     Fold,
     guard_fnn_rows,
@@ -64,6 +64,19 @@ class TestTune:
         best, entries = tune(grid, [validation_fold()], scripted)
         assert best == {"preds": "high"}
         assert [e.valid for e in entries] == [False, True]
+
+    @pytest.mark.parametrize(
+        "exc, reason",
+        [
+            (DataError("no rows"), "DataError: no rows"),
+            (ConfigError("bad lr"), "ConfigError: bad lr"),
+            (NumericFault("loss is nan"), "NumericFault: loss is nan"),
+        ],
+    )
+    def test_invalid_entry_records_why(self, exc, reason):
+        grid = [{"raise": exc}, {"preds": "high"}]
+        _, entries = tune(grid, [validation_fold()], scripted)
+        assert [e.reason for e in entries] == [reason, ""]
 
     def test_every_entry_invalid_raises(self):
         with pytest.raises(DataError):
