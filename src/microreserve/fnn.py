@@ -50,6 +50,8 @@ class FnnConfig:
             raise ConfigError("alpha_w must be >= 0")
         if self.patience < 0:
             raise ConfigError("patience must be >= 0")
+        if self.lr <= 0:
+            raise ConfigError("lr must be positive")
         object.__setattr__(self, "hidden", tuple(self.hidden))
 
 
@@ -173,7 +175,7 @@ def train_fnn(rows: FnnRows, cfg: FnnConfig, seed: int | None = None) -> FnnMode
         rng,
     )
     net.biases[-1][...] = np.sum(w_tr * y_tr) / np.sum(w_tr)
-    opt = AdamState.for_params(net.parameters(), cfg.lr)
+    opt = AdamState.for_params(net.flat, cfg.lr)
 
     def val_loss() -> float:
         out, _ = forward(net, x_va)
@@ -181,7 +183,7 @@ def train_fnn(rows: FnnRows, cfg: FnnConfig, seed: int | None = None) -> FnnMode
 
     model = FnnModel(net=net, scaler=scaler, cfg=cfg, s_scale=rows.s_scale)
     best = math.inf
-    best_params = [p.copy() for p in net.parameters()]
+    best_params = net.flat.copy()
     stale = 0
     n = x_tr.shape[0]
     for epoch in range(1, cfg.max_epochs + 1):
@@ -198,8 +200,8 @@ def train_fnn(rows: FnnRows, cfg: FnnConfig, seed: int | None = None) -> FnnMode
             if not math.isfinite(loss):
                 raise NumericFault("training loss diverged")
             upstream = (2.0 * wb * err / wsum)[:, None]
-            grads, _ = backward(net, cache, upstream)
-            adam_step(opt, net.parameters(), grads)
+            grad, _ = backward(net, cache, upstream)
+            adam_step(opt, net.flat, grad)
         model.epochs_run = epoch
         if not has_val:
             continue
@@ -207,15 +209,14 @@ def train_fnn(rows: FnnRows, cfg: FnnConfig, seed: int | None = None) -> FnnMode
         model.history.append((epoch, v))
         if v < best - 1e-12:
             best = v
-            best_params = [p.copy() for p in net.parameters()]
+            best_params = net.flat.copy()
             stale = 0
         else:
             stale += 1
         if stale >= cfg.patience:
             break
     if has_val:
-        for p, bp in zip(net.parameters(), best_params):
-            p[...] = bp
+        net.flat[...] = best_params
     return model
 
 

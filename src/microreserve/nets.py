@@ -1,5 +1,11 @@
 """Dense neural substrate: MLP forward/backward, Adam, feature scaling.
 
+Each network keeps all of its parameters in one contiguous float64
+vector, ``Mlp.flat``, laid out w1, b1, w2, b2, ... with each weight matrix
+row-major. ``weights[i]`` and ``biases[i]`` are views into it, ``backward``
+returns its parameter gradient in the same layout, and Adam, Polyak
+averaging and snapshots each work on the whole vector at once.
+
 Everything runs in 64-bit floats with explicit numpy generators, so a
 seeded run is bit-reproducible. Gradients are hand-derived; the tests
 check them against central finite differences.
@@ -12,37 +18,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericFault
+from .errors import ConfigError, DataError, NumericFault
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "identity":
-        return z
-    raise ConfigError(f"unknown activation {name!r}")
-
-
-def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    if name == "tanh":
-        return 1.0 - a * a
-    if name == "identity":
-        return np.ones_like(z)
-    raise ConfigError(f"unknown activation {name!r}")
-
-
 @dataclass
 class Mlp:
+    """Layer sizes and activations over one flat parameter vector.
+
+    ``flat`` defaults to zeros; pass a vector of the right length to adopt
+    it (no copy). ``weights`` and ``biases`` are views into ``flat``, so
+    update it in place (``flat[...] = v``) rather than rebinding it.
+    """
+
     sizes: list[int]
     activations: list[str]
-    weights: list[np.ndarray] = field(default_factory=list)
-    biases: list[np.ndarray] = field(default_factory=list)
+    flat: np.ndarray | None = None
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.activations) != len(self.sizes) - 1:
@@ -50,31 +44,37 @@ class Mlp:
         for a in self.activations:
             if a not in ACTIVATIONS:
                 raise ConfigError(f"unknown activation {a!r}")
+        size = sum(i * o + o for i, o in zip(self.sizes[:-1], self.sizes[1:]))
+        if self.flat is None:
+            self.flat = np.zeros(size)
+        elif self.flat.shape != (size,):
+            raise ConfigError(f"flat parameters of shape {self.flat.shape} != ({size},)")
+        self.weights, self.biases = self.views(self.flat)
 
     @property
     def n_layers(self) -> int:
         return len(self.sizes) - 1
 
-    def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+    def views(self, vec: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views into a vector laid out like ``flat``."""
+        weights, biases = [], []
+        start = 0
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            stop = start + fan_in * fan_out
+            weights.append(vec[start:stop].reshape(fan_in, fan_out))
+            biases.append(vec[stop : stop + fan_out])
+            start = stop + fan_out
+        return weights, biases
 
     def copy(self) -> "Mlp":
-        net = Mlp(sizes=list(self.sizes), activations=list(self.activations))
-        net.weights = [w.copy() for w in self.weights]
-        net.biases = [b.copy() for b in self.biases]
-        return net
+        return Mlp(list(self.sizes), list(self.activations), self.flat.copy())
 
 
 def init_mlp(sizes: list[int], activations: list[str], rng: np.random.Generator) -> Mlp:
+    """He-normal weights drawn layer by layer, zero biases."""
     net = Mlp(sizes=list(sizes), activations=list(activations))
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        scale = np.sqrt(2.0 / fan_in)
-        net.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-        net.biases.append(np.zeros(fan_out))
+    for w in net.weights:
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
     return net
 
 
@@ -97,87 +97,92 @@ def forward(
     if dropout and rng is None:
         raise ConfigError("dropout needs a generator")
 
-    cache = {"inputs": [h], "pre": [], "post": [], "masks": [], "squeeze": squeeze}
+    # cache["inputs"][k] is layer k's input, so [k + 1] is its output.
+    cache = {"inputs": [h], "masks": [], "squeeze": squeeze}
     for layer in range(net.n_layers):
-        z = h @ net.weights[layer] + net.biases[layer]
-        a = _act(net.activations[layer], z)
+        a = h @ net.weights[layer]
+        a += net.biases[layer]
+        act = net.activations[layer]
+        if act == "relu":
+            np.maximum(a, 0.0, out=a)
+        elif act == "tanh":
+            a = np.tanh(a)
         if dropout and layer < net.n_layers - 1:
             mask = (rng.uniform(size=a.shape) >= dropout) / (1.0 - dropout)
             a = a * mask
         else:
             mask = None
-        cache["pre"].append(z)
-        cache["post"].append(a)
         cache["masks"].append(mask)
         cache["inputs"].append(a)
         h = a
     out = h[0] if squeeze else h
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise NumericFault("non-finite network output")
     return out, cache
 
 
-def backward(net: Mlp, cache, upstream: np.ndarray):
+def backward(net: Mlp, cache, upstream: np.ndarray, param_grads: bool = True):
     """Gradients of sum(upstream * output) w.r.t. parameters and input.
 
-    Returns (grads, input_grad) where grads is [dW1, db1, dW2, db2, ...]
-    matching net.parameters() order.
+    Returns (grad, input_grad), where grad is one vector laid out like
+    ``net.flat``. With ``param_grads=False`` grad is None and the weight
+    and bias products are skipped, for callers that need only input_grad.
     """
     if cache is None:
         raise ConfigError("backward needs the cache from forward")
     g = np.asarray(upstream, dtype=np.float64)
     if cache["squeeze"] and g.ndim == 1:
         g = g.reshape(1, -1)
-    grads: list[np.ndarray] = []
+    grad = None
+    if param_grads:
+        grad = np.empty_like(net.flat)
+        grad_w, grad_b = net.views(grad)
     for layer in reversed(range(net.n_layers)):
         if cache["masks"][layer] is not None:
             g = g * cache["masks"][layer]
-        g = g * _act_grad(
-            net.activations[layer], cache["pre"][layer], cache["post"][layer]
-        )
-        x_in = cache["inputs"][layer]
-        grads.insert(0, x_in.T @ g)
-        grads.insert(1, g.sum(axis=0))
+        act = net.activations[layer]
+        post = cache["inputs"][layer + 1]
+        if act == "relu":
+            g = g * (post > 0.0)
+        elif act == "tanh":
+            g = g * (1.0 - post * post)
+        if param_grads:
+            np.matmul(cache["inputs"][layer].T, g, out=grad_w[layer])
+            np.sum(g, axis=0, out=grad_b[layer])
         g = g @ net.weights[layer].T
     input_grad = g[0] if cache["squeeze"] else g
-    return grads, input_grad
+    return grad, input_grad
 
 
 @dataclass
 class AdamState:
+    m: np.ndarray
+    v: np.ndarray
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], lr: float) -> "AdamState":
-        return cls(
-            lr=lr,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
+    def for_params(cls, params: np.ndarray, lr: float) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
 
 
-def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]):
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
     """Bias-corrected Adam update applied in place; returns params."""
-    if len(params) != len(state.m) or len(params) != len(grads):
+    if params.shape != state.m.shape or params.shape != grads.shape:
         raise ConfigError("parameter/gradient/state shapes do not line up")
     state.step += 1
     t = state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ConfigError("gradient shape mismatch")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grads
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grads * grads
+    m_hat = m / (1.0 - state.beta1**t)
+    v_hat = v / (1.0 - state.beta2**t)
+    params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
     return params
 
 
@@ -225,6 +230,13 @@ def load_mlp(path: str) -> Mlp:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     net = Mlp(sizes=payload["sizes"], activations=payload["activations"])
-    net.weights = [np.array(w, dtype=np.float64) for w in payload["weights"]]
-    net.biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
+    saved = payload["weights"] + payload["biases"]
+    views = net.weights + net.biases
+    if len(saved) != len(views):
+        raise DataError(f"{path}: {len(saved)} parameter arrays for {len(views)} slots")
+    for view, arr in zip(views, saved):
+        arr = np.array(arr, dtype=np.float64)
+        if arr.shape != view.shape:
+            raise DataError(f"{path}: parameter array of shape {arr.shape} != {view.shape}")
+        view[...] = arr
     return net

@@ -55,8 +55,12 @@ class SacConfig:
             raise ConfigError("rho must lie strictly inside (0, 1)")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.replay_capacity is not None and self.replay_capacity < 1:
-            raise ConfigError("replay_capacity must be >= 1")
+        if self.replay_capacity is not None and self.replay_capacity < self.batch_size:
+            raise ConfigError("replay_capacity must be >= batch_size, or no update ever runs")
+        if self.warmup_steps < 0:
+            raise ConfigError("warmup_steps must be >= 0")
+        if min(self.actor_lr, self.critic_lr, self.temp_lr) <= 0:
+            raise ConfigError("actor_lr, critic_lr and temp_lr must be positive")
         if self.updates_per_step < 0:
             raise ConfigError("updates_per_step must be >= 0")
         if self.init_temp <= 0:
@@ -65,48 +69,56 @@ class SacConfig:
 
 
 class ReplayBuffer:
-    """Ring buffer over (state, action, reward, next_state, done)."""
+    """Uniform replay over (state, action, reward, next_state, done) rows.
+
+    The rows live in preallocated float64 arrays, one per field. They start
+    at ``FIRST_ROWS`` rows and double whenever they fill, up to
+    ``capacity``; once that many rows are held, each new row overwrites the
+    oldest (a ring). ``capacity=None`` keeps every row. ``states``,
+    ``actions`` and ``rewards`` are views trimmed to the rows held.
+    """
+
+    FIRST_ROWS = 64
 
     def __init__(self, capacity: int | None, dim: int):
         self.capacity = capacity
-        self.dim = dim
-        self.states: list[np.ndarray] = []
-        self.actions: list[float] = []
-        self.rewards: list[float] = []
-        self.next_states: list[np.ndarray] = []
-        self.dones: list[float] = []
         self.cursor = 0
+        rows = self.FIRST_ROWS if capacity is None else min(capacity, self.FIRST_ROWS)
+        self._fields = [np.zeros((rows, dim)), np.zeros(rows), np.zeros(rows),
+                        np.zeros((rows, dim)), np.zeros(rows)]
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.cursor if self.capacity is None else min(self.cursor, self.capacity)
+
+    @property
+    def states(self) -> np.ndarray:
+        return self._fields[0][: len(self)]
+
+    @property
+    def actions(self) -> np.ndarray:
+        return self._fields[1][: len(self)]
+
+    @property
+    def rewards(self) -> np.ndarray:
+        return self._fields[2][: len(self)]
 
     def add(self, s, a, r, s_next, done) -> None:
-        s_next = np.zeros(self.dim) if s_next is None else s_next
-        row = (s, float(a), float(r), s_next, 1.0 if done else 0.0)
-        if self.capacity is None or len(self.states) < self.capacity:
-            self.states.append(row[0])
-            self.actions.append(row[1])
-            self.rewards.append(row[2])
-            self.next_states.append(row[3])
-            self.dones.append(row[4])
-        else:
-            i = self.cursor % self.capacity
-            self.states[i] = row[0]
-            self.actions[i] = row[1]
-            self.rewards[i] = row[2]
-            self.next_states[i] = row[3]
-            self.dones[i] = row[4]
+        i = self.cursor if self.capacity is None else self.cursor % self.capacity
+        allocated = len(self._fields[0])
+        if i == allocated:  # every row is full and capacity allows more
+            rows = 2 * allocated if self.capacity is None else min(2 * allocated, self.capacity)
+            self._fields = [
+                np.concatenate([f, np.zeros((rows - allocated,) + f.shape[1:])])
+                for f in self._fields
+            ]
+        row = (s, a, r, 0.0 if s_next is None else s_next, 1.0 if done else 0.0)
+        for f, value in zip(self._fields, row):
+            f[i] = value
         self.cursor += 1
 
     def sample(self, batch_size: int, rng: np.random.Generator):
-        idx = rng.choice(len(self.states), size=batch_size, replace=False)
-        return (
-            np.stack([self.states[i] for i in idx]),
-            np.array([self.actions[i] for i in idx]),
-            np.array([self.rewards[i] for i in idx]),
-            np.stack([self.next_states[i] for i in idx]),
-            np.array([self.dones[i] for i in idx]),
-        )
+        idx = rng.choice(len(self), size=batch_size, replace=False)
+        return tuple(f[idx] for f in self._fields)
 
 
 def _log1m_tanh_sq(u: np.ndarray) -> np.ndarray:
@@ -168,11 +180,11 @@ class SacAgent:
         self.critic2 = init_mlp([dim + 1] + hid + [1], acts, init_rng)
         self.target1 = self.critic1.copy()
         self.target2 = self.critic2.copy()
-        self.actor_opt = AdamState.for_params(self.actor.parameters(), cfg.actor_lr)
-        self.critic1_opt = AdamState.for_params(self.critic1.parameters(), cfg.critic_lr)
-        self.critic2_opt = AdamState.for_params(self.critic2.parameters(), cfg.critic_lr)
+        self.actor_opt = AdamState.for_params(self.actor.flat, cfg.actor_lr)
+        self.critic1_opt = AdamState.for_params(self.critic1.flat, cfg.critic_lr)
+        self.critic2_opt = AdamState.for_params(self.critic2.flat, cfg.critic_lr)
         self._log_temp_arr = np.array([math.log(cfg.init_temp)])
-        self.temp_opt = AdamState.for_params([self._log_temp_arr], cfg.temp_lr)
+        self.temp_opt = AdamState.for_params(self._log_temp_arr, cfg.temp_lr)
         self.buffer = ReplayBuffer(cfg.replay_capacity, dim)
         self.env_steps = 0
         self.n_updates = 0
@@ -248,8 +260,8 @@ class SacAgent:
             err = q[:, 0] - y
             critic_losses.append(float(np.mean(err**2)))
             upstream = (2.0 * err / bsz)[:, None]
-            grads, _ = backward(critic, cache, upstream)
-            adam_step(opt, critic.parameters(), grads)
+            grad, _ = backward(critic, cache, upstream)
+            adam_step(opt, critic.flat, grad)
 
         # Actor: maximise min-Q of a reparameterised sample minus entropy cost.
         out, actor_cache = forward(self.actor, states)
@@ -269,8 +281,8 @@ class SacAgent:
         q_min = np.where(use1, q1[:, 0], q2[:, 0])
 
         ones = np.ones((bsz, 1))
-        _, in_grad1 = backward(self.critic1, cache1, ones)
-        _, in_grad2 = backward(self.critic2, cache2, ones)
+        _, in_grad1 = backward(self.critic1, cache1, ones, param_grads=False)
+        _, in_grad2 = backward(self.critic2, cache2, ones, param_grads=False)
         dq_da = np.where(use1, in_grad1[:, -1], in_grad2[:, -1])
 
         temp = self.temperature
@@ -282,21 +294,20 @@ class SacAgent:
         clip_mask = (log_std_raw > LOG_STD_MIN) & (log_std_raw < LOG_STD_MAX)
         dl_dlogstd = np.where(clip_mask, dl_dlogstd, 0.0)
         upstream = np.stack([dl_dmean, dl_dlogstd], axis=1)
-        actor_grads, _ = backward(self.actor, actor_cache, upstream)
-        adam_step(self.actor_opt, self.actor.parameters(), actor_grads)
+        actor_grad, _ = backward(self.actor, actor_cache, upstream)
+        adam_step(self.actor_opt, self.actor.flat, actor_grad)
         actor_loss = float(np.mean(temp * logp - q_min))
 
         if self.cfg.auto_temp:
             grad = np.array([-(float(np.mean(logp)) + self.cfg.entropy_target) * 1.0])
-            adam_step(self.temp_opt, [self._log_temp_arr], [grad])
+            adam_step(self.temp_opt, self._log_temp_arr, grad)
 
         for critic, target in (
             (self.critic1, self.target1),
             (self.critic2, self.target2),
         ):
-            for p_t, p_c in zip(target.parameters(), critic.parameters()):
-                p_t *= self.cfg.rho
-                p_t += (1.0 - self.cfg.rho) * p_c
+            target.flat *= self.cfg.rho
+            target.flat += (1.0 - self.cfg.rho) * critic.flat
 
         self.n_updates += 1
         diag = {
@@ -330,6 +341,8 @@ class SacAgent:
         self.actor = load_mlp(os.path.join(directory, "actor.json"))
         self.critic1 = load_mlp(os.path.join(directory, "critic1.json"))
         self.critic2 = load_mlp(os.path.join(directory, "critic2.json"))
+        self.target1 = self.critic1.copy()
+        self.target2 = self.critic2.copy()
         data = np.load(os.path.join(directory, "scaler.npz"))
         self.scaler = FeatureScaler(
             shift=data["shift"], scale=data["scale"], currency=data["currency"]

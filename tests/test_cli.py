@@ -102,6 +102,27 @@ class TestExitCodes:
         cfg = {**TINY, **extra, "models": ["cl"], "output_dir": str(tmp_path)}
         assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
 
+    # Values each model config's constructor rejects; a cl-only run still
+    # validates every model section before any work.
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"sac": {**TINY["sac"], "replay_capacity": 8}},
+            {"sac": {**TINY["sac"], "warmup_steps": -1}},
+            {"sac": {**TINY["sac"], "actor_lr": 0.0}},
+            {"sac": {**TINY["sac"], "critic_lr": -0.001}},
+            {"sac": {**TINY["sac"], "temp_lr": 0.0}},
+            {"fnn": {**TINY["fnn"], "lr": 0.0}},
+        ],
+        ids=[
+            "sac_ring_below_batch", "sac_warmup", "sac_actor_lr", "sac_critic_lr",
+            "sac_temp_lr", "fnn_lr",
+        ],
+    )
+    def test_invalid_value_is_config_error(self, tmp_path, extra):
+        cfg = {**TINY, **extra, "models": ["cl"], "output_dir": str(tmp_path)}
+        assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+
     def test_single_fold_is_config_error(self, tmp_path):
         cfg = {**TINY, "split": {"k_folds": 1}, "models": ["cl"], "output_dir": str(tmp_path)}
         assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1

@@ -139,13 +139,16 @@ class TestTrain:
         rel = np.abs(preds - rows.targets) / rows.targets
         assert float(np.median(rel)) < 0.1
 
-    def test_output_bias_starts_at_weighted_mean_log_target(self):
-        # One claim: every row trains, none validates. With lr 0 Adam leaves
-        # each parameter where it started.
+    def test_output_bias_starts_at_weighted_mean_log_target(self, monkeypatch):
+        # One claim: every row trains, none validates. With the Adam step
+        # stubbed out, each parameter stays where it started.
+        import microreserve.fnn as fnn
+
+        monkeypatch.setattr(fnn, "adam_step", lambda state, params, grads: params)
         rows = linear_rows(n=50)
         rows.claim_nos = ["c0"] * 50
         rows.weights = rows.targets / rows.s_scale  # importance weights, alpha 1
-        cfg = FnnConfig(state_profile="minimal", hidden=(8,), lr=0.0, max_epochs=2, seed=3)
+        cfg = FnnConfig(state_profile="minimal", hidden=(8,), max_epochs=2, seed=3)
         model = train_fnn(rows, cfg)
         y = np.log1p(rows.targets)
         weighted = np.sum(rows.weights * y) / np.sum(rows.weights)
@@ -164,8 +167,7 @@ class TestTrain:
         cfg = FnnConfig(state_profile="minimal", max_epochs=5, patience=5, seed=9)
         m1 = train_fnn(rows, cfg)
         m2 = train_fnn(rows, cfg)
-        for p1, p2 in zip(m1.net.parameters(), m2.net.parameters()):
-            assert np.array_equal(p1, p2)
+        assert np.array_equal(m1.net.flat, m2.net.flat)
 
     def test_split_is_by_claim(self):
         # Rows sharing a claim_no never straddle the early-stop split.
@@ -181,6 +183,11 @@ class TestTrain:
     def test_dropout_validated(self):
         with pytest.raises(ConfigError):
             FnnConfig(dropout=1.0)
+
+    @pytest.mark.parametrize("lr", [0.0, -1e-3])
+    def test_non_positive_lr_rejected(self, lr):
+        with pytest.raises(ConfigError):
+            FnnConfig(lr=lr)
 
 
 class TestPredict:

@@ -33,26 +33,20 @@ def grad_check(
     """
     out, cache = forward(net, x)
     _, upstream = loss_fn(out)
-    grads, _ = backward(net, cache, upstream)
+    grad, _ = backward(net, cache, upstream)
 
     worst = 0.0
-    n = 0
-    params = net.parameters()
-    for p, g in zip(params, grads):
-        flat_p = p.ravel()
-        flat_g = g.ravel()
-        for idx in range(flat_p.size):
-            orig = flat_p[idx]
-            flat_p[idx] = orig + step
-            up, _ = loss_fn(forward(net, x)[0])
-            flat_p[idx] = orig - step
-            down, _ = loss_fn(forward(net, x)[0])
-            flat_p[idx] = orig
-            fd = (up - down) / (2.0 * step)
-            denom = max(abs(fd) + abs(flat_g[idx]), 1e-8)
-            worst = max(worst, abs(fd - flat_g[idx]) / denom)
-            n += 1
-    return GradCheckReport(worst_rel_error=worst, n_checked=n, passed=worst < tol)
+    for idx in range(net.flat.size):
+        orig = net.flat[idx]
+        net.flat[idx] = orig + step
+        up, _ = loss_fn(forward(net, x)[0])
+        net.flat[idx] = orig - step
+        down, _ = loss_fn(forward(net, x)[0])
+        net.flat[idx] = orig
+        fd = (up - down) / (2.0 * step)
+        denom = max(abs(fd) + abs(grad[idx]), 1e-8)
+        worst = max(worst, abs(fd - grad[idx]) / denom)
+    return GradCheckReport(worst_rel_error=worst, n_checked=net.flat.size, passed=worst < tol)
 
 
 def quadratic_loss(target):
@@ -66,16 +60,14 @@ def quadratic_loss(target):
 class TestForward:
     def test_identity_layer_passes_through(self):
         net = Mlp(sizes=[3, 3], activations=["identity"])
-        net.weights = [np.eye(3)]
-        net.biases = [np.zeros(3)]
+        net.weights[0][...] = np.eye(3)
         x = np.array([1.0, -2.0, 0.5])
         out, _ = forward(net, x)
         assert np.allclose(out, x)
 
     def test_zero_weights_give_activation_of_bias(self):
         net = Mlp(sizes=[2, 2], activations=["tanh"])
-        net.weights = [np.zeros((2, 2))]
-        net.biases = [np.array([0.3, -0.7])]
+        net.biases[0][...] = [0.3, -0.7]
         out, _ = forward(net, np.array([5.0, 5.0]))
         assert np.allclose(out, np.tanh([0.3, -0.7]))
 
@@ -98,15 +90,16 @@ class TestBackward:
     def test_linear_squared_loss_closed_form(self):
         # d/dW of (w.x - y)^2 is 2 (w.x - y) x.
         net = Mlp(sizes=[3, 1], activations=["identity"])
-        net.weights = [np.array([[0.5], [-1.0], [2.0]])]
-        net.biases = [np.array([0.1])]
+        net.weights[0][...] = [[0.5], [-1.0], [2.0]]
+        net.biases[0][...] = 0.1
         x = np.array([1.0, 2.0, 3.0])
         y = 1.5
         out, cache = forward(net, x)
         resid = out[0] - y
-        grads, _ = backward(net, cache, np.array([2.0 * resid]))
-        assert np.allclose(grads[0], (2.0 * resid * x)[:, None])
-        assert np.allclose(grads[1], [2.0 * resid])
+        grad, _ = backward(net, cache, np.array([2.0 * resid]))
+        grad_w, grad_b = net.views(grad)
+        assert np.allclose(grad_w[0], (2.0 * resid * x)[:, None])
+        assert np.allclose(grad_b[0], [2.0 * resid])
 
     def test_finite_difference_parity(self):
         rng = np.random.default_rng(7)
@@ -119,8 +112,8 @@ class TestBackward:
         rng = np.random.default_rng(3)
         net = init_mlp([3, 4, 2], ["tanh", "identity"], rng)
         out, cache = forward(net, rng.normal(size=3))
-        grads, input_grad = backward(net, cache, np.zeros(2))
-        assert all(np.allclose(g, 0.0) for g in grads)
+        grad, input_grad = backward(net, cache, np.zeros(2))
+        assert np.allclose(grad, 0.0)
         assert np.allclose(input_grad, 0.0)
 
     def test_missing_cache_rejected(self):
@@ -145,35 +138,35 @@ class TestBackward:
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
-        params = [np.array([1.0, -2.0])]
+        params = np.array([1.0, -2.0])
         state = AdamState.for_params(params, lr=0.1)
-        adam_step(state, params, [np.zeros(2)])
-        assert np.allclose(params[0], [1.0, -2.0])
+        adam_step(state, params, np.zeros(2))
+        assert np.allclose(params, [1.0, -2.0])
 
     def test_single_step_scalar(self):
         # Oracle: by hand, first step moves by lr * g / (|g| + eps)
         # because the bias corrections cancel.
-        params = [np.array([1.0])]
+        params = np.array([1.0])
         state = AdamState.for_params(params, lr=0.1)
-        adam_step(state, params, [np.array([4.0])])
-        assert params[0][0] == pytest.approx(1.0 - 0.1 * 4.0 / (4.0 + state.eps * np.sqrt(1 - 0.999)), rel=1e-6)
+        adam_step(state, params, np.array([4.0]))
+        assert params[0] == pytest.approx(1.0 - 0.1 * 4.0 / (4.0 + state.eps * np.sqrt(1 - 0.999)), rel=1e-6)
 
     def test_deterministic_trajectories(self):
         def run():
             rng = np.random.default_rng(5)
-            params = [rng.normal(size=(3, 2))]
+            params = rng.normal(size=6)
             state = AdamState.for_params(params, lr=0.01)
             for _ in range(10):
-                adam_step(state, params, [np.ones((3, 2)) * 0.5])
-            return params[0].copy()
+                adam_step(state, params, np.ones(6) * 0.5)
+            return params.copy()
 
         assert np.array_equal(run(), run())
 
     def test_shape_mismatch(self):
-        params = [np.zeros(3)]
+        params = np.zeros(3)
         state = AdamState.for_params(params, lr=0.1)
         with pytest.raises(ConfigError):
-            adam_step(state, params, [np.zeros(4)])
+            adam_step(state, params, np.zeros(4))
 
 
 class TestGradCheckAcrossActivations:
@@ -204,3 +197,66 @@ class TestPersistence:
         again = load_mlp(str(path))
         x = rng.normal(size=(6, 3))
         assert np.array_equal(forward(net, x)[0], forward(again, x)[0])
+
+
+class TestFlatLayout:
+    @staticmethod
+    def assert_views(net):
+        for arr in net.weights + net.biases:
+            assert np.shares_memory(arr, net.flat)
+        assert sum(a.size for a in net.weights + net.biases) == net.flat.size
+
+    def test_views_share_flat_memory(self, tmp_path):
+        rng = np.random.default_rng(2)
+        net = init_mlp([4, 6, 2], ["relu", "identity"], rng)
+        self.assert_views(net)
+        twin = net.copy()
+        self.assert_views(twin)
+        save_mlp(net, str(tmp_path / "net.json"))
+        loaded = load_mlp(str(tmp_path / "net.json"))
+        self.assert_views(loaded)
+        opt = AdamState.for_params(net.flat, lr=0.1)
+        adam_step(opt, net.flat, rng.normal(size=net.flat.size))
+        self.assert_views(net)
+        # A write through a view shows in flat, and the reverse.
+        net.weights[1][0, 1] = 7.5
+        net.flat[-1] = -2.0
+        assert net.flat[4 * 6 + 6 + 1] == 7.5 and net.biases[1][-1] == -2.0
+
+    def test_layout_is_w1_b1_w2_b2(self):
+        net = init_mlp([3, 2, 1], ["tanh", "identity"], np.random.default_rng(0))
+        parts = (net.weights[0], net.biases[0], net.weights[1], net.biases[1])
+        expected = np.concatenate([a.ravel() for a in parts])
+        assert np.array_equal(net.flat, expected)
+
+    def test_copy_is_independent(self):
+        net = init_mlp([3, 4, 1], ["relu", "identity"], np.random.default_rng(5))
+        before = net.flat.copy()
+        twin = net.copy()
+        twin.flat += 1.0
+        twin.weights[0][0, 0] = 99.0
+        assert np.array_equal(net.flat, before)
+
+    def test_wrong_flat_length_rejected(self):
+        with pytest.raises(ConfigError):
+            Mlp(sizes=[3, 2], activations=["identity"], flat=np.zeros(7))
+
+    def test_save_load_save_same_bytes(self, tmp_path):
+        net = init_mlp([5, 7, 3], ["relu", "identity"], np.random.default_rng(8))
+        net.biases[0][...] = np.random.default_rng(9).normal(size=7)
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_mlp(net, str(first))
+        save_mlp(load_mlp(str(first)), str(second))
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
+    def test_input_only_backward_matches_full_path(self, act):
+        rng = np.random.default_rng(17)
+        net = init_mlp([4, 9, 9, 1], [act, act, "identity"], rng)
+        for x in (rng.normal(size=(32, 4)), rng.normal(size=4)):
+            out, cache = forward(net, x)
+            upstream = rng.normal(size=out.shape)
+            grad, full = backward(net, cache, upstream)
+            none, only = backward(net, cache, upstream, param_grads=False)
+            assert grad is not None and none is None
+            assert np.array_equal(full, only)

@@ -6,7 +6,7 @@ import pytest
 from microreserve.claims import censor
 from microreserve.env import EnvConfig, Transition
 from microreserve.errors import ConfigError
-from microreserve.nets import FeatureScaler, Mlp, forward, init_mlp
+from microreserve.nets import AdamState, FeatureScaler, Mlp, adam_step, forward, init_mlp
 from microreserve.sac import (
     ReplayBuffer,
     SacAgent,
@@ -25,8 +25,7 @@ LN2 = math.log(2.0)
 
 def constant_actor(mean: float, log_std: float, dim: int = 3) -> Mlp:
     net = Mlp(sizes=[dim, 2], activations=["identity"])
-    net.weights = [np.zeros((dim, 2))]
-    net.biases = [np.array([mean, log_std])]
+    net.biases[0][...] = [mean, log_std]
     return net
 
 
@@ -119,15 +118,10 @@ class TestCriticTargets:
     def test_hand_built_single_transition(self):
         # Oracle: scalar arithmetic with constant critics and actor.
         agent = make_agent()
-        for net in (agent.target1, agent.target2):
-            for w in net.weights:
-                w[...] = 0.0
-            for b in net.biases:
-                b[...] = 0.0
+        for net in (agent.target1, agent.target2, agent.actor):
+            net.flat[...] = 0.0
         agent.target1.biases[-1][...] = 2.0
         agent.target2.biases[-1][...] = 5.0
-        agent.actor.weights = [np.zeros_like(w) for w in agent.actor.weights]
-        agent.actor.biases = [np.zeros_like(b) for b in agent.actor.biases]
         agent.actor.biases[-1][...] = np.array([0.4, -40.0])  # tight std
         s_next = np.ones((1, 4))
         agent.rng = np.random.default_rng(123)
@@ -155,6 +149,27 @@ class TestUpdate:
         with pytest.raises(ConfigError):
             SacConfig(rho=1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"replay_capacity": 127, "batch_size": 128},  # no update would ever run
+            {"warmup_steps": -1},
+            {"actor_lr": 0.0},
+            {"critic_lr": -1e-3},
+            {"temp_lr": 0.0},
+        ],
+    )
+    def test_bad_values_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            SacConfig(**kwargs)
+
+    def test_ring_as_large_as_a_batch_trains(self):
+        agent = make_agent(replay_capacity=4)
+        fill_buffer(agent, n=10)
+        assert len(agent.buffer) == 4
+        agent.update()
+        assert agent.n_updates == 1
+
     def test_seeded_runs_identical(self):
         def run():
             agent = make_agent(seed=3)
@@ -166,11 +181,10 @@ class TestUpdate:
     def test_target_polyak_lag(self):
         agent = make_agent(rho=0.995)
         fill_buffer(agent)
-        before = [p.copy() for p in agent.target1.parameters()]
+        before = agent.target1.flat.copy()
         agent.update()
-        after_critic = agent.critic1.parameters()
-        for b, t, c in zip(before, agent.target1.parameters(), after_critic):
-            assert np.allclose(t, 0.995 * b + 0.005 * c, atol=1e-12)
+        expected = 0.995 * before + 0.005 * agent.critic1.flat
+        assert np.allclose(agent.target1.flat, expected, atol=1e-12)
 
     def test_buffer_actions_within_bounds(self):
         agent = make_agent()
@@ -221,8 +235,7 @@ class TestTrain:
         agent2, log2 = run()
         assert len(log1) > 0
         assert [r["critic_loss"] for r in log1] == [r["critic_loss"] for r in log2]
-        for p1, p2 in zip(agent1.actor.parameters(), agent2.actor.parameters()):
-            assert np.array_equal(p1, p2)
+        assert np.array_equal(agent1.actor.flat, agent2.actor.flat)
 
     def test_updates_only_consume_buffered_transitions(self):
         # Off-policy legality: the learner reads transitions through the
@@ -258,3 +271,145 @@ class TestPersistence:
         state = np.array([1.0, 2.0, 50.0, 10.0])
         assert again.act(state) == agent.act(state)
         assert again.env_cfg == agent.env_cfg
+
+    def test_loaded_targets_copy_the_loaded_critics(self, tmp_path):
+        agent = make_agent(seed=4)
+        fill_buffer(agent)
+        for _ in range(5):
+            agent.update()
+        save_agent(agent, str(tmp_path / "ckpt"))
+        again = load_agent(str(tmp_path / "ckpt"))
+        for critic, target in ((again.critic1, again.target1), (again.critic2, again.target2)):
+            assert np.array_equal(target.flat, critic.flat)
+            assert not np.shares_memory(target.flat, critic.flat)
+        assert np.array_equal(again.critic1.flat, agent.critic1.flat)
+
+
+# -- oracles: the list buffer and the per-array Adam and Polyak loops ---------
+
+
+class ListReplayBuffer:
+    """The list-of-rows replay buffer that the array buffer replaced."""
+
+    def __init__(self, capacity, dim):
+        self.capacity = capacity
+        self.dim = dim
+        self.rows = []
+        self.cursor = 0
+
+    def add(self, s, a, r, s_next, done) -> None:
+        s_next = np.zeros(self.dim) if s_next is None else s_next
+        row = (s, float(a), float(r), s_next, 1.0 if done else 0.0)
+        if self.capacity is None or len(self.rows) < self.capacity:
+            self.rows.append(row)
+        else:
+            self.rows[self.cursor % self.capacity] = row
+        self.cursor += 1
+
+    def sample(self, batch_size, rng):
+        idx = rng.choice(len(self.rows), size=batch_size, replace=False)
+        picked = [self.rows[i] for i in idx]
+        return (
+            np.stack([p[0] for p in picked]),
+            np.array([p[1] for p in picked]),
+            np.array([p[2] for p in picked]),
+            np.stack([p[3] for p in picked]),
+            np.array([p[4] for p in picked]),
+        )
+
+
+def per_array_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One bias-corrected Adam step, array by array, in place."""
+    for p, g, mm, vv in zip(params, grads, m, v):
+        mm *= beta1
+        mm += (1.0 - beta1) * g
+        vv *= beta2
+        vv += (1.0 - beta2) * g * g
+        m_hat = mm / (1.0 - beta1**t)
+        v_hat = vv / (1.0 - beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def arrays(net):
+    """The parameter arrays in layout order: w1, b1, w2, b2, ..."""
+    return [a for pair in zip(net.weights, net.biases) for a in pair]
+
+
+def adam_layout(net, grads):
+    """The parameters and per-array gradients in the form ``adam_step`` takes.
+
+    Covers both parameter layouts, one flat vector and a list of per-layer
+    arrays, so the oracle checks whichever ``nets`` implementation it runs on.
+    """
+    if hasattr(net, "flat"):
+        return net.flat, np.concatenate([g.ravel() for g in grads])
+    return net.parameters(), grads
+
+
+def replay_rows(rng, n, dim):
+    for i in range(n):
+        done = i % 3 == 0
+        yield (
+            rng.normal(size=dim),
+            float(rng.uniform(-1, 1)),
+            float(rng.normal()),
+            None if done else rng.normal(size=dim),
+            done,
+        )
+
+
+class TestLearnerOracles:
+    def assert_same_sample(self, buf, ref, batch, seed):
+        got = buf.sample(batch, np.random.default_rng(seed))
+        want = ref.sample(batch, np.random.default_rng(seed))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("capacity, n, batch", [(4, 10, 3), (None, 300, 64)])
+    def test_buffer_matches_list_buffer(self, capacity, n, batch):
+        # (4, 10): the ring wraps twice; (None, 300): growth past the first
+        # allocation. Samples are compared after every add.
+        buf = ReplayBuffer(capacity=capacity, dim=5)
+        ref = ListReplayBuffer(capacity, dim=5)
+        for k, row in enumerate(replay_rows(np.random.default_rng(4), n, 5)):
+            buf.add(*row)
+            ref.add(*row)
+            assert len(buf) == len(ref.rows)
+            if len(buf) >= batch:
+                self.assert_same_sample(buf, ref, batch, seed=k)
+        assert np.array_equal(buf.states, np.stack([r[0] for r in ref.rows]))
+        assert np.array_equal(buf.actions, [r[1] for r in ref.rows])
+        assert np.array_equal(buf.rewards, [r[2] for r in ref.rows])
+
+    def test_adam_matches_per_array_loop(self):
+        # 50 steps on SAC-shaped nets: an actor and a critic over 21 inputs.
+        rng = np.random.default_rng(9)
+        for sizes, lr in (([21, 64, 64, 2], 3e-4), ([22, 64, 64, 1], 1e-3)):
+            net = init_mlp(sizes, ["relu", "relu", "identity"], rng)
+            ref = [a.copy() for a in arrays(net)]
+            m = [np.zeros_like(a) for a in ref]
+            v = [np.zeros_like(a) for a in ref]
+            opt = None
+            for t in range(1, 51):
+                grads = [rng.normal(scale=10.0 ** rng.integers(-6, 2), size=a.shape) for a in ref]
+                params, flat_grads = adam_layout(net, grads)
+                if opt is None:
+                    opt = AdamState.for_params(params, lr)
+                adam_step(opt, params, flat_grads)
+                per_array_adam(ref, grads, m, v, t, lr)
+                for got, want in zip(arrays(net), ref):
+                    assert np.array_equal(got, want)
+
+    def test_polyak_matches_per_array_loop(self):
+        agent = make_agent(seed=2, rho=0.95)
+        fill_buffer(agent, n=40)
+        pairs = [(agent.critic1, agent.target1), (agent.critic2, agent.target2)]
+        refs = [[a.copy() for a in arrays(target)] for _, target in pairs]
+        for _ in range(20):
+            agent.update()
+            for (critic, target), ref in zip(pairs, refs):
+                for p_t, p_c in zip(ref, arrays(critic)):
+                    p_t *= 0.95
+                    p_t += (1.0 - 0.95) * p_c
+                for got, want in zip(arrays(target), ref):
+                    assert np.array_equal(got, want)

@@ -11,10 +11,10 @@ each file that differs and exits 1 on any difference.
     python tools/parity.py --against HEAD~1
 
 The matrix: the ``perfbench/workloads.py`` run configs (rl_train seeds
-1-3, portfolio_fit seed 1, ingest_tune seed 1), ``simulate`` in both
-schemas, ``ingest --dev-out`` in both schemas, ``chain-ladder`` on
-ingested and on simulated data, ``evaluate`` on the saved rl checkpoint
-and fnn model, ``report`` and ``verify``. It takes about a minute per
+1-3, portfolio_fit seed 1, ingest_tune seed 1), a tiny rl-family tuning
+run, ``simulate`` in both schemas, ``ingest --dev-out`` in both schemas,
+``chain-ladder`` on ingested and on simulated data, ``evaluate`` on the
+saved rl checkpoint and fnn model, ``report`` and ``verify``. It takes about a minute per
 tree on two cores.
 """
 
@@ -39,6 +39,22 @@ import workloads  # noqa: E402
 BLAS_PINS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 RUNS = [("rl_train", 1), ("rl_train", 2), ("rl_train", 3), ("portfolio_fit", 1), ("ingest_tune", 1)]
 INGEST_CSV = "ingest_tune_input.csv"
+# Two grid points on a tiny portfolio, so rl tuning trains three agents in seconds.
+RL_TUNE = {
+    "data": {"source": "simulate", "preset": "complexity1", "claims_per_period": 4},
+    "sac": {"warmup_steps": 50, "hidden": [8], "batch_size": 16},
+    "models": ["rl"],
+    "seeds": [3],
+    "tuning": {
+        "enabled": True,
+        "family": "rl",
+        "grid": [
+            {"sac": {"actor_lr": 0.001}},
+            {"env": {"c_acc": 2.0}, "sac": {"critic_lr": 0.001}},
+        ],
+    },
+    "output_dir": "runs/rl_tune",
+}
 
 
 def inputs() -> dict[str, dict]:
@@ -49,6 +65,7 @@ def inputs() -> dict[str, dict]:
         files[f"{name}_{seed}.json"] = workloads.run_config(
             name, seed, f"runs/{name}_{seed}", csv_path
         )
+    files["rl_tune.json"] = RL_TUNE
     files["cl_cas.json"] = {"data": {"source": "ingest", "path": "sim_cas.csv", "schema": "cas"}}
     return files
 
@@ -63,6 +80,7 @@ def matrix() -> list[tuple[str, list[str]]]:
         ]),
     ]
     cmds += [(f"run_{name}_{seed}", ["run", "--config", f"{name}_{seed}.json"]) for name, seed in RUNS]
+    cmds.append(("run_rl_tune", ["run", "--config", "rl_tune.json"]))
     sim = ["simulate", "--preset", "complexity1", "--seed", "2", "--claims-per-period", "10"]
     seed_1 = "runs/{}_1/seed_1/{}"
     cmds += [
