@@ -22,13 +22,20 @@ records. Only loading, censoring and CSV export walk the transactions.
 ``Claim.record_at(t)`` reads the records, returning the last one for any
 period after them, since the claim no longer changes. ``Dataset.by_no`` is
 a dict lookup built at construction: the claim list is treated as immutable.
+
+``Transaction`` and ``DevelopmentRecord`` are named tuples (immutable, no
+``__dict__``). Records with equal transaction-type sets share one frozenset
+(``type_set``), quiet periods the empty one. The loader reads rows with
+``csv.reader``, with column positions resolved once from the header.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DataError, IntegrityError, ParseError
 
@@ -62,8 +69,7 @@ def period_of(txn_time: float) -> int:
     return int(math.ceil(txn_time))
 
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(NamedTuple):
     claim_no: str
     txn_time: float
     txn_type: str
@@ -82,13 +88,12 @@ class Transaction:
         return period_of(self.txn_time)
 
 
-@dataclass(frozen=True)
-class DevelopmentRecord:
+class DevelopmentRecord(NamedTuple):
     """State of one claim at the end of one development period."""
 
     dev_period: int
     cum_paid: float
-    txn_types: frozenset[str]
+    txn_types: frozenset[str]  # shared: see ``type_set``
     n_pay: int
     case: float | None
     incurred: float | None
@@ -97,6 +102,17 @@ class DevelopmentRecord:
     @property
     def has_payment(self) -> bool:
         return bool(self.txn_types & PAYMENT_TYPES)
+
+
+# One frozenset per distinct combination of transaction types, keyed by the
+# sorted types, so records with equal type sets hold the same object.
+_TYPE_SETS: dict[tuple[str, ...], frozenset[str]] = {(): frozenset()}
+
+
+def type_set(types) -> frozenset[str]:
+    """The shared frozenset holding exactly ``types``."""
+    key = tuple(sorted(set(types)))
+    return _TYPE_SETS.setdefault(key, frozenset(key))
 
 
 @dataclass
@@ -195,51 +211,52 @@ class Triangle:
         return min(self.valuation + 1 - i, self.max_dev)
 
 
-def _parse_row(row: dict, line_no: int, schema: str) -> Transaction:
-    def fnum(key: str, optional: bool = False) -> float | None:
-        raw = (row.get(key) or "").strip()
-        if raw == "" or raw.upper() in {"NA", "NAN", "NONE"}:
-            if optional:
-                return None
-            raise ParseError(f"row {line_no}: missing value for {key!r}")
-        try:
-            return float(raw)
-        except ValueError:
-            raise ParseError(f"row {line_no}: cannot parse {key}={raw!r}") from None
+def _number(raw: str, key: str, line_no: int, optional: bool = False) -> float | None:
+    """One cell as a float; empty and NA, NaN or None (any case) are missing."""
+    try:
+        value = float(raw)  # float ignores the padding that strip removes
+    except ValueError:
+        value = None
+    if value is not None and value == value:
+        return value
+    raw = raw.strip()
+    if raw == "" or raw.upper() in {"NA", "NAN", "NONE"}:
+        if optional:
+            return None
+        raise ParseError(f"row {line_no}: missing value for {key!r}")
+    if value is None:
+        raise ParseError(f"row {line_no}: cannot parse {key}={raw!r}")
+    return value  # NaN spelled another way, such as "+nan"
 
-    claim_no = (row.get("claim_no") or "").strip()
+
+def _parse_row(cells: tuple[str, ...], line_no: int, schema: str) -> Transaction:
+    """One row's cells, in the schema's column order, as a Transaction."""
+    if schema == "splice":
+        claim_no, size_raw, time_raw, txn_type, inc_raw, ocl_raw, paid_raw, ap_raw = cells
+    else:
+        claim_no, size_raw, time_raw, paid_raw, ap_raw = cells
+    claim_no = claim_no.strip()
     if not claim_no:
         raise ParseError(f"row {line_no}: empty claim_no")
-    txn_time = fnum("txn_time")
+    txn_time = _number(time_raw, "txn_time", line_no)
     if txn_time <= 0:
         raise ParseError(f"row {line_no}: txn_time must be positive")
-    cumpaid = fnum("cumpaid")
-    ap_raw = fnum("accident_period")
-    if ap_raw != int(ap_raw) or ap_raw < 1:
+    cumpaid = _number(paid_raw, "cumpaid", line_no)
+    ap = _number(ap_raw, "accident_period", line_no)
+    if ap != int(ap) or ap < 1:
         raise ParseError(f"row {line_no}: accident_period must be an integer >= 1")
-    claim_size = fnum("claim_size")
+    claim_size = _number(size_raw, "claim_size", line_no)
 
     if schema == "splice":
-        txn_type = (row.get("txn_type") or "").strip()
+        txn_type = txn_type.strip()
         if txn_type not in TXN_TYPES:
             raise ParseError(f"row {line_no}: unknown txn_type {txn_type!r}")
-        incurred = fnum("incurred", optional=True)
-        case_ocl = fnum("OCL", optional=True)
-    else:
-        txn_type = ""  # inferred later from cumpaid increments
-        incurred = None
-        case_ocl = None
-
-    return Transaction(
-        claim_no=claim_no,
-        txn_time=txn_time,
-        txn_type=txn_type,
-        cumpaid=cumpaid,
-        accident_period=int(ap_raw),
-        claim_size=claim_size,
-        incurred=incurred,
-        case_ocl=case_ocl,
-    )
+        incurred = _number(inc_raw, "incurred", line_no, optional=True)
+        case_ocl = _number(ocl_raw, "OCL", line_no, optional=True)
+        return Transaction(
+            claim_no, txn_time, txn_type, cumpaid, int(ap), claim_size, incurred, case_ocl
+        )
+    return Transaction(claim_no, txn_time, "", cumpaid, int(ap), claim_size)  # cas: typed later
 
 
 def _assemble_claim(txns: list[Transaction], schema: str) -> Claim | None:
@@ -248,7 +265,7 @@ def _assemble_claim(txns: list[Transaction], schema: str) -> Claim | None:
     Returns None for zero-loss claims, raises IntegrityError on invariant
     violations, and marks unsettled claims with settlement_period=None.
     """
-    txns = sorted(txns, key=lambda x: (x.txn_time, x.cumpaid))
+    txns = sorted(txns, key=operator.itemgetter(1, 3))  # by (txn_time, cumpaid)
     claim_no = txns[0].claim_no
     ap = txns[0].accident_period
     prev_paid = 0.0
@@ -267,7 +284,7 @@ def _assemble_claim(txns: list[Transaction], schema: str) -> Claim | None:
         prev = 0.0
         for txn in txns:
             typ = "P" if txn.cumpaid > prev else ""
-            inferred.append(replace(txn, txn_type=typ))
+            inferred.append(txn._replace(txn_type=typ))
             prev = txn.cumpaid
         txns = inferred
 
@@ -292,8 +309,8 @@ def _assemble_claim(txns: list[Transaction], schema: str) -> Claim | None:
     settlement = None
     if settled:
         # Settlement period = period of the final payment.
-        pay_periods = [t.period for t in txns if t.is_payment]
-        settlement = max(pay_periods) if pay_periods else notif_period
+        last_pay = (t.txn_time for t in reversed(txns) if t.txn_type in PAYMENT_TYPES)
+        settlement = period_of(next(last_pay, notif_time))
 
     return Claim(
         claim_no=claim_no,
@@ -322,14 +339,22 @@ def load_transactions(path: str, schema: str = "splice", period_unit: str | None
 
     groups: dict[str, list[Transaction]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ParseError("empty file: header row required")
-        missing = [c for c in expected if c not in reader.fieldnames]
+        missing = [c for c in expected if c not in header]
         if missing:
             raise ParseError(f"missing columns for schema {schema!r}: {missing}")
-        for line_no, row in enumerate(reader, start=2):
-            txn = _parse_row(row, line_no, schema)
+        col = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+        pick = operator.itemgetter(*(col[c] for c in expected))
+        line_no = 1
+        for row in reader:
+            if not row:
+                continue  # blank lines are skipped and not counted
+            line_no += 1
+            row += [""] * (len(header) - len(row))  # short rows read as empty cells
+            txn = _parse_row(pick(row), line_no, schema)
             groups.setdefault(txn.claim_no, []).append(txn)
 
     claims: list[Claim] = []
@@ -366,35 +391,40 @@ def discretize(dataset: Dataset) -> Dataset:
     last transaction; open claims continue to the data horizon. Paid,
     incurred and case values carry forward through quiet periods. A
     settled claim's ledger may hold case rows after its settlement period
-    (its last payment), so its records run on to those rows.
+    (its last payment), so its records run on to those rows. One pass over
+    each claim's transactions, in time order as loading and simulation leave them.
     """
+    no_types = type_set(())
     for claim in dataset.claims:
-        last_t = period_of(claim.transactions[-1].txn_time)
+        txns = claim.transactions
+        last_t = period_of(txns[-1].txn_time)
         if not claim.settled:
             # Open claims stay observable through the data horizon.
             last_t = max(dataset.max_calendar_period, last_t)
-        by_period: dict[int, list[Transaction]] = {}
-        for txn in claim.transactions:
-            by_period.setdefault(txn.period, []).append(txn)
-
         records: list[DevelopmentRecord] = []
         paid = 0.0
         case: float | None = None
         incurred: float | None = None
         n_pay = 0
         ultimate = claim.ultimate
+        k = 0
+        due = period_of(txns[0].txn_time)  # the period of txns[k]
         for t in range(claim.notification_period, last_t + 1):
-            types: set[str] = set()
-            for txn in by_period.get(t, []):
+            seen = []
+            while due <= t:
+                txn = txns[k]
                 paid = txn.cumpaid
                 if txn.case_ocl is not None:
                     case = txn.case_ocl
                 if txn.incurred is not None:
                     incurred = txn.incurred
                 if txn.txn_type:
-                    types.add(txn.txn_type)
-                if txn.is_payment:
-                    n_pay += 1
+                    seen.append(txn.txn_type)
+                    if txn.txn_type in PAYMENT_TYPES:
+                        n_pay += 1
+                k += 1
+                due = period_of(txns[k].txn_time) if k < len(txns) else last_t + 1
+            types = type_set(seen) if seen else no_types
             j = t + 1 - claim.accident_period
             true_ocl = None
             if ultimate is not None:
@@ -404,17 +434,7 @@ def discretize(dataset: Dataset) -> Dataset:
                         f"claim {claim.claim_no}: paid exceeds ultimate at dev {j}"
                     )
                 true_ocl = max(true_ocl, 0.0)
-            records.append(
-                DevelopmentRecord(
-                    dev_period=j,
-                    cum_paid=paid,
-                    txn_types=frozenset(types),
-                    n_pay=n_pay,
-                    case=case,
-                    incurred=incurred,
-                    true_ocl=true_ocl,
-                )
-            )
+            records.append(DevelopmentRecord(j, paid, types, n_pay, case, incurred, true_ocl))
         claim.dev_records = records
     return dataset
 
@@ -486,7 +506,7 @@ def censor(dataset: Dataset, boundary: int) -> Dataset:
         ultimate = txns[-1].cumpaid if settled else None
         if ultimate != c.ultimate:  # open at the boundary, or cumpaid moved after it
             records = [
-                replace(r, true_ocl=None if ultimate is None else max(ultimate - r.cum_paid, 0.0))
+                r._replace(true_ocl=None if ultimate is None else max(ultimate - r.cum_paid, 0.0))
                 for r in records
             ]
         out.append(

@@ -21,17 +21,24 @@ exactly as an insurer would see them.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .claims import Claim, Dataset, format_number
+from .claims import Claim, Dataset, format_number, type_set
 from .credibility import InitTables, initialise_claim
 from .errors import ConfigError, DataError
 
 PROFILES = ("minimal", "cas", "splice_full")
 ONE_HOT_TYPES = ("Mi", "Ma", "P", "PMi", "PMa")
+# The splice one-hot of every type set, keyed by the records' shared sets.
+_ONE_HOT = {
+    type_set(types): [1.0 if typ in types else 0.0 for typ in ONE_HOT_TYPES]
+    for n in range(len(ONE_HOT_TYPES) + 1)
+    for types in itertools.combinations(ONE_HOT_TYPES, n)
+}
 
 
 @dataclass(frozen=True)
@@ -115,7 +122,7 @@ def state_features(
         feats.extend([0.0] * max(n_past - len(past_preds), 0))
         feats.extend(past_preds[max(len(past_preds) - n_past, 0) :])
     if profile == "splice_full":
-        feats.extend(1.0 if typ in rec.txn_types else 0.0 for typ in ONE_HOT_TYPES)
+        feats.extend(_ONE_HOT[rec.txn_types])
         feats.append(float(rec.n_pay))
         feats.append(float((claim.accident_period - 1) % 4 + 1))
         feats.append(float((t - 1) % 4 + 1))

@@ -97,8 +97,9 @@ def forward(
     if dropout and rng is None:
         raise ConfigError("dropout needs a generator")
 
-    # cache["inputs"][k] is layer k's input, so [k + 1] is its output.
-    cache = {"inputs": [h], "masks": [], "squeeze": squeeze}
+    # cache["inputs"][k] is layer k's input, so [k + 1] is its output;
+    # cache["acts"][k] is that output before dropout.
+    cache = {"inputs": [h], "acts": [], "masks": [], "squeeze": squeeze}
     for layer in range(net.n_layers):
         a = h @ net.weights[layer]
         a += net.biases[layer]
@@ -107,6 +108,7 @@ def forward(
             np.maximum(a, 0.0, out=a)
         elif act == "tanh":
             a = np.tanh(a)
+        cache["acts"].append(a)
         if dropout and layer < net.n_layers - 1:
             mask = (rng.uniform(size=a.shape) >= dropout) / (1.0 - dropout)
             a = a * mask
@@ -124,16 +126,16 @@ def forward(
 def backward(net: Mlp, cache, upstream: np.ndarray, param_grads: bool = True):
     """Gradients of sum(upstream * output) w.r.t. parameters and input.
 
-    Returns (grad, input_grad), where grad is one vector laid out like
-    ``net.flat``. With ``param_grads=False`` grad is None and the weight
-    and bias products are skipped, for callers that need only input_grad.
+    Returns (grad, input_grad); grad is one vector laid out like ``net.flat``.
+    Callers need one or the other: by default input_grad is None (the first
+    layer's input product is skipped); ``param_grads=False`` returns grad None
+    and skips the weight and bias products.
     """
     if cache is None:
         raise ConfigError("backward needs the cache from forward")
     g = np.asarray(upstream, dtype=np.float64)
     if cache["squeeze"] and g.ndim == 1:
         g = g.reshape(1, -1)
-    grad = None
     if param_grads:
         grad = np.empty_like(net.flat)
         grad_w, grad_b = net.views(grad)
@@ -141,7 +143,7 @@ def backward(net: Mlp, cache, upstream: np.ndarray, param_grads: bool = True):
         if cache["masks"][layer] is not None:
             g = g * cache["masks"][layer]
         act = net.activations[layer]
-        post = cache["inputs"][layer + 1]
+        post = cache["acts"][layer]  # the slope is that of the unmasked activation
         if act == "relu":
             g = g * (post > 0.0)
         elif act == "tanh":
@@ -149,9 +151,10 @@ def backward(net: Mlp, cache, upstream: np.ndarray, param_grads: bool = True):
         if param_grads:
             np.matmul(cache["inputs"][layer].T, g, out=grad_w[layer])
             np.sum(g, axis=0, out=grad_b[layer])
+            if layer == 0:
+                return grad, None
         g = g @ net.weights[layer].T
-    input_grad = g[0] if cache["squeeze"] else g
-    return grad, input_grad
+    return None, g[0] if cache["squeeze"] else g
 
 
 @dataclass

@@ -16,6 +16,13 @@ size-duration correlation, the break) is contractual. Claims are
 generated from per-claim substreams keyed by (seed, accident period,
 index), so output is independent of iteration order and byte-identical
 for a fixed seed.
+
+Some draws go through cheaper calls that give the same bits from the same
+stream: ``rng.random()`` for ``uniform(0, 1)`` (numpy computes
+``low + (high - low) * u``, which is ``u``), and one ``standard_gamma`` per
+shape for ``gamma(shape=shapes, scale=1.0)`` (numpy's gamma is
+``scale * standard_gamma``). ``float(np.exp(x))`` must stay: ``math.exp``
+differs from it in the last bit on some draws.
 """
 
 from __future__ import annotations
@@ -129,7 +136,8 @@ def _claim_rng(config: SimConfig, i: int, k: int) -> np.random.Generator:
 
 def _simulate_claim(config: SimConfig, i: int, k: int) -> Claim:
     rng = _claim_rng(config, i, k)
-    occurrence = i - 1 + rng.uniform(0.0, 1.0)
+    claim_no = f"c{i}_{k}"
+    occurrence = i - 1 + rng.random()
     size = float(np.exp(rng.normal(config.size_log_mean, config.size_log_sigma)))
     z_size = (math.log(size) - config.size_log_mean) / max(config.size_log_sigma, 1e-12)
 
@@ -159,7 +167,7 @@ def _simulate_claim(config: SimConfig, i: int, k: int) -> Claim:
     scheduled = sorted([(first, 1.5)] + [(t, 1.0) for t in mids])
     pay_times = [t for t, _ in scheduled] + [settle]
     shapes = [sh for _, sh in scheduled] + [config.final_payment_shape]
-    weights = rng.gamma(shape=shapes, scale=1.0)
+    weights = np.array([rng.standard_gamma(sh) for sh in shapes])
     weights = weights / weights.sum()
     real_payments = (weights * size).tolist()
     # Force exact conservation of the pre-inflation total.
@@ -187,18 +195,7 @@ def _simulate_claim(config: SimConfig, i: int, k: int) -> Claim:
     pay_idx = 0
     # Notification transaction: first sight of the claim, opening estimate.
     case_ocl = remaining(0.0) * float(np.exp(rng.normal(0.0, config.case_initial_sigma)))
-    txns.append(
-        Transaction(
-            claim_no=f"c{i}_{k}",
-            txn_time=notify,
-            txn_type="Ma",
-            cumpaid=0.0,
-            accident_period=i,
-            claim_size=size,
-            incurred=case_ocl,
-            case_ocl=case_ocl,
-        )
-    )
+    txns.append(Transaction(claim_no, notify, "Ma", 0.0, i, size, case_ocl, case_ocl))
     for t, kind in events:
         if kind == "P":
             amount = inflated[pay_idx]
@@ -211,12 +208,12 @@ def _simulate_claim(config: SimConfig, i: int, k: int) -> Claim:
             else:
                 case_ocl = case_ocl - amount
                 typ = "P"
-                if rng.uniform() < config.major_at_payment_prob:
+                if rng.random() < config.major_at_payment_prob:
                     case_ocl = remaining(cumpaid) * float(
                         np.exp(rng.normal(0.0, config.case_major_sigma))
                     )
                     typ = "PMa"
-                elif rng.uniform() < config.minor_at_payment_prob:
+                elif rng.random() < config.minor_at_payment_prob:
                     case_ocl = case_ocl * float(
                         np.exp(rng.normal(0.0, config.case_minor_sigma))
                     )
@@ -230,22 +227,11 @@ def _simulate_claim(config: SimConfig, i: int, k: int) -> Claim:
                 np.exp(rng.normal(0.0, config.case_major_sigma))
             )
             typ = "Ma"
-        txns.append(
-            Transaction(
-                claim_no=f"c{i}_{k}",
-                txn_time=t,
-                txn_type=typ,
-                cumpaid=cumpaid,
-                accident_period=i,
-                claim_size=size,
-                incurred=cumpaid + case_ocl,
-                case_ocl=case_ocl,
-            )
-        )
+        txns.append(Transaction(claim_no, t, typ, cumpaid, i, size, cumpaid + case_ocl, case_ocl))
 
     notif_period = period_of(notify)
     return Claim(
-        claim_no=f"c{i}_{k}",
+        claim_no=claim_no,
         accident_period=i,
         notification_period=notif_period,
         settlement_period=period_of(settle),

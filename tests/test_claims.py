@@ -18,6 +18,7 @@ from microreserve.claims import (
     format_number,
     load_transactions,
     period_of,
+    type_set,
     write_transactions,
 )
 from microreserve.errors import DataError, IntegrityError, ParseError
@@ -116,6 +117,132 @@ class TestLoad:
         assert data.n_dropped_zero_loss == 1
         assert data.n_flagged_unsettled == 1
         assert not data.by_no("x1").settled
+
+
+TXN_FIELDS = (
+    "claim_no",
+    "txn_time",
+    "txn_type",
+    "cumpaid",
+    "accident_period",
+    "claim_size",
+    "incurred",
+    "case_ocl",
+)
+
+
+def txn_values(txn):
+    return tuple(getattr(txn, name) for name in TXN_FIELDS)
+
+
+class TestLoaderMessages:
+    """Each malformed input's ParseError message and its row number."""
+
+    GOOD = "x1,100.0,1.5,P,100.0,50.0,50.0,1"
+
+    def raises(self, tmp_path, rows, message, header=SPLICE_HEADER, schema="splice"):
+        path = write_csv(tmp_path, rows, header=header)
+        with pytest.raises(ParseError) as info:
+            load_transactions(path, schema)
+        assert str(info.value) == message
+
+    def test_short_row_reads_empty_cells(self, tmp_path):
+        self.raises(tmp_path, [self.GOOD, "x2,100.0,1.5,P"], "row 3: missing value for 'cumpaid'")
+
+    def test_short_row_in_optional_columns_only(self, tmp_path):
+        path = write_csv(tmp_path, ["x1,100.0,1.5,PMa,,,100.0,1", "x2,50.0,2.5,PMa"])
+        with pytest.raises(ParseError, match=r"^row 3: missing value for 'cumpaid'$"):
+            load_transactions(path, "splice")
+
+    def test_blank_lines_are_skipped_and_not_counted(self, tmp_path):
+        self.raises(
+            tmp_path,
+            [self.GOOD, "", "x2,100.0,oops,P,100.0,50.0,50.0,1"],
+            "row 3: cannot parse txn_time='oops'",
+        )
+
+    def test_na_in_an_optional_column_is_missing(self, tmp_path):
+        path = write_csv(tmp_path, ["x1,100.0,1.5,PMa,NA,nan,100.0,1", "x2,80.0,2.5,PMa,none,None,80.0,1"])
+        data = load_transactions(path, "splice")
+        for claim in data.claims:
+            assert [(t.incurred, t.case_ocl) for t in claim.transactions] == [(None, None)]
+
+    def test_na_in_a_required_column(self, tmp_path):
+        self.raises(
+            tmp_path,
+            [self.GOOD, "x1,None,1.5,P,100.0,50.0,50.0,1"],
+            "row 3: missing value for 'claim_size'",
+        )
+        self.raises(
+            tmp_path, ["x1,100.0,1,NaN,1"], "row 2: missing value for 'cumpaid'",
+            header=CAS_HEADER, schema="cas",
+        )
+
+    def test_padded_cells(self, tmp_path):
+        path = write_csv(tmp_path, ["x1,100.0,\t1.5 ,PMa, NA ,  ,100.0,1"])
+        (txn,) = load_transactions(path, "splice").by_no("x1").transactions
+        assert (txn.txn_time, txn.incurred, txn.case_ocl) == (1.5, None, None)
+        self.raises(tmp_path, ["x1,  ,1.5,PMa,1,0,100.0,1"], "row 2: missing value for 'claim_size'")
+        self.raises(tmp_path, ["x1,100.0,1.5,PMa, 1e ,0,100.0,1"], "row 2: cannot parse incurred='1e'")
+
+    def test_unparsable_number(self, tmp_path):
+        self.raises(tmp_path, ["x1,100.0,1.5,P,1e,50.0,50.0,1"], "row 2: cannot parse incurred='1e'")
+
+    def test_non_integer_accident_period(self, tmp_path):
+        for ap in ("1.5", "0"):
+            self.raises(
+                tmp_path,
+                [f"x1,100.0,1.5,P,100.0,50.0,50.0,{ap}"],
+                "row 2: accident_period must be an integer >= 1",
+            )
+
+    def test_unknown_txn_type(self, tmp_path):
+        self.raises(tmp_path, ["x1,100.0,1.5,Q,100.0,50.0,50.0,1"], "row 2: unknown txn_type 'Q'")
+
+    def test_empty_claim_no_and_nonpositive_time(self, tmp_path):
+        self.raises(tmp_path, [" ,100.0,1.5,PMa,100.0,0.0,100.0,1"], "row 2: empty claim_no")
+        self.raises(tmp_path, ["x1,100.0,0,PMa,100.0,0.0,100.0,1"], "row 2: txn_time must be positive")
+
+    def test_first_failing_check_wins(self, tmp_path):
+        # txn_time is checked before cumpaid, accident_period and claim_size.
+        self.raises(tmp_path, ["x1,bad,-1,Q,x,y,z,0.5"], "row 2: txn_time must be positive")
+        self.raises(tmp_path, ["x1,bad,1,Q,x,y,z,0.5"], "row 2: cannot parse cumpaid='z'")
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ParseError, match="^empty file: header row required$"):
+            load_transactions(str(path), "splice")
+
+    def test_extra_columns_are_ignored(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            ["x1,100.0,1.5,PMa,100.0,0.0,100.0,1,hello,more"],
+            header=SPLICE_HEADER + ",note",
+        )
+        (txn,) = load_transactions(path, "splice").by_no("x1").transactions
+        assert txn_values(txn) == ("x1", 1.5, "PMa", 100.0, 1, 100.0, 100.0, 0.0)
+
+    def test_columns_by_name_with_padding(self, tmp_path):
+        header = "accident_period,cumpaid,OCL,incurred,txn_type,txn_time,claim_size,claim_no"
+        path = write_csv(tmp_path, [" 1 , 100.0 ,0.0,100.0, PMa ,1.5,100.0, x1 "], header=header)
+        (txn,) = load_transactions(path, "splice").by_no("x1").transactions
+        assert txn_values(txn) == ("x1", 1.5, "PMa", 100.0, 1, 100.0, 100.0, 0.0)
+
+    def test_cas_payment_inference_pinned(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            ["x1,100.0,3,100.0,1", "x1,100.0,1,40.0,1", "x1,100.0,2,40.0,1", "x1,100.0,2.5,40.0,1,Q"],
+            header=CAS_HEADER,
+        )
+        claim = load_transactions(path, "cas").by_no("x1")
+        assert [txn_values(t) for t in claim.transactions] == [
+            ("x1", 1.0, "P", 40.0, 1, 100.0, None, None),
+            ("x1", 2.0, "", 40.0, 1, 100.0, None, None),
+            ("x1", 2.5, "", 40.0, 1, 100.0, None, None),
+            ("x1", 3.0, "P", 100.0, 1, 100.0, None, None),
+        ]
+        assert (claim.notification_period, claim.settlement_period, claim.repdel) == (1, 3, 0)
 
 
 class TestDiscretize:
@@ -437,7 +564,7 @@ def record_fields(rec):
     """Every field of a record, floats as their round-trip text (so -0.0 != 0.0)."""
     return [
         format_number(v) if isinstance(v, float) else v
-        for v in (getattr(rec, f.name) for f in dataclasses.fields(rec))
+        for v in (getattr(rec, name) for name in rec._fields)
     ]
 
 
@@ -530,6 +657,56 @@ def test_censor_needs_a_discretized_dataset(three_period_claim):
     raw = Dataset(claims=[dataclasses.replace(c, dev_records=[]) for c in three_period_claim.claims])
     with pytest.raises(DataError, match="discretize"):
         censor(raw, 3)
+
+
+# -- the record types -----------------------------------------------------------------
+
+
+def small_portfolio():
+    from microreserve.simulator import preset, simulate_portfolio, with_seed
+
+    sim = dataclasses.replace(
+        with_seed(preset("complexity5"), 4),
+        n_accident_periods=8,
+        mean_claims_per_period=12.0,
+        structural_break_period=4,
+    )
+    return discretize(simulate_portfolio(sim))
+
+
+class TestRecordTypes:
+    def test_equal_type_sets_are_one_object(self):
+        data = small_portfolio()
+        shared: dict[frozenset, frozenset] = {}
+        for claim in data.claims:
+            for rec in claim.dev_records:
+                assert shared.setdefault(rec.txn_types, rec.txn_types) is rec.txn_types
+        assert frozenset() in shared and frozenset({"P"}) in shared
+        assert type_set(["P", "Mi", "P"]) is type_set(("Mi", "P")) == frozenset({"Mi", "P"})
+
+    def test_records_are_immutable(self):
+        claim = small_portfolio().claims[0]
+        txn, rec = claim.transactions[0], claim.dev_records[0]
+        with pytest.raises(AttributeError):
+            txn.cumpaid = 1.0
+        with pytest.raises(AttributeError):
+            rec.true_ocl = 1.0
+        assert not hasattr(rec, "__dict__") and not hasattr(txn, "__dict__")
+
+    def test_censor_copies_differ_only_in_true_ocl(self):
+        data = small_portfolio()
+        n_copied = 0
+        for boundary in (3, 6, 9):
+            view = censor(data, boundary)
+            for claim in view.claims:
+                parent = data.by_no(claim.claim_no).dev_records
+                for got, want in zip(claim.dev_records, parent):
+                    if got is want:
+                        continue
+                    n_copied += 1
+                    assert got._replace(true_ocl=want.true_ocl) == want
+                    assert got.txn_types is want.txn_types
+        assert n_copied > 0
 
 
 # -- the claim index ------------------------------------------------------------------

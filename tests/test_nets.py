@@ -112,7 +112,8 @@ class TestBackward:
         rng = np.random.default_rng(3)
         net = init_mlp([3, 4, 2], ["tanh", "identity"], rng)
         out, cache = forward(net, rng.normal(size=3))
-        grad, input_grad = backward(net, cache, np.zeros(2))
+        grad, _ = backward(net, cache, np.zeros(2))
+        _, input_grad = backward(net, cache, np.zeros(2), param_grads=False)
         assert np.allclose(grad, 0.0)
         assert np.allclose(input_grad, 0.0)
 
@@ -126,7 +127,7 @@ class TestBackward:
         net = init_mlp([3, 6, 1], ["tanh", "identity"], rng)
         x = rng.normal(size=3)
         out, cache = forward(net, x)
-        _, input_grad = backward(net, cache, np.ones(1))
+        _, input_grad = backward(net, cache, np.ones(1), param_grads=False)
         h = 1e-6
         for i in range(3):
             xp, xm = x.copy(), x.copy()
@@ -250,13 +251,51 @@ class TestFlatLayout:
         assert first.read_bytes() == second.read_bytes()
 
     @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
-    def test_input_only_backward_matches_full_path(self, act):
+    def test_input_only_backward_matches_a_reference_loop(self, act):
         rng = np.random.default_rng(17)
         net = init_mlp([4, 9, 9, 1], [act, act, "identity"], rng)
+        slope = {
+            "relu": lambda a: a > 0.0,
+            "tanh": lambda a: 1.0 - a * a,
+            "identity": lambda a: 1.0,
+        }
         for x in (rng.normal(size=(32, 4)), rng.normal(size=4)):
             out, cache = forward(net, x)
             upstream = rng.normal(size=out.shape)
-            grad, full = backward(net, cache, upstream)
-            none, only = backward(net, cache, upstream, param_grads=False)
+            grad, none = backward(net, cache, upstream)
             assert grad is not None and none is None
-            assert np.array_equal(full, only)
+            empty, only = backward(net, cache, upstream, param_grads=False)
+            assert empty is None
+            # Reference: the chain rule written out layer by layer.
+            g = np.atleast_2d(upstream)
+            for layer in reversed(range(net.n_layers)):
+                post = np.atleast_2d(cache["inputs"][layer + 1])
+                g = (g * slope[net.activations[layer]](post)) @ net.weights[layer].T
+            assert np.array_equal(only, g[0] if x.ndim == 1 else g)
+
+
+class TestDropout:
+    def test_tanh_gradient_under_a_fixed_mask(self):
+        # Central differences with the cached dropout mask held fixed.
+        rng = np.random.default_rng(4)
+        net = init_mlp([3, 5, 1], ["tanh", "identity"], rng)
+        x = rng.normal(size=(6, 3))
+        target = rng.normal(size=(6, 1))
+        out, cache = forward(net, x, dropout=0.5, rng=np.random.default_rng(1))
+        (mask,) = [m for m in cache["masks"] if m is not None]
+        assert 0 < np.count_nonzero(mask) < mask.size
+
+        def loss(flat):
+            w, b = net.views(flat)
+            h = np.tanh(x @ w[0] + b[0]) * mask
+            return float(np.sum((h @ w[1] + b[1] - target) ** 2))
+
+        grad, _ = backward(net, cache, 2.0 * (out - target))
+        step = 1e-6
+        fd = np.empty_like(net.flat)
+        for idx in range(net.flat.size):
+            up, down = net.flat.copy(), net.flat.copy()
+            up[idx] += step
+            down[idx] -= step
+            fd[idx] = (loss(up) - loss(down)) / (2.0 * step)
+        assert np.max(np.abs(grad - fd)) < 1e-6

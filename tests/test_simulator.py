@@ -1,12 +1,21 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from microreserve.claims import build_triangle, censor, discretize, write_transactions
+from microreserve.claims import (
+    Claim,
+    Transaction,
+    discretize,
+    format_number,
+    period_of,
+    write_transactions,
+)
 from microreserve.errors import ConfigError
 from microreserve.simulator import (
     SimConfig,
+    _claim_rng,
     inflation_index,
     preset,
     simulate_portfolio,
@@ -132,3 +141,169 @@ class TestStatisticalTargets:
             [c.settlement_period - c.notification_period for c in data.claims], dtype=float
         )
         assert np.corrcoef(np.log(sizes), durs)[0, 1] > 0.2
+
+
+# -- the generator against a reference copy of its original draw path ------------------
+
+TXN_FIELDS = (
+    "claim_no",
+    "txn_time",
+    "txn_type",
+    "cumpaid",
+    "accident_period",
+    "claim_size",
+    "incurred",
+    "case_ocl",
+)
+CLAIM_FIELDS = (
+    "claim_no",
+    "accident_period",
+    "notification_period",
+    "settlement_period",
+    "repdel",
+    "claim_size",
+)
+
+
+def reference_claim(config: SimConfig, i: int, k: int) -> Claim:
+    """Reference: the generator as first written, with ``uniform``/``gamma`` draws.
+
+    Every draw comes from the claim's substream in the same order as in
+    ``_simulate_claim``, so the two must agree bit for bit.
+    """
+    rng = _claim_rng(config, i, k)
+    occurrence = i - 1 + rng.uniform(0.0, 1.0)
+    size = float(np.exp(rng.normal(config.size_log_mean, config.size_log_sigma)))
+    z_size = (math.log(size) - config.size_log_mean) / max(config.size_log_sigma, 1e-12)
+    notify = occurrence + rng.exponential(config.notif_delay_mean)
+    duration = float(
+        np.exp(
+            rng.normal(
+                config.settle_delay_log_mean + config.settle_size_slope * z_size,
+                config.settle_delay_log_sigma,
+            )
+        )
+    )
+    if config.structural_break_period is not None and notify > config.structural_break_period:
+        duration *= config.break_settlement_factor
+    duration = min(duration, config.max_claim_duration - (notify - occurrence))
+    duration = max(duration, 0.05)
+    settle = notify + duration
+
+    n_extra = int(rng.poisson(config.payment_intensity * duration))
+    first = notify + min(rng.exponential(config.first_payment_delay), 0.9 * duration)
+    mids = rng.uniform(notify, settle, size=n_extra).tolist()
+    scheduled = sorted([(first, 1.5)] + [(t, 1.0) for t in mids])
+    pay_times = [t for t, _ in scheduled] + [settle]
+    shapes = [sh for _, sh in scheduled] + [config.final_payment_shape]
+    weights = rng.gamma(shape=shapes, scale=1.0)
+    weights = weights / weights.sum()
+    real_payments = (weights * size).tolist()
+    real_payments[-1] = size - sum(real_payments[:-1])
+
+    events = [(t, "P") for t in pay_times]
+    for rate, kind in (
+        (config.minor_revision_rate, "Mi"),
+        (config.major_revision_rate, "Ma"),
+    ):
+        n = int(rng.poisson(rate * duration))
+        for t in rng.uniform(notify, settle, size=n):
+            events.append((float(t), kind))
+    events.sort(key=lambda e: e[0])
+
+    inflated = [p * inflation_index(t, config) for p, t in zip(real_payments, pay_times)]
+    ultimate = sum(inflated)
+
+    def remaining(paid):
+        return max(ultimate - paid, 0.0)
+
+    cumpaid = 0.0
+    pay_idx = 0
+    case_ocl = remaining(0.0) * float(np.exp(rng.normal(0.0, config.case_initial_sigma)))
+    txns = [
+        Transaction(
+            claim_no=f"c{i}_{k}",
+            txn_time=notify,
+            txn_type="Ma",
+            cumpaid=0.0,
+            accident_period=i,
+            claim_size=size,
+            incurred=case_ocl,
+            case_ocl=case_ocl,
+        )
+    ]
+    for t, kind in events:
+        if kind == "P":
+            amount = inflated[pay_idx]
+            pay_idx += 1
+            cumpaid += amount
+            if pay_idx == len(inflated):
+                cumpaid = ultimate
+                case_ocl = 0.0
+                typ = "PMa"
+            else:
+                case_ocl = case_ocl - amount
+                typ = "P"
+                if rng.uniform() < config.major_at_payment_prob:
+                    case_ocl = remaining(cumpaid) * float(
+                        np.exp(rng.normal(0.0, config.case_major_sigma))
+                    )
+                    typ = "PMa"
+                elif rng.uniform() < config.minor_at_payment_prob:
+                    case_ocl = case_ocl * float(np.exp(rng.normal(0.0, config.case_minor_sigma)))
+                    typ = "PMi"
+                case_ocl = max(case_ocl, 0.01 * remaining(cumpaid) + 1.0)
+        elif kind == "Mi":
+            case_ocl = case_ocl * float(np.exp(rng.normal(0.0, config.case_minor_sigma)))
+            typ = "Mi"
+        else:
+            case_ocl = remaining(cumpaid) * float(np.exp(rng.normal(0.0, config.case_major_sigma)))
+            typ = "Ma"
+        txns.append(
+            Transaction(
+                claim_no=f"c{i}_{k}",
+                txn_time=t,
+                txn_type=typ,
+                cumpaid=cumpaid,
+                accident_period=i,
+                claim_size=size,
+                incurred=cumpaid + case_ocl,
+                case_ocl=case_ocl,
+            )
+        )
+
+    notif_period = period_of(notify)
+    return Claim(
+        claim_no=f"c{i}_{k}",
+        accident_period=i,
+        notification_period=notif_period,
+        settlement_period=period_of(settle),
+        repdel=notif_period - i,
+        claim_size=size,
+        transactions=txns,
+    )
+
+
+def as_text(obj, names):
+    """The named fields, floats as their round-trip text (so -0.0 != 0.0)."""
+    return [
+        (name, format_number(v) if isinstance(v, float) else v)
+        for name, v in ((name, getattr(obj, name)) for name in names)
+    ]
+
+
+@pytest.mark.parametrize("name", ["complexity1", "complexity5"])
+@pytest.mark.parametrize("seed", [1, 2, 9, 31])
+def test_every_claim_equals_the_reference_draws(name, seed):
+    cfg = with_seed(small(preset(name), aps=10, mean=12.0), seed)
+    data = simulate_portfolio(cfg)
+    assert len(data) > 60
+    if cfg.structural_break_period is not None:
+        assert any(c.notification_period > cfg.structural_break_period for c in data.claims)
+    for claim in data.claims:
+        i, k = (int(part) for part in claim.claim_no[1:].split("_"))
+        want = reference_claim(cfg, i, k)
+        assert as_text(claim, CLAIM_FIELDS) == as_text(want, CLAIM_FIELDS), claim.claim_no
+        assert len(claim.transactions) == len(want.transactions), claim.claim_no
+        for got, ref in zip(claim.transactions, want.transactions):
+            assert as_text(got, TXN_FIELDS) == as_text(ref, TXN_FIELDS), claim.claim_no
