@@ -212,12 +212,15 @@ class Triangle:
 
 
 def _number(raw: str, key: str, line_no: int, optional: bool = False) -> float | None:
-    """One cell as a float; empty and NA, NaN or None (any case) are missing."""
+    """One cell as a finite float; empty and NA, NaN or None (any case) are missing.
+
+    Any other non-finite number (``inf``, ``1e999``, ``+nan``) is a ParseError.
+    """
     try:
         value = float(raw)  # float ignores the padding that strip removes
     except ValueError:
         value = None
-    if value is not None and value == value:
+    if value is not None and math.isfinite(value):
         return value
     raw = raw.strip()
     if raw == "" or raw.upper() in {"NA", "NAN", "NONE"}:
@@ -226,7 +229,7 @@ def _number(raw: str, key: str, line_no: int, optional: bool = False) -> float |
         raise ParseError(f"row {line_no}: missing value for {key!r}")
     if value is None:
         raise ParseError(f"row {line_no}: cannot parse {key}={raw!r}")
-    return value  # NaN spelled another way, such as "+nan"
+    raise ParseError(f"row {line_no}: {key} must be finite, got {raw!r}")
 
 
 def _parse_row(cells: tuple[str, ...], line_no: int, schema: str) -> Transaction:

@@ -261,12 +261,21 @@ def _predict_rl(agent, view: Dataset, tables: InitTables, boundary: int):
     return replay.final_predictions(), replay
 
 
-def _fit_fnn(cfg: dict, view: Dataset, boundary: int, seed: int):
-    """Train the FNN on leakage-guarded rows; returns (open-claim predictions, model)."""
+def _fit_fnn(cfg: dict, view: Dataset, boundary: int, seed: int, rows_memo: dict | None = None):
+    """Train the FNN on leakage-guarded rows; returns (open-claim predictions, model).
+
+    ``rows_memo`` keeps the rows built for fits on one dataset's views, keyed by
+    the boundary and the config fields the rows depend on, so fits that share
+    them build them once.
+    """
     fnn_cfg = FnnConfig(**{**cfg["fnn"], "state_profile": _profile(cfg, view), "seed": seed})
-    rows = build_training_rows(view, boundary, fnn_cfg)
-    guard_fnn_rows(rows.claim_nos, view, boundary)
-    model = train_fnn(rows, fnn_cfg)
+    memo = {} if rows_memo is None else rows_memo
+    key = (boundary, fnn_cfg.state_profile, fnn_cfg.alpha_w, fnn_cfg.s_scale)
+    if key not in memo:
+        rows = build_training_rows(view, boundary, fnn_cfg)
+        guard_fnn_rows(rows.claim_nos, view, boundary)
+        memo[key] = rows
+    model = train_fnn(memo[key], fnn_cfg)
     return predict_ocl_fnn(model, view, boundary), model
 
 
@@ -410,12 +419,13 @@ def tune_from_config(cfg: dict, acquired: tuple) -> dict:
     for fold in folds:
         guard_validation(fold.validation_claims, fold.boundary)
     family = cfg["tuning"]["family"]
+    rows_memo: dict = {}  # the folds' fnn rows, for this call only
 
     def family_fn(fold, params):
         sections = _grid_sections(family, params)
         trial = {**cfg, **{k: {**cfg[k], **v} for k, v in sections.items()}}
         if family == "fnn":
-            return _fit_fnn(trial, fold.train_view, fold.boundary, seed)[0]
+            return _fit_fnn(trial, fold.train_view, fold.boundary, seed, rows_memo)[0]
         tables = build_init_tables(fold.train_view, fold.boundary)
         return _fit_rl(trial, fold.train_view, fold.boundary, seed, tables)[0]
 

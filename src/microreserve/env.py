@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .claims import Claim, Dataset, format_number, type_set
+from .claims import Claim, Dataset, DevelopmentRecord, format_number, type_set
 from .credibility import InitTables, initialise_claim
 from .errors import ConfigError, DataError
 
@@ -109,25 +109,45 @@ def state_features(
     The last n_past predictions fill the past-prediction slots, zero-padded
     on the left while fewer have been made.
     """
-    rec = claim.record_at(t)
-    assert rec.dev_period == t + 1 - claim.accident_period
-    feats = [
-        float(claim.accident_period),
-        float(rec.dev_period),
-        prev_ocl,
-        rec.cum_paid,
-    ]
-    if profile in ("cas", "splice_full"):
-        feats.append(float(claim.repdel))
-        feats.extend([0.0] * max(n_past - len(past_preds), 0))
-        feats.extend(past_preds[max(len(past_preds) - n_past, 0) :])
-    if profile == "splice_full":
-        feats.extend(_ONE_HOT[rec.txn_types])
-        feats.append(float(rec.n_pay))
-        feats.append(float((claim.accident_period - 1) % 4 + 1))
-        feats.append(float((t - 1) % 4 + 1))
-        feats.append(rec.case if rec.case is not None else 0.0)
-    return feats
+    last = past_preds[max(len(past_preds) - n_past, 0) :]
+    past = [0.0] * max(n_past - len(past_preds), 0) + last
+    return state_rows(claim, [claim.record_at(t)], t, profile, [prev_ocl], past)
+
+
+def state_rows(
+    claim: Claim,
+    records: list[DevelopmentRecord],
+    t: int,
+    profile: str,
+    prev: list[float],
+    past: list[float],
+) -> list[float]:
+    """The states of one claim at consecutive records, the first at period t.
+
+    The rows are laid end to end in one flat list, so a long walk allocates
+    no list per row. ``prev`` fills the previous-estimate slot (empty leaves
+    the slot out) and ``past`` the past-prediction slots, the same in every
+    row; the claim's static slots are computed once.
+    """
+    ap = claim.accident_period
+    head = float(ap)
+    middle = [float(claim.repdel), *past] if profile in ("cas", "splice_full") else []
+    splice = profile == "splice_full"
+    ap_quarter = float((ap - 1) % 4 + 1)
+    rows: list[float] = []
+    for rec in records:
+        assert rec.dev_period == t + 1 - ap
+        rows += (head, float(rec.dev_period), *prev, rec.cum_paid, *middle)
+        if splice:
+            rows += _ONE_HOT[rec.txn_types]
+            rows += (
+                float(rec.n_pay),
+                ap_quarter,
+                float((t - 1) % 4 + 1),
+                rec.case if rec.case is not None else 0.0,
+            )
+        t += 1
+    return rows
 
 
 def apply_action(prev_ocl: float, action: float, k: float) -> tuple[float, float]:

@@ -5,7 +5,11 @@ period (a claim with J development periods and reporting delay d gives
 J - d rows). Features are the environment's state layout for the same
 profile without the model-generated slots: no past predictions
 (``n_past=0``) and no previous estimate. The target is the outstanding
-amount at that period; regression runs on the log1p scale against an MSE
+amount at that period. ``build_training_rows`` walks each settled claim's
+development records once, notification to settlement, through the layout
+helper the environment's states use (``env.state_rows``), so the claim's
+static slots are computed once per claim rather than once per row.
+Regression runs on the log1p scale against an MSE
 weighted by the environment's settled-claim importance weight
 (OCL / s)^alpha, which is zero on zero-OCL rows. Early stopping uses an
 80/20 split of the training claims (split by claim, never by row). The
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .claims import Claim, Dataset
-from .env import PREV_OCL_SLOT, currency_mask, ocl_importance_weight, state_features
+from .env import PREV_OCL_SLOT, currency_mask, ocl_importance_weight, state_rows
 from .errors import ConfigError, DataError, NumericFault
 from .nets import AdamState, FeatureScaler, Mlp, adam_step, backward, forward, init_mlp
 
@@ -57,9 +61,7 @@ class FnnConfig:
 
 def row_features(claim: Claim, t: int, profile: str) -> list[float]:
     """The environment's state at n_past=0 without the previous-estimate slot."""
-    row = state_features(claim, t, 0.0, [], profile, 0)
-    del row[PREV_OCL_SLOT]
-    return row
+    return state_rows(claim, [claim.record_at(t)], t, profile, [], [])
 
 
 @dataclass
@@ -77,14 +79,16 @@ def build_training_rows(train: Dataset, cutoff: int, cfg: FnnConfig) -> FnnRows:
     if not settled:
         raise DataError("no settled claims before the cutoff")
 
-    feats: list[list[float]] = []
+    feats: list[float] = []  # the rows end to end
     targets: list[float] = []
     claim_nos: list[str] = []
     for claim in settled:
-        for t in range(claim.notification_period, claim.settlement_period + 1):
-            feats.append(row_features(claim, t, cfg.state_profile))
-            targets.append(claim.record_at(t).true_ocl)
-            claim_nos.append(claim.claim_no)
+        t0 = claim.notification_period
+        records = claim.dev_records[: claim.settlement_period - t0 + 1]
+        assert records[-1].dev_period == claim.settlement_period + 1 - claim.accident_period
+        feats += state_rows(claim, records, t0, cfg.state_profile, [], [])
+        targets += [rec.true_ocl for rec in records]
+        claim_nos += [claim.claim_no] * len(records)
 
     targets_arr = np.array(targets)
     s = cfg.s_scale
@@ -97,7 +101,7 @@ def build_training_rows(train: Dataset, cutoff: int, cfg: FnnConfig) -> FnnRows:
         [ocl_importance_weight(True, cfg.alpha_w, s, ocl_tau=y) for y in targets]
     )
     return FnnRows(
-        features=np.array(feats, dtype=np.float64),
+        features=np.array(feats, dtype=np.float64).reshape(len(targets), -1),
         targets=targets_arr,
         weights=weights,
         claim_nos=claim_nos,

@@ -37,6 +37,7 @@ class Mlp:
     flat: np.ndarray | None = None
     weights: list[np.ndarray] = field(init=False, repr=False)
     biases: list[np.ndarray] = field(init=False, repr=False)
+    layout: list[tuple[slice, tuple[int, int], slice]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.activations) != len(self.sizes) - 1:
@@ -49,6 +50,13 @@ class Mlp:
             self.flat = np.zeros(size)
         elif self.flat.shape != (size,):
             raise ConfigError(f"flat parameters of shape {self.flat.shape} != ({size},)")
+        # Per layer: the weight slice of the flat layout, its shape, the bias slice.
+        self.layout = []
+        start = 0
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            stop = start + fan_in * fan_out
+            self.layout.append((slice(start, stop), (fan_in, fan_out), slice(stop, stop + fan_out)))
+            start = stop + fan_out
         self.weights, self.biases = self.views(self.flat)
 
     @property
@@ -57,13 +65,8 @@ class Mlp:
 
     def views(self, vec: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer weight and bias views into a vector laid out like ``flat``."""
-        weights, biases = [], []
-        start = 0
-        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
-            stop = start + fan_in * fan_out
-            weights.append(vec[start:stop].reshape(fan_in, fan_out))
-            biases.append(vec[stop : stop + fan_out])
-            start = stop + fan_out
+        weights = [vec[w].reshape(shape) for w, shape, _ in self.layout]
+        biases = [vec[b] for _, _, b in self.layout]
         return weights, biases
 
     def copy(self) -> "Mlp":
@@ -130,30 +133,38 @@ def backward(net: Mlp, cache, upstream: np.ndarray, param_grads: bool = True):
     Callers need one or the other: by default input_grad is None (the first
     layer's input product is skipped); ``param_grads=False`` returns grad None
     and skips the weight and bias products.
+
+    Neither ``upstream`` nor the cache is written: the activation slopes and
+    dropout masks multiply in place into a copy of ``upstream`` and then into
+    the layer products, arrays this call allocates. A width-1 layer's input
+    product is a broadcast multiply: each entry is the one product that the
+    (n, 1) @ (1, m) matrix product forms, which numpy's matmul takes about
+    half as long again to compute. Only the sign of a zero entry can differ.
     """
     if cache is None:
         raise ConfigError("backward needs the cache from forward")
-    g = np.asarray(upstream, dtype=np.float64)
+    g = np.array(upstream, dtype=np.float64)
     if cache["squeeze"] and g.ndim == 1:
         g = g.reshape(1, -1)
     if param_grads:
         grad = np.empty_like(net.flat)
-        grad_w, grad_b = net.views(grad)
     for layer in reversed(range(net.n_layers)):
         if cache["masks"][layer] is not None:
-            g = g * cache["masks"][layer]
+            g *= cache["masks"][layer]
         act = net.activations[layer]
         post = cache["acts"][layer]  # the slope is that of the unmasked activation
         if act == "relu":
-            g = g * (post > 0.0)
+            g *= post > 0.0
         elif act == "tanh":
-            g = g * (1.0 - post * post)
+            g *= 1.0 - post * post
         if param_grads:
-            np.matmul(cache["inputs"][layer].T, g, out=grad_w[layer])
-            np.sum(g, axis=0, out=grad_b[layer])
+            w_slice, shape, b_slice = net.layout[layer]
+            np.matmul(cache["inputs"][layer].T, g, out=grad[w_slice].reshape(shape))
+            np.sum(g, axis=0, out=grad[b_slice])
             if layer == 0:
                 return grad, None
-        g = g @ net.weights[layer].T
+        w = net.weights[layer]
+        g = g * w.T if w.shape[1] == 1 else g @ w.T
     return None, g[0] if cache["squeeze"] else g
 
 
@@ -166,6 +177,11 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
+    # Two arrays shaped like m that adam_step computes into, so a step allocates nothing.
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def for_params(cls, params: np.ndarray, lr: float) -> "AdamState":
@@ -173,19 +189,32 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
-    """Bias-corrected Adam update applied in place; returns params."""
+    """Bias-corrected Adam update applied in place; returns params.
+
+    The operations, and their order, are those of
+    ``params -= lr * m_hat / (sqrt(v_hat) + eps)``, written into the state's
+    scratch arrays instead of temporaries.
+    """
     if params.shape != state.m.shape or params.shape != grads.shape:
         raise ConfigError("parameter/gradient/state shapes do not line up")
     state.step += 1
     t = state.step
     m, v = state.m, state.v
+    a, b = state.scratch
     m *= state.beta1
-    m += (1.0 - state.beta1) * grads
+    np.multiply(1.0 - state.beta1, grads, out=a)
+    m += a
     v *= state.beta2
-    v += (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    np.multiply(1.0 - state.beta2, grads, out=a)
+    a *= grads
+    v += a
+    np.divide(m, 1.0 - state.beta1**t, out=a)  # m_hat
+    a *= state.lr
+    np.divide(v, 1.0 - state.beta2**t, out=b)  # v_hat
+    np.sqrt(b, out=b)
+    b += state.eps
+    a /= b
+    params -= a
     return params
 
 

@@ -203,6 +203,27 @@ class TestLoaderMessages:
         self.raises(tmp_path, [" ,100.0,1.5,PMa,100.0,0.0,100.0,1"], "row 2: empty claim_no")
         self.raises(tmp_path, ["x1,100.0,0,PMa,100.0,0.0,100.0,1"], "row 2: txn_time must be positive")
 
+    @pytest.mark.parametrize("token", ["inf", "-Infinity", "1e999", "+nan", "-nan"])
+    @pytest.mark.parametrize(
+        "header, schema, good",
+        [(SPLICE_HEADER, "splice", GOOD), (CAS_HEADER, "cas", "x1,100.0,1.5,50.0,1")],
+        ids=["splice", "cas"],
+    )
+    def test_non_finite_numbers(self, tmp_path, header, schema, good, token):
+        # Every numeric column, on the second data row, in both schemas.
+        for col, key in enumerate(header.split(",")):
+            if key in ("claim_no", "txn_type"):
+                continue
+            cells = good.split(",")
+            cells[col] = token
+            self.raises(
+                tmp_path,
+                [good, ",".join(cells)],
+                f"row 3: {key} must be finite, got {token!r}",
+                header=header,
+                schema=schema,
+            )
+
     def test_first_failing_check_wins(self, tmp_path):
         # txn_time is checked before cumpaid, accident_period and claim_size.
         self.raises(tmp_path, ["x1,bad,-1,Q,x,y,z,0.5"], "row 2: txn_time must be positive")

@@ -178,3 +178,35 @@ class TestRun:
         manifest = run_tiny(tmp_path / "tuned", models=["fnn"], tuning=tuning, seeds=[3, 4])
         assert manifest["stage_reached"] == "done"
         assert seeds == [3, 4]
+
+    def test_tuned_run_builds_each_folds_rows_once(self, tmp_path, monkeypatch):
+        # Two grid points over two folds, then the final fit: 3 row builds where
+        # one per fit would make 5, with the same tuning entries and outputs.
+        build, tune, fit_fnn = cli.build_training_rows, cli.tune, cli._fit_fnn
+        tuning = {"enabled": True, "family": "fnn", "grid": [{"lr": 0.001}, {"lr": 0.01}]}
+
+        def run(name):
+            builds, entries = [], []
+
+            def counted(view, boundary, cfg):
+                builds.append(boundary)
+                return build(view, boundary, cfg)
+
+            def recorded(grid, folds, family_fn):
+                best, got = tune(grid, folds, family_fn)
+                entries.extend(got)
+                return best, got
+
+            monkeypatch.setattr(cli, "build_training_rows", counted)
+            monkeypatch.setattr(cli, "tune", recorded)
+            manifest = run_tiny(tmp_path / name, models=["fnn"], tuning=tuning)
+            assert manifest["stage_reached"] == "done"
+            return builds, entries, manifest["outputs"]
+
+        builds, entries, outputs = run("shared")
+        # Without the memo, every fit builds its own rows.
+        monkeypatch.setattr(cli, "_fit_fnn", lambda *args: fit_fnn(*args[:4]))
+        per_fit_builds, per_fit_entries, per_fit_outputs = run("per_fit")
+        assert len(builds) == 3 and len(per_fit_builds) == 5
+        assert len(entries) == 2 and entries == per_fit_entries
+        assert outputs == per_fit_outputs

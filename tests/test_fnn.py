@@ -1,7 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from microreserve.env import PREV_OCL_SLOT, currency_mask, state_features
+from microreserve.claims import censor, discretize
+from microreserve.env import (
+    ONE_HOT_TYPES,
+    PREV_OCL_SLOT,
+    PROFILES,
+    currency_mask,
+    ocl_importance_weight,
+    state_features,
+)
 from microreserve.errors import ConfigError, DataError
 from microreserve.fnn import (
     FnnConfig,
@@ -16,6 +27,7 @@ from microreserve.fnn import (
 )
 
 from conftest import build_claim, build_dataset
+from test_claims import ledger, load_ledger
 
 
 def settled_fixture():
@@ -92,6 +104,82 @@ class TestRows:
             state = state_features(claim, t, 123.0, [], profile, 0)
             assert state[PREV_OCL_SLOT] == 123.0
             assert row_features(claim, t, profile) == state[:PREV_OCL_SLOT] + state[PREV_OCL_SLOT + 1 :]
+
+
+def reference_row_features(claim, t, profile):
+    """The state layout at n_past=0 without the previous estimate, slot by slot."""
+    rec = claim.record_at(t)
+    assert rec.dev_period == t + 1 - claim.accident_period
+    row = [float(claim.accident_period), float(rec.dev_period), rec.cum_paid]
+    if profile in ("cas", "splice_full"):
+        row.append(float(claim.repdel))
+    if profile == "splice_full":
+        row += [1.0 if typ in rec.txn_types else 0.0 for typ in ONE_HOT_TYPES]
+        row += [float(rec.n_pay), float((claim.accident_period - 1) % 4 + 1)]
+        row += [float((t - 1) % 4 + 1), rec.case if rec.case is not None else 0.0]
+    return row
+
+
+def reference_rows(train, cutoff, cfg):
+    """The per-row loop: one row per settled claim and period, each read on its own."""
+    feats, targets, claim_nos = [], [], []
+    for claim in train.settled_claims(by=cutoff):
+        for t in range(claim.notification_period, claim.settlement_period + 1):
+            feats.append(reference_row_features(claim, t, cfg.state_profile))
+            targets.append(claim.record_at(t).true_ocl)
+            claim_nos.append(claim.claim_no)
+    positive = [y for y in targets if y > 0]
+    if not positive and cfg.s_scale is None:
+        raise DataError("no rows, or no positive target")
+    s = cfg.s_scale if cfg.s_scale is not None else float(np.mean(positive))
+    weights = [ocl_importance_weight(True, cfg.alpha_w, s, ocl_tau=y) for y in targets]
+    return feats, targets, weights, claim_nos, s
+
+
+def assert_rows_match_reference(data, cutoff, cfg):
+    try:
+        feats, targets, weights, claim_nos, s = reference_rows(data, cutoff, cfg)
+    except DataError:
+        with pytest.raises(DataError):
+            build_training_rows(data, cutoff, cfg)
+        return
+    rows = build_training_rows(data, cutoff, cfg)
+    expected = np.array(feats, dtype=np.float64)
+    assert rows.features.shape == expected.shape
+    assert rows.features.tobytes() == expected.tobytes()
+    assert rows.targets.tobytes() == np.array(targets).tobytes()
+    assert rows.weights.tobytes() == np.array(weights).tobytes()
+    assert rows.claim_nos == claim_nos
+    assert rows.s_scale == s
+
+
+class TestRowsAgainstThePerRowLoop:
+    @given(ledger())
+    @settings(max_examples=60, deadline=None)
+    def test_hypothesis_ledgers(self, case):
+        schema, lines, _ = case
+        data = load_ledger(schema, lines)
+        for boundary in range(1, data.max_calendar_period + 1):
+            view = censor(data, boundary)
+            for profile in PROFILES:
+                assert_rows_match_reference(view, boundary, FnnConfig(state_profile=profile))
+
+    def test_complexity5_portfolio(self):
+        from microreserve.simulator import preset, simulate_portfolio, with_seed
+
+        sim = dataclasses.replace(
+            with_seed(preset("complexity5"), 3),
+            n_accident_periods=12,
+            mean_claims_per_period=15.0,
+            structural_break_period=6,
+        )
+        data = discretize(simulate_portfolio(sim))
+        for boundary in (6, 12, data.max_calendar_period):
+            view = censor(data, boundary)
+            for profile in PROFILES:
+                for alpha_w, s_scale in ((1.0, None), (0.5, 2500.0)):
+                    cfg = FnnConfig(state_profile=profile, alpha_w=alpha_w, s_scale=s_scale)
+                    assert_rows_match_reference(view, boundary, cfg)
 
 
 class TestWeightedMse:

@@ -299,3 +299,129 @@ class TestDropout:
             down[idx] -= step
             fd[idx] = (loss(up) - loss(down)) / (2.0 * step)
         assert np.max(np.abs(grad - fd)) < 1e-6
+
+
+# -- the training step against the plain numpy one -----------------------------------
+
+
+def reference_backward(net, cache, upstream, param_grads=True):
+    """backward written with fresh arrays for every product and ``@`` for every layer."""
+    g = np.asarray(upstream, dtype=np.float64)
+    if cache["squeeze"] and g.ndim == 1:
+        g = g.reshape(1, -1)
+    if param_grads:
+        grad = np.empty_like(net.flat)
+        grad_w, grad_b = net.views(grad)
+    for layer in reversed(range(net.n_layers)):
+        if cache["masks"][layer] is not None:
+            g = g * cache["masks"][layer]
+        act = net.activations[layer]
+        post = cache["acts"][layer]
+        if act == "relu":
+            g = g * (post > 0.0)
+        elif act == "tanh":
+            g = g * (1.0 - post * post)
+        if param_grads:
+            np.matmul(cache["inputs"][layer].T, g, out=grad_w[layer])
+            np.sum(g, axis=0, out=grad_b[layer])
+            if layer == 0:
+                return grad, None
+        g = g @ net.weights[layer].T
+    return None, g[0] if cache["squeeze"] else g
+
+
+def reference_adam_step(state, params, grads):
+    """adam_step with a temporary array for every operation."""
+    state.step += 1
+    t = state.step
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grads
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grads * grads
+    m_hat = m / (1.0 - state.beta1**t)
+    v_hat = v / (1.0 - state.beta2**t)
+    params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return params
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def cache_arrays(cache):
+    return [a for key in ("inputs", "acts", "masks") for a in cache[key] if a is not None]
+
+
+class TestStepOracles:
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("param_grads", [True, False])
+    def test_backward_matches_the_reference(self, width, act, dropout, param_grads):
+        rng = np.random.default_rng(31)
+        net = init_mlp([5, 7, 6, width], [act, act, act], rng)
+        for x in (rng.normal(size=(16, 5)), rng.normal(size=5)):
+            out, cache = forward(net, x, dropout=dropout, rng=np.random.default_rng(2))
+            upstream = rng.normal(size=out.shape)
+            before = [a.copy() for a in [x, upstream] + cache_arrays(cache)]
+            got = backward(net, cache, upstream, param_grads=param_grads)
+            want = reference_backward(net, cache, upstream, param_grads=param_grads)
+            for g, w in zip(got, want):
+                assert (g is None and w is None) or same_bits(g, w)
+            # The caller's arrays are read only: SAC passes one upstream to two critics.
+            after = [x, upstream] + cache_arrays(cache)
+            assert all(same_bits(a, b) for a, b in zip(before, after))
+
+    def test_zero_upstream_rows_match_the_reference_in_value(self):
+        # Zero-weight FNN rows give zero upstream rows. The width-1 broadcast keeps
+        # the sign of a zero product, where the matrix product added it to +0.0, so
+        # zeros may differ in sign and every value is equal.
+        rng = np.random.default_rng(5)
+        net = init_mlp([5, 8, 8, 1], ["relu", "relu", "identity"], rng)
+        out, cache = forward(net, rng.normal(size=(32, 5)))
+        upstream = rng.normal(size=out.shape)
+        upstream[::3] = 0.0
+        upstream[1::3] *= -0.0
+        for param_grads in (True, False):
+            got = backward(net, cache, upstream, param_grads=param_grads)
+            want = reference_backward(net, cache, upstream, param_grads=param_grads)
+            for g, w in zip(got, want):
+                assert (g is None and w is None) or np.array_equal(g, w)
+
+    @pytest.mark.parametrize("n", [1, 5121])  # SAC's temperature; a 13-64-64-1 FNN
+    def test_adam_trajectory_matches_the_reference(self, n):
+        rng = np.random.default_rng(8)
+        params = rng.normal(size=n)
+        ref_params = params.copy()
+        state = AdamState.for_params(params, lr=3e-3)
+        ref = AdamState.for_params(ref_params, lr=3e-3)
+        for _ in range(50):
+            grads = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=n)
+            kept = grads.copy()
+            adam_step(state, params, grads)
+            reference_adam_step(ref, ref_params, grads)
+            assert same_bits(grads, kept)
+            for got, want in ((params, ref_params), (state.m, ref.m), (state.v, ref.v)):
+                assert same_bits(got, want)
+        assert state.step == ref.step == 50
+
+    def test_training_steps_match_the_reference(self):
+        # 50 FNN-shaped steps, forward, backward and Adam, on the two implementations.
+        rng = np.random.default_rng(12)
+        net = init_mlp([13, 64, 64, 1], ["relu", "relu", "identity"], rng)
+        ref = net.copy()
+        opt, ref_opt = AdamState.for_params(net.flat, 1e-3), AdamState.for_params(ref.flat, 1e-3)
+        for _ in range(50):
+            x = rng.normal(size=(128, 13))
+            w = np.where(rng.uniform(size=128) < 0.3, 0.0, rng.uniform(size=128))
+            y = rng.normal(size=128)
+            for model, state, step, back in (
+                (net, opt, adam_step, backward),
+                (ref, ref_opt, reference_adam_step, reference_backward),
+            ):
+                out, cache = forward(model, x)
+                upstream = (2.0 * w * (out[:, 0] - y) / w.sum())[:, None]
+                grad, _ = back(model, cache, upstream)
+                step(state, model.flat, grad)
+            assert same_bits(net.flat, ref.flat)
