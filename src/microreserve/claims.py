@@ -34,6 +34,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -82,10 +83,6 @@ class Transaction(NamedTuple):
     @property
     def is_payment(self) -> bool:
         return self.txn_type in PAYMENT_TYPES
-
-    @property
-    def period(self) -> int:
-        return period_of(self.txn_time)
 
 
 class DevelopmentRecord(NamedTuple):
@@ -397,10 +394,12 @@ def discretize(dataset: Dataset) -> Dataset:
     (its last payment), so its records run on to those rows. One pass over
     each claim's transactions, in time order as loading and simulation leave them.
     """
-    no_types = type_set(())
+    ceil = math.ceil
+    types_of: dict[tuple[str, ...], frozenset[str]] = {(): type_set(())}
     for claim in dataset.claims:
         txns = claim.transactions
-        last_t = period_of(txns[-1].txn_time)
+        n_txns = len(txns)
+        last_t = ceil(txns[-1].txn_time)
         if not claim.settled:
             # Open claims stay observable through the data horizon.
             last_t = max(dataset.max_calendar_period, last_t)
@@ -411,23 +410,25 @@ def discretize(dataset: Dataset) -> Dataset:
         n_pay = 0
         ultimate = claim.ultimate
         k = 0
-        due = period_of(txns[0].txn_time)  # the period of txns[k]
+        due = ceil(txns[0].txn_time)  # the period of txns[k]
         for t in range(claim.notification_period, last_t + 1):
             seen = []
             while due <= t:
-                txn = txns[k]
-                paid = txn.cumpaid
-                if txn.case_ocl is not None:
-                    case = txn.case_ocl
-                if txn.incurred is not None:
-                    incurred = txn.incurred
-                if txn.txn_type:
-                    seen.append(txn.txn_type)
-                    if txn.txn_type in PAYMENT_TYPES:
+                _, _, txn_type, paid, _, _, txn_incurred, txn_case = txns[k]
+                if txn_case is not None:
+                    case = txn_case
+                if txn_incurred is not None:
+                    incurred = txn_incurred
+                if txn_type:
+                    seen.append(txn_type)
+                    if txn_type in PAYMENT_TYPES:
                         n_pay += 1
                 k += 1
-                due = period_of(txns[k].txn_time) if k < len(txns) else last_t + 1
-            types = type_set(seen) if seen else no_types
+                due = ceil(txns[k].txn_time) if k < n_txns else last_t + 1
+            key = tuple(seen)
+            types = types_of.get(key)
+            if types is None:
+                types = types_of[key] = type_set(seen)
             j = t + 1 - claim.accident_period
             true_ocl = None
             if ultimate is not None:
@@ -494,17 +495,24 @@ def censor(dataset: Dataset, boundary: int) -> Dataset:
     known only when it happened inside the window. Records are the parent's,
     cut where ``discretize`` would stop on the view, and copied where its
     ultimate differs.
+
+    The kept transactions are a prefix of each claim's ledger, cut by
+    bisection on ``txn_time``: ledgers are in time order, as ``discretize``
+    also assumes, and ``ceil(t) <= boundary`` exactly when ``t <= boundary``.
     """
     horizon = min(dataset.max_calendar_period, boundary)
+    ceil = math.ceil
+    txn_time = operator.itemgetter(1)
     out: list[Claim] = []
     for c in dataset.claims:
         if c.notification_period > boundary:
             continue
         if not c.dev_records:
             raise DataError(f"claim {c.claim_no}: censor needs a discretized dataset")
-        txns = [t for t in c.transactions if t.period <= boundary]
+        txns = c.transactions[: bisect_right(c.transactions, boundary, key=txn_time)]
         settled = c.settled_by(boundary)
-        last_t = txns[-1].period if settled else max(horizon, txns[-1].period)
+        last_period = ceil(txns[-1].txn_time)
+        last_t = last_period if settled else max(horizon, last_period)
         records = c.dev_records[: last_t - c.notification_period + 1]
         ultimate = txns[-1].cumpaid if settled else None
         if ultimate != c.ultimate:  # open at the boundary, or cumpaid moved after it

@@ -68,7 +68,7 @@ from .evaluation import (
 )
 from .fnn import FnnConfig, build_training_rows, load_fnn, predict_ocl_fnn, save_fnn, train_fnn
 from .sac import SacConfig, load_agent, predict_ocl_sac, save_agent, train_sac, write_training_log
-from .simulator import preset, simulate_portfolio, with_seed
+from .simulator import check_seed, preset, simulate_portfolio, with_seed
 
 DEFAULT_MODELS = ("rl", "fnn", "cl")
 
@@ -178,8 +178,10 @@ def validate_config(cfg: dict) -> None:
     for model in cfg["models"]:
         if model not in DEFAULT_MODELS:
             raise ConfigError(f"unknown model {model!r}")
-    if not cfg["seeds"]:
-        raise ConfigError("at least one seed required")
+    if not isinstance(cfg["seeds"], list) or not cfg["seeds"]:
+        raise ConfigError("seeds must be a non-empty list")
+    for seed in cfg["seeds"]:
+        check_seed(seed)
     family = cfg["tuning"]["family"]
     if family not in ("fnn", "rl"):
         raise ConfigError(f"unknown tuning family {family!r}")
@@ -650,7 +652,10 @@ def _data_overrides(args) -> dict:
         if hasattr(args, flag):
             out[key] = getattr(args, flag)
     if out.get("seeds") is not None:
-        out["seeds"] = [int(s) for s in str(out["seeds"]).split(",")]
+        try:
+            out["seeds"] = [int(s) for s in str(out["seeds"]).split(",")]
+        except ValueError:
+            raise ConfigError(f"--seeds takes comma-separated integers: {out['seeds']!r}") from None
     if out.get("models") is not None:
         out["models"] = str(out["models"]).split(",")
     return out

@@ -133,7 +133,10 @@ class FnnModel:
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Outstanding-amount predictions, floored at zero."""
-        z = self.scaler.transform(features)
+        return self.predict_scaled(self.scaler.transform(features))
+
+    def predict_scaled(self, z: np.ndarray) -> np.ndarray:
+        """``predict`` on features the model's scaler has already transformed."""
         out, _ = forward(self.net, z if z.ndim == 2 else z.reshape(1, -1))
         return np.maximum(np.expm1(np.clip(out[:, 0], None, 40.0)), 0.0)
 
@@ -265,9 +268,19 @@ def load_fnn(directory: str) -> FnnModel:
 
 
 def predict_ocl_fnn(model: FnnModel, view: Dataset, at: int) -> dict[str, float]:
-    """Predictions for every claim open at the valuation period."""
-    preds: dict[str, float] = {}
-    for claim in view.open_claims(at):
-        row = np.array([row_features(claim, at, model.cfg.state_profile)], dtype=np.float64)
-        preds[claim.claim_no] = float(model.predict(row)[0])
-    return preds
+    """Predictions for every claim open at the valuation period.
+
+    The rows are built and scaled together, then scored one row per forward:
+    a many-row forward can differ from it in the last bits.
+    """
+    claims = view.open_claims(at)
+    if not claims:
+        return {}
+    profile = model.cfg.state_profile
+    z = model.scaler.transform(
+        np.array([row_features(claim, at, profile) for claim in claims], dtype=np.float64)
+    )
+    return {
+        claim.claim_no: float(model.predict_scaled(z[r : r + 1])[0])
+        for r, claim in enumerate(claims)
+    }

@@ -17,22 +17,34 @@ generated from per-claim substreams keyed by (seed, accident period,
 index), so output is independent of iteration order and byte-identical
 for a fixed seed.
 
-Some draws go through cheaper calls that give the same bits from the same
-stream: ``rng.random()`` for ``uniform(0, 1)`` (numpy computes
-``low + (high - low) * u``, which is ``u``), and one ``standard_gamma`` per
-shape for ``gamma(shape=shapes, scale=1.0)`` (numpy's gamma is
-``scale * standard_gamma``). ``float(np.exp(x))`` must stay: ``math.exp``
-differs from it in the last bit on some draws.
+Each substream is the PCG64 stream of ``SeedSequence([seed, i, k])``.
+Rather than build that generator per claim, ``pcg64_states`` derives
+every claim's PCG64 ``(state, inc)`` of an accident period at once
+(SeedSequence's hashing on arrays over k), and each claim loads its state
+into one reused generator through ``bit_generator.state``.
+
+Draws go through cheaper calls that give the same bits from the same
+stream, since numpy forms its results from the standard draws the same way:
+``rng.random()`` for ``uniform(0, 1)`` (``low + (high - low) * u`` is
+``u``); ``low + (high - low) * u`` over ``rng.random(n)`` for
+``uniform(low, high, size=n)``, with the span formed as ``high - low``;
+``m + s * standard_normal()`` for ``normal(m, s)`` (``s * standard_normal()``
+when ``m`` is 0 and the result only feeds ``exp``); ``s *
+standard_exponential()`` for ``exponential(s)``; and one
+``standard_gamma`` per shape for ``gamma(shape=shapes, scale=1.0)``.
+``float(np.exp(x))`` must stay: ``math.exp`` differs from it in the last
+bit on some draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
-from .claims import Claim, Dataset, Transaction, period_of
+from .claims import Claim, Dataset, Transaction
 from .errors import ConfigError
 
 
@@ -72,6 +84,7 @@ class SimConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_seed(self.seed)
         if self.n_accident_periods < 1:
             raise ConfigError("n_accident_periods must be >= 1")
         if self.mean_claims_per_period < 0:
@@ -81,6 +94,7 @@ class SimConfig:
             "notif_delay_mean",
             "settle_delay_log_sigma",
             "payment_intensity",
+            "first_payment_delay",
             "final_payment_shape",
             "minor_revision_rate",
             "major_revision_rate",
@@ -110,6 +124,12 @@ class SimConfig:
             raise ConfigError("break_settlement_factor must be > 0")
 
 
+def check_seed(seed) -> None:
+    """Raise ConfigError unless ``seed`` is a non-negative integer, as SeedSequence needs."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def preset(name: str) -> SimConfig:
     """Documented presets; raises ConfigError for unknown names."""
     if name == "complexity1":
@@ -130,24 +150,106 @@ def inflation_index(t: float, config: SimConfig) -> float:
     ) ** t
 
 
-def _claim_rng(config: SimConfig, i: int, k: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([config.seed, i, k]))
+# SeedSequence's constants (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit LCG multiplier.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_POOL_SIZE = 4
 
 
-def _simulate_claim(config: SimConfig, i: int, k: int) -> Claim:
-    rng = _claim_rng(config, i, k)
+def _entropy_words(n: int) -> list[int]:
+    """A non-negative integer as SeedSequence's uint32 words, lowest first; 0 is one word."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def pcg64_states(seed: int, i: int, n: int) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` seeded by ``SeedSequence([seed, i, k])``, for each k < n.
+
+    SeedSequence's pool mixing and ``generate_state(4, uint64)`` run on uint32
+    arrays over k (every k < 2**32 is one entropy word, the last one), then
+    PCG64's set-seed step runs on Python ints.
+    """
+    # uint32 array arithmetic wraps mod 2**32, as SeedSequence's does.
+    entropy = [np.full(n, w, dtype=np.uint32) for w in _entropy_words(seed) + _entropy_words(i)]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    zeros = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[j] if j < len(entropy) else zeros) for j in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    words = []
+    for j in range(8):
+        value = pool[j % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    # generate_state's uint64 words are little-endian pairs; PCG64 reads the
+    # first two as the 128-bit seed and the last two as the stream, high word first.
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (words[2 * j] | (words[2 * j + 1] << np.uint64(32))).tolist() for j in range(4)
+    )
+    # PCG64's set-seed step: inc = stream << 1 | 1, then two LCG steps from
+    # state 0, with the seed added between them.
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _simulate_claim(config: SimConfig, i: int, k: int, rng: np.random.Generator) -> Claim:
+    """One claim from ``rng``, already loaded with the claim's own substream."""
+    random = rng.random
+    standard_normal = rng.standard_normal
+    standard_exponential = rng.standard_exponential
+    poisson = rng.poisson
+    standard_gamma = rng.standard_gamma
+    exp = np.exp
+    size_log_mean = config.size_log_mean
+    size_log_sigma = config.size_log_sigma
+    case_minor_sigma = config.case_minor_sigma
+    case_major_sigma = config.case_major_sigma
+    major_at_payment_prob = config.major_at_payment_prob
+    minor_at_payment_prob = config.minor_at_payment_prob
+
     claim_no = f"c{i}_{k}"
-    occurrence = i - 1 + rng.random()
-    size = float(np.exp(rng.normal(config.size_log_mean, config.size_log_sigma)))
-    z_size = (math.log(size) - config.size_log_mean) / max(config.size_log_sigma, 1e-12)
+    occurrence = i - 1 + random()
+    size = float(exp(size_log_mean + size_log_sigma * standard_normal()))
+    z_size = (math.log(size) - size_log_mean) / max(size_log_sigma, 1e-12)
 
-    notify = occurrence + rng.exponential(config.notif_delay_mean)
+    notify = occurrence + config.notif_delay_mean * standard_exponential()
     duration = float(
-        np.exp(
-            rng.normal(
-                config.settle_delay_log_mean + config.settle_size_slope * z_size,
-                config.settle_delay_log_sigma,
-            )
+        exp(
+            config.settle_delay_log_mean
+            + config.settle_size_slope * z_size
+            + config.settle_delay_log_sigma * standard_normal()
         )
     )
     if (
@@ -158,16 +260,17 @@ def _simulate_claim(config: SimConfig, i: int, k: int) -> Claim:
     duration = min(duration, config.max_claim_duration - (notify - occurrence))
     duration = max(duration, 0.05)
     settle = notify + duration
+    span = settle - notify  # uniform(notify, settle)'s range, as numpy forms it
 
-    n_extra = int(rng.poisson(config.payment_intensity * duration))
+    n_extra = int(poisson(config.payment_intensity * duration))
     # One early payment shortly after notification keeps the first
     # development column materially occupied; the rest spread uniformly.
-    first = notify + min(rng.exponential(config.first_payment_delay), 0.9 * duration)
-    mids = rng.uniform(notify, settle, size=n_extra).tolist()
-    scheduled = sorted([(first, 1.5)] + [(t, 1.0) for t in mids])
+    first = notify + min(config.first_payment_delay * standard_exponential(), 0.9 * duration)
+    mids = [(notify + span * u, 1.0) for u in random(n_extra).tolist()]
+    scheduled = sorted([(first, 1.5)] + mids)
     pay_times = [t for t, _ in scheduled] + [settle]
     shapes = [sh for _, sh in scheduled] + [config.final_payment_shape]
-    weights = np.array([rng.standard_gamma(sh) for sh in shapes])
+    weights = np.array([standard_gamma(sh) for sh in shapes])
     weights = weights / weights.sum()
     real_payments = (weights * size).tolist()
     # Force exact conservation of the pre-inflation total.
@@ -179,62 +282,57 @@ def _simulate_claim(config: SimConfig, i: int, k: int) -> Claim:
         (config.minor_revision_rate, "Mi"),
         (config.major_revision_rate, "Ma"),
     ):
-        n = int(rng.poisson(rate * duration))
-        for t in rng.uniform(notify, settle, size=n):
-            events.append((float(t), kind))
-    events.sort(key=lambda e: e[0])
+        n = int(poisson(rate * duration))
+        events += [(notify + span * u, kind) for u in random(n).tolist()]
+    events.sort(key=itemgetter(0))
 
     inflated = [p * inflation_index(t, config) for p, t in zip(real_payments, pay_times)]
     ultimate = sum(inflated)
-
-    def remaining(paid: float) -> float:
-        return max(ultimate - paid, 0.0)
+    n_payments = len(inflated)
 
     txns: list[Transaction] = []
     cumpaid = 0.0
     pay_idx = 0
     # Notification transaction: first sight of the claim, opening estimate.
-    case_ocl = remaining(0.0) * float(np.exp(rng.normal(0.0, config.case_initial_sigma)))
+    case_ocl = max(ultimate, 0.0) * float(exp(config.case_initial_sigma * standard_normal()))
     txns.append(Transaction(claim_no, notify, "Ma", 0.0, i, size, case_ocl, case_ocl))
     for t, kind in events:
         if kind == "P":
             amount = inflated[pay_idx]
             pay_idx += 1
             cumpaid += amount
-            if pay_idx == len(inflated):
+            if pay_idx == n_payments:
                 cumpaid = ultimate  # absorb float drift at settlement
                 case_ocl = 0.0
                 typ = "PMa"
             else:
                 case_ocl = case_ocl - amount
                 typ = "P"
-                if rng.random() < config.major_at_payment_prob:
-                    case_ocl = remaining(cumpaid) * float(
-                        np.exp(rng.normal(0.0, config.case_major_sigma))
+                if random() < major_at_payment_prob:
+                    case_ocl = max(ultimate - cumpaid, 0.0) * float(
+                        exp(case_major_sigma * standard_normal())
                     )
                     typ = "PMa"
-                elif rng.random() < config.minor_at_payment_prob:
-                    case_ocl = case_ocl * float(
-                        np.exp(rng.normal(0.0, config.case_minor_sigma))
-                    )
+                elif random() < minor_at_payment_prob:
+                    case_ocl = case_ocl * float(exp(case_minor_sigma * standard_normal()))
                     typ = "PMi"
-                case_ocl = max(case_ocl, 0.01 * remaining(cumpaid) + 1.0)
+                case_ocl = max(case_ocl, 0.01 * max(ultimate - cumpaid, 0.0) + 1.0)
         elif kind == "Mi":
-            case_ocl = case_ocl * float(np.exp(rng.normal(0.0, config.case_minor_sigma)))
+            case_ocl = case_ocl * float(exp(case_minor_sigma * standard_normal()))
             typ = "Mi"
         else:
-            case_ocl = remaining(cumpaid) * float(
-                np.exp(rng.normal(0.0, config.case_major_sigma))
+            case_ocl = max(ultimate - cumpaid, 0.0) * float(
+                exp(case_major_sigma * standard_normal())
             )
             typ = "Ma"
         txns.append(Transaction(claim_no, t, typ, cumpaid, i, size, cumpaid + case_ocl, case_ocl))
 
-    notif_period = period_of(notify)
+    notif_period = math.ceil(notify)
     return Claim(
         claim_no=claim_no,
         accident_period=i,
         notification_period=notif_period,
-        settlement_period=period_of(settle),
+        settlement_period=math.ceil(settle),
         repdel=notif_period - i,
         claim_size=size,
         transactions=txns,
@@ -244,13 +342,21 @@ def _simulate_claim(config: SimConfig, i: int, k: int) -> Claim:
 def simulate_portfolio(config: SimConfig) -> Dataset:
     """Generate a full portfolio; deterministic for a fixed config."""
     config.validate()
+    rng = np.random.Generator(np.random.PCG64(0))  # each claim loads its own state
+    bit_generator = rng.bit_generator
     claims: list[Claim] = []
     for i in range(1, config.n_accident_periods + 1):
         count_rng = np.random.default_rng(np.random.SeedSequence([config.seed, i]))
         n = int(count_rng.poisson(config.mean_claims_per_period))
-        for k in range(n):
-            claims.append(_simulate_claim(config, i, k))
-    max_t = max((period_of(c.transactions[-1].txn_time) for c in claims), default=0)
+        for k, (state, inc) in enumerate(pcg64_states(config.seed, i, n)):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            claims.append(_simulate_claim(config, i, k, rng))
+    max_t = max((math.ceil(c.transactions[-1].txn_time) for c in claims), default=0)
     return Dataset(
         claims=claims,
         period_unit="quarter",

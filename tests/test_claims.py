@@ -400,7 +400,7 @@ def test_censor_hides_future(three_period_claim):
     claim = view.by_no("a1")
     assert not claim.settled
     assert claim.dev_records[-1].true_ocl is None
-    assert max(t.period for t in claim.transactions) <= 3
+    assert max(period_of(t.txn_time) for t in claim.transactions) <= 3
 
 
 # -- the development records against the ledger ------------------------------------
@@ -410,7 +410,7 @@ def scan_paid(claim, t):
     """Reference: cumulative paid by the end of calendar period t, read off the ledger."""
     paid = 0.0
     for txn in claim.transactions:
-        if txn.period <= t:
+        if period_of(txn.txn_time) <= t:
             paid = txn.cumpaid
         else:
             break
@@ -421,7 +421,7 @@ def scan_incurred(claim, t):
     """Reference: latest case estimate of the ultimate by the end of period t."""
     inc = None
     for txn in claim.transactions:
-        if txn.period > t:
+        if period_of(txn.txn_time) > t:
             break
         if txn.incurred is not None:
             inc = txn.incurred
@@ -524,6 +524,66 @@ def test_settled_claim_records_cover_rows_after_settlement(tmp_path):
     assert claim.record_at(9).incurred == 60.0
 
 
+def reference_discretize(dataset):
+    """Reference: the per-claim records as ``discretize`` first computed them,
+    through ``period_of`` and one ``type_set`` call per period with transactions."""
+    no_types = type_set(())
+    out = {}
+    for claim in dataset.claims:
+        txns = claim.transactions
+        last_t = period_of(txns[-1].txn_time)
+        if not claim.settled:
+            last_t = max(dataset.max_calendar_period, last_t)
+        records = []
+        paid, case, incurred, n_pay = 0.0, None, None, 0
+        k = 0
+        due = period_of(txns[0].txn_time)
+        for t in range(claim.notification_period, last_t + 1):
+            seen = []
+            while due <= t:
+                txn = txns[k]
+                paid = txn.cumpaid
+                if txn.case_ocl is not None:
+                    case = txn.case_ocl
+                if txn.incurred is not None:
+                    incurred = txn.incurred
+                if txn.txn_type:
+                    seen.append(txn.txn_type)
+                    if txn.txn_type in PAYMENT_TYPES:
+                        n_pay += 1
+                k += 1
+                due = period_of(txns[k].txn_time) if k < len(txns) else last_t + 1
+            types = type_set(seen) if seen else no_types
+            true_ocl = None
+            if claim.ultimate is not None:
+                true_ocl = max(claim.ultimate - paid, 0.0)
+            j = t + 1 - claim.accident_period
+            records.append((j, paid, types, n_pay, case, incurred, true_ocl))
+        out[claim.claim_no] = records
+    return out
+
+
+def assert_records_equal_the_reference(data):
+    want = reference_discretize(data)
+    for claim in data.claims:
+        got = claim.dev_records
+        assert len(got) == len(want[claim.claim_no]), claim.claim_no
+        for rec, ref in zip(got, want[claim.claim_no]):
+            assert record_fields(rec) == record_fields(type(rec)(*ref)), claim.claim_no
+            assert rec.txn_types is ref[2], (claim.claim_no, rec.dev_period)
+
+
+@given(ledger())
+@settings(max_examples=100, deadline=None)
+def test_discretize_equals_the_reference_loop(case):
+    schema, rows, _ = case
+    assert_records_equal_the_reference(load_ledger(schema, rows))
+
+
+def test_discretize_equals_the_reference_loop_on_a_portfolio():
+    assert_records_equal_the_reference(small_portfolio())
+
+
 # -- censored views and triangles against their re-derivations -----------------------
 
 
@@ -533,7 +593,7 @@ def rederived_censor(dataset, boundary):
     for c in dataset.claims:
         if c.notification_period > boundary:
             continue
-        txns = [t for t in c.transactions if t.period <= boundary]
+        txns = [t for t in c.transactions if period_of(t.txn_time) <= boundary]
         if not txns:
             continue
         settled = c.settled_by(boundary)
@@ -671,6 +731,27 @@ def test_late_non_payment_row_moves_the_views_ultimate(tmp_path):
     assert [r.true_ocl for r in data.by_no("s1").dev_records] == [35.0, 15.0, 0.0]
     view = censor(data, 3)
     assert [r.true_ocl for r in view.by_no("s1").dev_records] == [20.0, 0.0]
+    assert_same_view(view, rederived_censor(data, 3))
+
+
+def test_censor_cut_at_and_just_above_the_boundary():
+    # Rows at exactly t = 3 belong to period 3; the next double above 3 is in period 4.
+    above = math.nextafter(3.0, math.inf)
+    ledgers = {
+        "at": [(1.5, "Ma", 0.0, 90.0), (3.0, "P", 30.0, 60.0), (above, "Mi", 30.0, 50.0),
+               (4.5, "PMa", 90.0, 0.0)],
+        "settles_at": [(2.0, "Ma", 0.0, 40.0), (3.0, "PMa", 40.0, 0.0), (above, "Mi", 40.0, 0.0)],
+        "opens_above": [(above, "Ma", 0.0, 10.0), (5.0, "PMa", 10.0, 0.0)],
+    }
+    claims = [build_claim(no, ap, rows) for ap, (no, rows) in enumerate(ledgers.items(), 1)]
+    data = build_dataset(claims)
+    view = censor(data, 3)
+    assert [c.claim_no for c in view.claims] == ["at", "settles_at"]
+    for claim in view.claims:
+        parent = data.by_no(claim.claim_no)
+        assert claim.transactions == [t for t in parent.transactions if period_of(t.txn_time) <= 3]
+        assert claim.transactions[-1].txn_time == 3.0
+    assert view.by_no("settles_at").settled and not view.by_no("at").settled
     assert_same_view(view, rederived_censor(data, 3))
 
 

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -123,6 +125,24 @@ class TestExitCodes:
         cfg = {**TINY, **extra, "models": ["cl"], "output_dir": str(tmp_path)}
         assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
 
+    @pytest.mark.parametrize("seeds", [[-1], [1.5], ["2"], [True], [], 3])
+    def test_bad_config_seed_is_config_error(self, tmp_path, capsys, seeds):
+        cfg = {**TINY, "seeds": seeds, "models": ["cl"], "output_dir": str(tmp_path)}
+        assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["a,b", "1,", "-1", "1,-2"])
+    def test_bad_seeds_flag_is_config_error(self, tmp_path, capsys, seeds):
+        argv = ["run", "--models", "cl", "--seeds", seeds, "--output-dir", str(tmp_path)]
+        assert cli.main(argv) == 1
+        assert "config error:" in capsys.readouterr().err
+
+    def test_negative_simulate_seed_is_config_error(self, tmp_path, capsys):
+        argv = ["simulate", "--seed", "-1", "--out", str(tmp_path / "t.csv")]
+        assert cli.main(argv) == 1
+        assert "config error: seed must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_single_fold_is_config_error(self, tmp_path):
         cfg = {**TINY, "split": {"k_folds": 1}, "models": ["cl"], "output_dir": str(tmp_path)}
         assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
@@ -210,3 +230,22 @@ class TestRun:
         assert len(builds) == 3 and len(per_fit_builds) == 5
         assert len(entries) == 2 and entries == per_fit_entries
         assert outputs == per_fit_outputs
+
+
+def test_package_runs_as_a_module(tmp_path):
+    """``python -m microreserve`` is the CLI: same commands, same exit codes."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "microreserve", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    out = tmp_path / "t.csv"
+    done = run("simulate", "--claims-per-period", "2", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert out.read_text().startswith("claim_no,")
+    bad = run("simulate", "--seed", "-1", "--out", str(out))
+    assert bad.returncode == 1 and "config error:" in bad.stderr

@@ -303,6 +303,30 @@ class TestPredict:
         assert preds["o1"] >= 0.0
 
 
+    def test_open_claims_scored_as_single_rows(self):
+        from microreserve.simulator import preset, simulate_portfolio, with_seed
+
+        sim = dataclasses.replace(
+            with_seed(preset("complexity1"), 4), n_accident_periods=8, mean_claims_per_period=15.0
+        )
+        data = discretize(simulate_portfolio(sim))
+        view = censor(data, 8)
+        cfg = FnnConfig(state_profile="minimal", max_epochs=2, patience=2, seed=1)
+        model = train_fnn(build_training_rows(view, 8, cfg), cfg)
+        preds = predict_ocl_fnn(model, view, 8)
+        open_claims = view.open_claims(8)
+        assert len(preds) == len(open_claims) > 20
+        for claim in open_claims:
+            row = np.array([row_features(claim, 8, "minimal")], dtype=np.float64)
+            assert preds[claim.claim_no] == float(model.predict(row)[0]), claim.claim_no
+
+    def test_no_open_claims_no_predictions(self):
+        data = settled_fixture()
+        cfg = FnnConfig(state_profile="minimal", max_epochs=1, patience=1, seed=0)
+        model = train_fnn(build_training_rows(data, 5, cfg), cfg)
+        assert predict_ocl_fnn(model, data, 5) == {}
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         rows = linear_rows(n=60)

@@ -15,8 +15,8 @@ from microreserve.claims import (
 from microreserve.errors import ConfigError
 from microreserve.simulator import (
     SimConfig,
-    _claim_rng,
     inflation_index,
+    pcg64_states,
     preset,
     simulate_portfolio,
     with_seed,
@@ -64,6 +64,9 @@ class TestGeneration:
             simulate_portfolio(
                 dataclasses.replace(preset("complexity1"), structural_break_period=99)
             )
+        # A negative scale used to reach numpy's exponential as a ValueError.
+        with pytest.raises(ConfigError, match="first_payment_delay"):
+            simulate_portfolio(dataclasses.replace(preset("complexity1"), first_payment_delay=-0.1))
 
     def test_conservation_without_inflation(self):
         data = simulate_portfolio(with_seed(small(preset("complexity1")), 7))
@@ -96,6 +99,82 @@ class TestGeneration:
             assert len(claim.transactions) >= 1
             assert claim.notification_period >= claim.accident_period
             assert claim.settlement_period >= claim.notification_period
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [-1, 1.0, "1", True])
+    def test_bad_seed_is_config_error(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            simulate_portfolio(with_seed(small(preset("complexity1")), seed))
+
+    def test_numpy_integer_and_multi_word_seeds_accepted(self):
+        for seed in (np.int64(3), 2**40 + 1):
+            data = simulate_portfolio(with_seed(small(preset("complexity1"), aps=2, mean=3), seed))
+            assert len(data) > 0
+
+
+# -- per-claim substreams: states computed per accident period against numpy --------
+
+MULTI_WORD = [0, 1, 7, 12345, 2**32 - 1, 2**32, 2**32 + 5, 2**64, 2**70 + 3]
+
+
+@pytest.mark.parametrize("seed", MULTI_WORD)
+@pytest.mark.parametrize("i", [1, 2, 40, 2**32, 2**33, 2**64 + 9])
+def test_pcg64_states_equal_numpy_seeding(seed, i):
+    states = pcg64_states(seed, i, 40)
+    assert len(states) == 40
+    for k in (0, 1, 2, 17, 39):
+        want = np.random.PCG64(np.random.SeedSequence([seed, i, k])).state
+        assert states[k] == (want["state"]["state"], want["state"]["inc"]), (seed, i, k)
+
+
+def test_pcg64_states_of_an_empty_period():
+    assert pcg64_states(1, 3, 0) == []
+
+
+def loaded(state: int, inc: int) -> np.random.Generator:
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+@pytest.mark.parametrize("seed, i", [(1, 1), (2**40 + 1, 7), (5, 2**33)])
+def test_loaded_generator_draws_like_a_fresh_one(seed, i):
+    states = pcg64_states(seed, i, 6)
+    # A used generator, reloaded, must forget its past draws (incl. a cached uint32).
+    rng = loaded(*states[0])
+    rng.integers(0, 2**32, dtype=np.uint32)
+    for k, state in enumerate(states):
+        rng.bit_generator.state = loaded(*state).bit_generator.state
+        fresh = np.random.default_rng(np.random.SeedSequence([seed, i, k]))
+        for draw in (
+            lambda g: g.random(3),
+            lambda g: g.standard_normal(3),
+            lambda g: g.standard_exponential(3),
+            lambda g: g.standard_gamma(1.5, 3),
+            lambda g: g.poisson(2.5, 3),
+            lambda g: g.integers(0, 2**32, 3, dtype=np.uint32),
+        ):
+            assert np.array_equal(draw(rng), draw(fresh)), (seed, i, k)
+
+
+def test_same_bits_draw_rules():
+    """The cheaper calls the generator makes give numpy's own results bit for bit."""
+    params = np.random.default_rng(5)
+    a = np.random.default_rng(11)
+    b = np.random.default_rng(11)
+    for _ in range(2000):
+        m, s, low = params.normal() * 10, params.random() * 3, params.random() * 40
+        high = low + params.random() * 30
+        assert a.normal(m, s).hex() == (m + s * b.standard_normal()).hex()
+        assert a.exponential(s).hex() == (s * b.standard_exponential()).hex()
+        want = [u.hex() for u in a.uniform(low, high, size=5).tolist()]
+        assert want == [(low + (high - low) * u).hex() for u in b.random(5).tolist()]
 
 
 class TestDeterminism:
@@ -166,12 +245,13 @@ CLAIM_FIELDS = (
 
 
 def reference_claim(config: SimConfig, i: int, k: int) -> Claim:
-    """Reference: the generator as first written, with ``uniform``/``gamma`` draws.
+    """Reference: the generator as first written, with its ``uniform``, ``gamma``,
+    ``normal`` and ``exponential`` draws, from a generator built per claim.
 
     Every draw comes from the claim's substream in the same order as in
     ``_simulate_claim``, so the two must agree bit for bit.
     """
-    rng = _claim_rng(config, i, k)
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, i, k]))
     occurrence = i - 1 + rng.uniform(0.0, 1.0)
     size = float(np.exp(rng.normal(config.size_log_mean, config.size_log_sigma)))
     z_size = (math.log(size) - config.size_log_mean) / max(config.size_log_sigma, 1e-12)
