@@ -1,17 +1,29 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 
+from microreserve import chainladder, cli
 from microreserve.claims import censor
 from microreserve.env import Transition
 from microreserve.errors import ConfigError, DataError, LeakageError, NumericFault
 from microreserve.evaluation import (
     Fold,
+    MetricsReport,
+    evaluate_predictions,
     guard_fnn_rows,
     guard_transitions,
     guard_validation,
+    ocl_share_curve,
+    relative_ocl,
+    rmse_per_claim,
     rsv_folds,
+    size_terciles,
     split,
+    true_ocl_map,
     tune,
+    write_metrics_csv,
 )
 
 from conftest import build_claim, build_dataset
@@ -190,3 +202,178 @@ class TestGuards:
         guard_validation([data.by_no("v1")], 3)
         with pytest.raises(LeakageError, match=claim_no):
             guard_validation([data.by_no("v1"), data.by_no(claim_no)], 3)
+
+
+# -- metrics -------------------------------------------------------------------
+
+VALUATION = 3
+
+
+def scoring_portfolio():
+    """Four claims open at period 3 that settle later, one never settles, one settled.
+
+    At the valuation (claim: accident period, periods since notification,
+    true OCL, ultimate): c1 1, 3, 40, 40; c2 1, 1, 10, 10; c3 2, 2, 60, 80;
+    c4 3, 1, 0, 30 (paid in full, its case estimate closes at no cost).
+    """
+    return build_dataset(
+        [
+            build_claim("c1", 1, [(0.5, "Ma", 0.0, 40.0), (4.5, "PMa", 40.0, 0.0)]),
+            build_claim("c2", 1, [(2.5, "Ma", 0.0, 10.0), (4.5, "PMa", 10.0, 0.0)]),
+            build_claim(
+                "c3", 2, [(1.5, "Ma", 0.0, 80.0), (2.5, "P", 20.0, 60.0), (4.5, "PMa", 80.0, 0.0)]
+            ),
+            build_claim(
+                "c4", 3, [(2.5, "Ma", 0.0, 30.0), (2.6, "P", 30.0, 5.0), (3.5, "PMi", 30.0, 0.0)]
+            ),
+            build_claim("o1", 1, [(0.5, "Ma", 0.0, 10.0)]),
+            build_claim("s1", 1, [(0.5, "Ma", 0.0, 10.0), (1.5, "PMa", 10.0, 0.0)]),
+        ],
+        max_t=5,
+    )
+
+
+ACTUALS = {"c1": 40.0, "c2": 10.0, "c3": 60.0, "c4": 0.0}
+# Errors 10, 0, -30 and 5; o1 and s1 have no realised outstanding amount and
+# "zz" is no claim at all, so none of the three is scored.
+PREDS = {"c1": 50.0, "c2": 10.0, "c3": 30.0, "c4": 5.0, "o1": 2.0, "s1": 3.0, "zz": 1.0}
+
+
+def test_true_ocl_map_keeps_open_claims_that_settle():
+    assert true_ocl_map(scoring_portfolio(), VALUATION) == ACTUALS
+
+
+class TestEvaluatePredictions:
+    def test_overall_ratio_and_rmse(self):
+        report = evaluate_predictions(PREDS, scoring_portfolio(), VALUATION)
+        assert report.overall_ratio == 95.0 / 110.0
+        assert report.rmse_overall == math.sqrt(1025.0 / 4)
+
+    def test_accident_period_slices_drop_a_zero_ocl_group_from_ratios_only(self):
+        report = evaluate_predictions(PREDS, scoring_portfolio(), VALUATION)
+        assert report.ratio_by_ap == {1: 60.0 / 50.0, 2: 0.5}
+        assert report.rmse_by_ap == {1: math.sqrt(50.0), 2: 30.0, 3: 5.0}
+        assert report.share_by_ap == [(1, 50.0 / 110.0), (2, 1.0), (3, 1.0)]
+
+    def test_periods_since_notification_slices(self):
+        report = evaluate_predictions(PREDS, scoring_portfolio(), VALUATION)
+        assert report.ratio_by_psn == {1: 1.5, 2: 0.5, 3: 1.25}
+        assert report.rmse_by_psn == {1: math.sqrt(12.5), 2: 30.0, 3: 10.0}
+        assert report.share_by_psn == [(1, 10.0 / 110.0), (2, 70.0 / 110.0), (3, 1.0)]
+
+    def test_no_aligned_claims_is_data_error(self):
+        with pytest.raises(DataError):
+            evaluate_predictions({"o1": 1.0, "zz": 2.0}, scoring_portfolio(), VALUATION)
+
+    def test_zero_aggregate_true_ocl_is_data_error(self):
+        with pytest.raises(DataError):
+            evaluate_predictions({"c4": 5.0}, scoring_portfolio(), VALUATION)
+
+
+class TestMetricHelpers:
+    def test_relative_ocl_overall_and_grouped(self):
+        assert relative_ocl(PREDS, ACTUALS) == 95.0 / 110.0
+        ap = {"c1": 1, "c2": 1, "c3": 2, "c4": 3}
+        assert relative_ocl(PREDS, ACTUALS, group_of=ap.get) == {1: 1.2, 2: 0.5}
+
+    def test_rmse_overall_and_grouped(self):
+        assert rmse_per_claim(PREDS, ACTUALS) == math.sqrt(1025.0 / 4)
+        ap = {"c1": 1, "c2": 1, "c3": 2, "c4": 3}
+        assert rmse_per_claim(PREDS, ACTUALS, group_of=ap.get) == {
+            1: math.sqrt(50.0), 2: 30.0, 3: 5.0,
+        }
+
+    def test_share_curve_is_cumulative_in_key_order(self):
+        psn = {"c1": 3, "c2": 1, "c3": 2, "c4": 1}
+        assert ocl_share_curve(ACTUALS, psn.get) == [(1, 10.0 / 110.0), (2, 70.0 / 110.0), (3, 1.0)]
+
+    def test_nothing_to_score_is_data_error(self):
+        with pytest.raises(DataError):
+            relative_ocl({"a": 1.0}, {"b": 1.0})
+        with pytest.raises(DataError):
+            relative_ocl({"c4": 5.0}, ACTUALS)
+
+
+class TestTerciles:
+    def test_ties_go_to_the_lower_bucket(self):
+        # Cut points 30 and 40: 30 is small and 40 medium.
+        ultimates = {"c1": 40.0, "c2": 10.0, "c3": 80.0, "c4": 30.0}
+        assert size_terciles(ultimates) == {
+            "c1": "medium", "c2": "small", "c3": "large", "c4": "small",
+        }
+
+    def test_equal_sizes_are_all_small(self):
+        assert set(size_terciles({"a": 5.0, "b": 5.0, "c": 5.0}).values()) == {"small"}
+
+    def test_run_writes_the_tercile_ratios(self, tmp_path):
+        # c2 and c4 are small (15 against 10), c1 medium (50 against 40), c3 large.
+        path = tmp_path / "terciles.csv"
+        data = scoring_portfolio()
+        ultimates = {cn: data.by_no(cn).ultimate for cn in ACTUALS}
+        cli._write_terciles(PREDS, ACTUALS, ultimates, str(path))
+        assert read_rows(path) == [
+            ["tercile", "relative_ocl"], ["small", "1.5"], ["medium", "1.25"], ["large", "0.5"],
+        ]
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_metrics_csv_has_one_row_per_slice_and_key(tmp_path):
+    path = tmp_path / "m.csv"
+    report = evaluate_predictions(PREDS, scoring_portfolio(), VALUATION)
+    write_metrics_csv(report, "fnn", 7, str(path))
+    rows = read_rows(path)
+    assert rows[0] == ["model", "seed", "slice", "key", "relative_ocl", "rmse", "ocl_share"]
+    assert rows[1] == ["fnn", "7", "overall", "", repr(95.0 / 110.0), repr(math.sqrt(256.25)), ""]
+    assert [r[2:4] for r in rows[2:]] == [
+        ["ap", "1"], ["ap", "2"], ["ap", "3"], ["psn", "1"], ["psn", "2"], ["psn", "3"],
+    ]
+    # Accident period 3 holds no true OCL: no ratio, but an rmse and a share.
+    assert rows[4][4:] == ["", "5.0", "1.0"]
+
+
+class TestChainLadderReport:
+    @staticmethod
+    def fake_result(rbns):
+        n = len(rbns)
+        return chainladder.ClResult(
+            aps=[1, 2, 3],
+            ultimate_paid=np.zeros(n),
+            ultimate_count=np.ones(n),
+            observed_count=np.ones(n),
+            mu=np.zeros(n),
+            scaling=chainladder.DelayScaling(np.ones(1)),
+            ibnr=np.zeros(n),
+            rbns_ocl=np.array(rbns),
+            stable=np.ones(n, dtype=bool),
+        )
+
+    def cl_run(self, tmp_path, monkeypatch, data):
+        """A cl-only seed run on ``data`` with the chain ladder's output fixed."""
+        result = self.fake_result([55.0, 30.0, 7.0])
+        monkeypatch.setattr(chainladder, "rbns_ocl", lambda view, boundary: result)
+        cfg = {**cli.default_config(), "models": ["cl"]}
+        acquired = (data, VALUATION, split(data, VALUATION))
+        summary = cli.run_seed(cfg, 1, str(tmp_path), acquired)
+        return summary, read_rows(tmp_path / "metrics_cl.csv")
+
+    def test_overall_and_accident_period_ratios_only(self, tmp_path, monkeypatch):
+        summary, rows = self.cl_run(tmp_path, monkeypatch, scoring_portfolio())
+        # True OCL by accident period: 50, 60 and 0.
+        assert summary["cl_ratio"] == 92.0 / 110.0
+        assert rows[1:] == [
+            ["cl", "1", "overall", "", repr(92.0 / 110.0), "", ""],
+            ["cl", "1", "ap", "1", "1.1", "", ""],
+            ["cl", "1", "ap", "2", "0.5", "", ""],
+        ]
+
+    def test_zero_true_total_has_no_overall_ratio(self, tmp_path, monkeypatch):
+        data = build_dataset(
+            [c for c in scoring_portfolio().claims if c.claim_no in ("c4", "s1")], max_t=5
+        )
+        summary, rows = self.cl_run(tmp_path, monkeypatch, data)
+        assert summary["cl_ratio"] is None
+        assert rows[1:] == [["cl", "1", "overall", "", "", "", ""]]
