@@ -80,10 +80,6 @@ class Transaction(NamedTuple):
     incurred: float | None = None
     case_ocl: float | None = None
 
-    @property
-    def is_payment(self) -> bool:
-        return self.txn_type in PAYMENT_TYPES
-
 
 class DevelopmentRecord(NamedTuple):
     """State of one claim at the end of one development period."""

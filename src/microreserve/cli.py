@@ -4,15 +4,18 @@ Subcommands: simulate, ingest, chain-ladder, train-rl, train-fnn, tune,
 evaluate, report, run (full pipeline), verify (golden single-claim
 replay). A JSON run-config drives the pipeline; command-line flags
 override config keys, which override built-in defaults. A key that no
-section knows, in the config or in a tuning grid point, is a
-configuration error.
+section knows, in the config or in a tuning grid point, a wrongly typed
+split or data value, or a repeated seed is a configuration error.
 
 Every command that models data takes it from one helper: acquire the
 seed's data, resolve the train/test boundary and censor there. The rl
 and fnn models each have one fit path, shared by ``run``, by tuning and
-(for prediction) by ``evaluate``; rl and fnn share one scoring tail, and
-the chain ladder writes its aggregate ratios through the same metrics
-writer. Every number written to a CSV goes through
+(for prediction) by ``evaluate``. Scoring reads the realised outstanding
+amounts once per seed (``true_ocl_map``): each rl or fnn model gets one
+``evaluate_predictions`` report, from which its metrics CSV, tercile CSV
+and summary are written, and the chain ladder gets one
+``evaluate_chain_ladder`` report of aggregate ratios, written by the same
+metrics writer. Every number written to a CSV goes through
 ``claims.format_number``.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 numeric
@@ -54,12 +57,12 @@ from .evaluation import (
     SPLICE_VALUATION,
     MetricsReport,
     action_histogram,
+    evaluate_chain_ladder,
     evaluate_predictions,
     guard_fnn_rows,
     guard_transitions,
     guard_validation,
     rsv_folds,
-    size_tercile_report,
     split,
     true_ocl_map,
     tune,
@@ -157,6 +160,11 @@ def _grid_sections(family: str, point: dict) -> dict:
     return point
 
 
+def _is(value, types) -> bool:
+    """isinstance, except that a JSON true/false is no number."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def validate_config(cfg: dict) -> None:
     defaults = default_config()
     for section in ("data", "split", "tuning"):
@@ -173,8 +181,14 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError("ingest source needs data.path")
         if data.get("schema") not in ("splice", "cas"):
             raise ConfigError(f"unknown schema {data.get('schema')!r}")
-    if cfg["split"]["k_folds"] < 2:
-        raise ConfigError("split.k_folds must be >= 2")
+    k_folds, boundary = cfg["split"]["k_folds"], cfg["split"]["boundary"]
+    if not (_is(k_folds, int) and k_folds >= 2):
+        raise ConfigError(f"split.k_folds must be an integer >= 2, got {k_folds!r}")
+    if boundary is not None and not (_is(boundary, int) and boundary >= 1):
+        raise ConfigError(f"split.boundary must be null or an integer >= 1, got {boundary!r}")
+    n = data["claims_per_period"]
+    if n is not None and not (_is(n, (int, float)) and 0 < n < math.inf):
+        raise ConfigError(f"data.claims_per_period must be null or a positive number, got {n!r}")
     for model in cfg["models"]:
         if model not in DEFAULT_MODELS:
             raise ConfigError(f"unknown model {model!r}")
@@ -182,6 +196,8 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("seeds must be a non-empty list")
     for seed in cfg["seeds"]:
         check_seed(seed)
+    if len(set(cfg["seeds"])) < len(cfg["seeds"]):
+        raise ConfigError(f"seeds repeat: {cfg['seeds']}")
     family = cfg["tuning"]["family"]
     if family not in ("fnn", "rl"):
         raise ConfigError(f"unknown tuning family {family!r}")
@@ -215,7 +231,7 @@ def acquire_dataset(cfg: dict, seed: int) -> Dataset:
     data = cfg["data"]
     if data["source"] == "simulate":
         sim = with_seed(preset(data["preset"]), seed)
-        if data.get("claims_per_period"):
+        if data["claims_per_period"] is not None:
             sim = dataclasses.replace(sim, mean_claims_per_period=float(data["claims_per_period"]))
         dataset = simulate_portfolio(sim)
     else:
@@ -224,11 +240,11 @@ def acquire_dataset(cfg: dict, seed: int) -> Dataset:
 
 
 def resolve_boundary(cfg: dict, dataset: Dataset) -> int:
-    boundary = cfg["split"].get("boundary")
+    boundary = cfg["split"]["boundary"]
     if boundary is None:
         boundary = SPLICE_VALUATION if dataset.schema == "splice" else CAS_VALUATION
         boundary = min(boundary, dataset.max_calendar_period)
-    return int(boundary)
+    return boundary
 
 
 def _acquire_view(cfg: dict, seed: int) -> tuple[Dataset, int, Dataset]:
@@ -301,7 +317,6 @@ def run_seed(cfg: dict, seed: int, out_dir: str, acquired: tuple | None = None) 
     if cfg["data"].get("write_transactions"):
         write_transactions(dataset, output("transactions.csv"))
     write_init_tables(tables, output("init_tables.csv"))
-    ultimates = {cn: dataset.by_no(cn).ultimate for cn in actuals}
 
     predictions: dict[str, dict[str, float]] = {}
     if "rl" in cfg["models"]:
@@ -317,28 +332,18 @@ def run_seed(cfg: dict, seed: int, out_dir: str, acquired: tuple | None = None) 
         predictions["fnn"], model = _fit_fnn(cfg, view, boundary, seed)
         save_fnn(model, os.path.join(out_dir, "fnn_model"))
     for name, preds in predictions.items():
-        report = evaluate_predictions(preds, dataset, boundary)
+        report = evaluate_predictions(preds, actuals, dataset, boundary)
         write_metrics_csv(report, name, seed, output(f"metrics_{name}.csv"))
-        _write_terciles(preds, actuals, ultimates, output(f"terciles_{name}.csv"))
+        _write_terciles(report, output(f"terciles_{name}.csv"))
         summary[f"{name}_ratio"] = report.overall_ratio
         summary[f"{name}_rmse"] = report.rmse_overall
 
     if "cl" in cfg["models"]:
         result = cl.rbns_ocl(view, boundary)
         cl.write_cl_report(result, output("cl_report.csv"))
-        true_by_ap: dict[int, float] = {}
-        for cn, v in actuals.items():
-            ap = dataset.by_no(cn).accident_period
-            true_by_ap[ap] = true_by_ap.get(ap, 0.0) + v
-        total_true = sum(true_by_ap.values())
-        summary["cl_ratio"] = result.total_rbns_ocl / total_true if total_true > 0 else None
-        ratio_by_ap = {
-            ap: float(result.rbns_ocl[row]) / true_by_ap[ap]
-            for row, ap in enumerate(result.aps)
-            if true_by_ap.get(ap, 0.0) > 0
-        }
-        report = MetricsReport(summary["cl_ratio"], ratio_by_ap)
+        report = evaluate_chain_ladder(result, actuals, dataset)
         write_metrics_csv(report, "cl", seed, output("metrics_cl.csv"))
+        summary["cl_ratio"] = report.overall_ratio
 
     summary["outputs"] = outputs
     return summary
@@ -398,19 +403,14 @@ def run_pipeline(cfg: dict) -> str:
     return manifest_path
 
 
-def _write_terciles(preds, actuals, ultimates, path) -> None:
-    keys = sorted(set(preds) & set(actuals))
-    report = size_tercile_report(
-        {k: preds[k] for k in keys},
-        {k: actuals[k] for k in keys},
-        {k: ultimates[k] for k in keys},
-    )
+def _write_terciles(report: MetricsReport, path: str) -> None:
+    ratios = report.ratio_by_tercile
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tercile", "relative_ocl"])
         for name in ("small", "medium", "large"):
-            if name in report:
-                writer.writerow([name, format_number(report[name])])
+            if name in ratios:
+                writer.writerow([name, format_number(ratios[name])])
 
 
 def tune_from_config(cfg: dict, acquired: tuple) -> dict:
@@ -557,9 +557,8 @@ def cmd_chain_ladder(args) -> int:
     dataset, boundary, view = _acquire_view(cfg, cfg["seeds"][0])
     result = cl.rbns_ocl(view, boundary)
     cl.write_cl_report(result, args.out)
-    actuals = true_ocl_map(dataset, boundary)
-    if actuals:
-        ratio = result.total_rbns_ocl / sum(actuals.values())
+    ratio = evaluate_chain_ladder(result, true_ocl_map(dataset, boundary), dataset).overall_ratio
+    if ratio is not None:
         print(f"aggregate relative OCL {ratio:.4f}")
     print(f"report -> {args.out}")
     return 0
@@ -592,8 +591,9 @@ def cmd_evaluate(args) -> int:
     if not predictions:
         raise ConfigError("evaluate needs --rl-checkpoint and/or --fnn-model")
     os.makedirs(cfg["output_dir"], exist_ok=True)
+    actuals = true_ocl_map(dataset, boundary)
     for name, preds in predictions.items():
-        report = evaluate_predictions(preds, dataset, boundary)
+        report = evaluate_predictions(preds, actuals, dataset, boundary)
         path = os.path.join(cfg["output_dir"], f"metrics_{name}.csv")
         write_metrics_csv(report, name, seed, path)
         print(f"{name} ratio {report.overall_ratio:.4f} -> {path}")

@@ -9,9 +9,15 @@ intervals, train on an expanding prefix and validate on claims settling
 in the next interval, so no fold ever sees a validation claim's outcome.
 Leakage guards make those promises assertable. ``tune`` marks a grid
 point invalid only for data, configuration and numeric failures; a leak
-or a programming error propagates. The metrics writer takes a report
-with empty slices too, which is how the chain ladder's aggregate ratios
-share it.
+or a programming error propagates.
+
+Every score comes from one grouped sum (``group_sums``): per group, the
+predicted, actual and squared-error sums and the claim count, adding
+claims in claim-number order. ``evaluate_predictions`` slices a model's
+predictions overall, by accident period, by periods since notification
+and by size tercile into one ``MetricsReport``; ``tune`` scores each fold
+overall; ``evaluate_chain_ladder`` fills a report's aggregate ratios only,
+and the metrics writer takes such a report with its other slices empty.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .chainladder import ClResult
 from .claims import Claim, Dataset, censor, format_number
 from .env import Transition
 from .errors import ConfigError, DataError, LeakageError, NumericFault
@@ -143,69 +150,51 @@ def true_ocl_map(dataset: Dataset, valuation: int) -> dict[str, float]:
     return out
 
 
-def relative_ocl(
-    preds: dict[str, float],
-    actuals: dict[str, float],
-    group_of=None,
-) -> "float | dict":
-    """Ratio of aggregated predictions to aggregated actuals.
+def group_sums(pairs, groups) -> dict:
+    """Per group: [predicted sum, actual sum, squared-error sum, claim count].
 
-    With group_of (claim_no -> key) returns one ratio per group; groups
-    whose true total is zero are omitted.
+    ``pairs`` holds one (prediction, actual) per claim and ``groups`` each
+    claim's group, in parallel; every sum adds its claims in the order given.
     """
-    keys = sorted(set(preds) & set(actuals))
+    sums: dict = {}
+    for (p, a), g in zip(pairs, groups):
+        s = sums.setdefault(g, [0.0, 0.0, 0.0, 0])
+        s[0] += p
+        s[1] += a
+        s[2] += (p - a) ** 2
+        s[3] += 1
+    return sums
+
+
+def _aligned(preds: dict[str, float], actuals: dict[str, float]):
+    """The claims both maps hold, in claim-number order, and their (prediction, actual)."""
+    keys = sorted(preds.keys() & actuals.keys())
     if not keys:
         raise DataError("no aligned claims to score")
-    if group_of is None:
-        total = sum(actuals[k] for k in keys)
-        if total <= 0:
-            raise DataError("aggregate true OCL is zero")
-        return sum(preds[k] for k in keys) / total
-    num: dict = {}
-    den: dict = {}
-    for k in keys:
-        g = group_of(k)
-        num[g] = num.get(g, 0.0) + preds[k]
-        den[g] = den.get(g, 0.0) + actuals[k]
-    return {g: num[g] / den[g] for g in sorted(num) if den[g] > 0}
+    return keys, [(preds[k], actuals[k]) for k in keys]
 
 
-def rmse_per_claim(
-    preds: dict[str, float],
-    actuals: dict[str, float],
-    group_of=None,
-) -> "float | dict":
-    """Root mean squared per-claim error, optionally per group."""
-    keys = sorted(set(preds) & set(actuals))
-    if not keys:
-        raise DataError("no aligned claims to score")
-    if group_of is None:
-        return float(
-            math.sqrt(sum((preds[k] - actuals[k]) ** 2 for k in keys) / len(keys))
-        )
-    groups: dict = {}
-    for k in keys:
-        groups.setdefault(group_of(k), []).append((preds[k] - actuals[k]) ** 2)
-    return {g: float(math.sqrt(sum(v) / len(v))) for g, v in sorted(groups.items())}
+def _overall(pairs) -> tuple[float, float, float]:
+    """Relative OCL, per-claim rmse and true total over every pair."""
+    p, a, sq, n = group_sums(pairs, [None] * len(pairs))[None]
+    if a <= 0:
+        raise DataError("aggregate true OCL is zero")
+    return p / a, math.sqrt(sq / n), a
 
 
-def ocl_share_curve(
-    actuals: dict[str, float], key_of
-) -> list[tuple[int, float]]:
-    """Cumulative share of the true OCL ordered by an integer key (AP or PSN)."""
-    total = sum(actuals.values())
-    if total <= 0:
-        raise DataError("no outstanding liability to share out")
-    by_key: dict[int, float] = {}
-    for claim_no, v in actuals.items():
-        k = key_of(claim_no)
-        by_key[k] = by_key.get(k, 0.0) + v
-    curve = []
-    running = 0.0
-    for k in sorted(by_key):
-        running += by_key[k]
-        curve.append((k, running / total))
-    return curve
+def _slices(sums: dict, total: float):
+    """Per group, in key order: ratio, rmse and cumulative share of the true ``total``.
+
+    A group whose true total is zero has no ratio.
+    """
+    items = sorted(sums.items())
+    ratios = {g: p / a for g, (p, a, _, _) in items if a > 0}
+    rmses = {g: math.sqrt(sq / n) for g, (_, _, sq, n) in items}
+    shares, running = [], 0.0
+    for g, (_, a, _, _) in items:
+        running += a
+        shares.append((g, running / total))
+    return ratios, rmses, shares
 
 
 def action_histogram(
@@ -217,44 +206,19 @@ def action_histogram(
 ):
     """Histogram of exp(action) over [1/k, k]; optional per-PSN facets."""
     edges = np.linspace(1.0 / k, k, bins + 1)
+
+    def counts(txns):
+        return np.histogram([math.exp(t.action) for t in txns], bins=edges)[0]
+
     if not by_psn:
-        values = np.array([math.exp(t.action) for t in transitions])
-        counts, _ = np.histogram(values, bins=edges)
-        return counts, edges
-    facets = {}
-    for psn in range(1, max_psn + 1):
-        vals = np.array(
-            [math.exp(t.action) for t in transitions if t.tau == psn] or [np.nan]
-        )
-        counts, _ = np.histogram(vals[~np.isnan(vals)], bins=edges)
-        facets[psn] = counts
-    return facets, edges
+        return counts(transitions), edges
+    return {p: counts([t for t in transitions if t.tau == p]) for p in range(1, max_psn + 1)}, edges
 
 
-def size_terciles(ultimates: dict[str, float]) -> dict[str, str]:
-    """small / medium / large membership by ultimate size, ties to the lower bucket."""
-    values = np.array(sorted(ultimates.values()))
-    q1 = float(np.quantile(values, 1.0 / 3.0))
-    q2 = float(np.quantile(values, 2.0 / 3.0))
-    out = {}
-    for claim_no, u in ultimates.items():
-        if u <= q1:
-            out[claim_no] = "small"
-        elif u <= q2:
-            out[claim_no] = "medium"
-        else:
-            out[claim_no] = "large"
-    return out
-
-
-def size_tercile_report(
-    preds: dict[str, float],
-    actuals: dict[str, float],
-    ultimates: dict[str, float],
-) -> dict[str, float]:
-    """Relative OCL per ultimate-size tercile."""
-    membership = size_terciles(ultimates)
-    return relative_ocl(preds, actuals, group_of=lambda cn: membership[cn])
+def size_terciles(sizes: list[float]) -> list[str]:
+    """small / medium / large for each size by its tercile, ties to the lower bucket."""
+    q1, q2 = np.quantile(sizes, [1.0 / 3.0, 2.0 / 3.0])
+    return ["small" if u <= q1 else "medium" if u <= q2 else "large" for u in sizes]
 
 
 @dataclass
@@ -269,30 +233,41 @@ class MetricsReport:
     rmse_by_psn: dict[int, float] = field(default_factory=dict)
     share_by_ap: list[tuple[int, float]] = field(default_factory=list)
     share_by_psn: list[tuple[int, float]] = field(default_factory=list)
+    ratio_by_tercile: dict[str, float] = field(default_factory=dict)
 
 
 def evaluate_predictions(
-    preds: dict[str, float], dataset: Dataset, valuation: int
+    preds: dict[str, float], actuals: dict[str, float], dataset: Dataset, valuation: int
 ) -> MetricsReport:
-    """All slicings for one model's open-claim predictions at valuation."""
-    actuals = true_ocl_map(dataset, valuation)
-    keys = sorted(set(preds) & set(actuals))
-    if not keys:
-        raise DataError("no scored claims")
-    preds = {k: preds[k] for k in keys}
-    actuals_used = {k: actuals[k] for k in keys}
-    ap_of = {k: dataset.by_no(k).accident_period for k in keys}
-    psn_of = {k: dataset.by_no(k).psn_at(valuation) for k in keys}
-    return MetricsReport(
-        overall_ratio=relative_ocl(preds, actuals_used),
-        ratio_by_ap=relative_ocl(preds, actuals_used, group_of=ap_of.get),
-        ratio_by_psn=relative_ocl(preds, actuals_used, group_of=psn_of.get),
-        rmse_overall=rmse_per_claim(preds, actuals_used),
-        rmse_by_ap=rmse_per_claim(preds, actuals_used, group_of=ap_of.get),
-        rmse_by_psn=rmse_per_claim(preds, actuals_used, group_of=psn_of.get),
-        share_by_ap=ocl_share_curve(actuals_used, key_of=ap_of.get),
-        share_by_psn=ocl_share_curve(actuals_used, key_of=psn_of.get),
-    )
+    """Every slicing of one model's open-claim predictions against the actuals at valuation."""
+    keys, pairs = _aligned(preds, actuals)
+    claims = [dataset.by_no(k) for k in keys]
+    ratio, rmse, total = _overall(pairs)
+    ap = _slices(group_sums(pairs, [c.accident_period for c in claims]), total)
+    psn = _slices(group_sums(pairs, [c.psn_at(valuation) for c in claims]), total)
+    size = _slices(group_sums(pairs, size_terciles([c.ultimate for c in claims])), total)
+    return MetricsReport(ratio, ap[0], psn[0], rmse, ap[1], psn[1], ap[2], psn[2], size[0])
+
+
+def evaluate_chain_ladder(
+    result: ClResult, actuals: dict[str, float], dataset: Dataset
+) -> MetricsReport:
+    """The chain ladder's aggregate ratios, overall and per accident period.
+
+    The chain ladder has no claim-level predictions, so only the true OCL is
+    summed, per accident period in the order of ``actuals``. The overall
+    ratio is None when the true total is zero.
+    """
+    pairs = [(0.0, a) for a in actuals.values()]
+    aps = [dataset.by_no(cn).accident_period for cn in actuals]
+    true_by_ap = {ap: s[1] for ap, s in group_sums(pairs, aps).items()}
+    total = sum(true_by_ap.values())
+    ratio_by_ap = {
+        ap: float(result.rbns_ocl[row]) / true_by_ap[ap]
+        for row, ap in enumerate(result.aps)
+        if true_by_ap.get(ap, 0.0) > 0
+    }
+    return MetricsReport(result.total_rbns_ocl / total if total > 0 else None, ratio_by_ap)
 
 
 # -- tuning --------------------------------------------------------------------
@@ -333,9 +308,9 @@ def tune(
                 c.claim_no: c.record_at(fold.boundary).true_ocl for c in fold.validation_claims
             }
             try:
-                preds = family_fn(fold, params)
-                ratios.append(relative_ocl(preds, actuals))
-                rmses.append(rmse_per_claim(preds, actuals))
+                ratio, rmse, _ = _overall(_aligned(family_fn(fold, params), actuals)[1])
+                ratios.append(ratio)
+                rmses.append(rmse)
             except (DataError, ConfigError, NumericFault) as exc:
                 reason = f"{type(exc).__name__}: {exc}"
                 break

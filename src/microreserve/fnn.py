@@ -150,7 +150,7 @@ def _split_by_claim(rows: FnnRows, rng: np.random.Generator):
     return ~val_mask, val_mask
 
 
-def train_fnn(rows: FnnRows, cfg: FnnConfig, seed: int | None = None) -> FnnModel:
+def train_fnn(rows: FnnRows, cfg: FnnConfig) -> FnnModel:
     """Minibatch Adam on the weighted log-scale MSE with early stopping.
 
     The output bias starts at the weighted mean of ``log1p(targets)`` over
@@ -159,8 +159,7 @@ def train_fnn(rows: FnnRows, cfg: FnnConfig, seed: int | None = None) -> FnnMode
     """
     if rows.features.shape[0] < 2:
         raise DataError("too few rows to train on")
-    seed = cfg.seed if seed is None else seed
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 23]))
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 23]))
 
     mask = np.delete(currency_mask(cfg.state_profile, 0), PREV_OCL_SLOT)
     scaler = FeatureScaler.fit(rows.features, mask)

@@ -115,23 +115,34 @@ class TestExitCodes:
             {"sac": {**TINY["sac"], "critic_lr": -0.001}},
             {"sac": {**TINY["sac"], "temp_lr": 0.0}},
             {"fnn": {**TINY["fnn"], "lr": 0.0}},
+            # The split and data values validate_config types itself.
+            {"split": {"k_folds": "3"}},
+            {"split": {"k_folds": True}},
+            {"split": {"boundary": "x"}},
+            {"split": {"boundary": 0}},
+            {"split": {"boundary": 2.5}},
+            {"data": {**TINY["data"], "claims_per_period": "abc"}},
+            {"data": {**TINY["data"], "claims_per_period": 0}},
+            {"data": {**TINY["data"], "claims_per_period": float("inf")}},
         ],
         ids=[
             "sac_ring_below_batch", "sac_warmup", "sac_actor_lr", "sac_critic_lr",
-            "sac_temp_lr", "fnn_lr",
+            "sac_temp_lr", "fnn_lr", "k_folds_str", "k_folds_bool", "boundary_str",
+            "boundary_zero", "boundary_float", "claims_per_period_str",
+            "claims_per_period_zero", "claims_per_period_inf",
         ],
     )
     def test_invalid_value_is_config_error(self, tmp_path, extra):
         cfg = {**TINY, **extra, "models": ["cl"], "output_dir": str(tmp_path)}
         assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
 
-    @pytest.mark.parametrize("seeds", [[-1], [1.5], ["2"], [True], [], 3])
+    @pytest.mark.parametrize("seeds", [[-1], [1.5], ["2"], [True], [], 3, [3, 3]])
     def test_bad_config_seed_is_config_error(self, tmp_path, capsys, seeds):
         cfg = {**TINY, "seeds": seeds, "models": ["cl"], "output_dir": str(tmp_path)}
         assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
         assert "config error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("seeds", ["a,b", "1,", "-1", "1,-2"])
+    @pytest.mark.parametrize("seeds", ["a,b", "1,", "-1", "1,-2", "3,3"])
     def test_bad_seeds_flag_is_config_error(self, tmp_path, capsys, seeds):
         argv = ["run", "--models", "cl", "--seeds", seeds, "--output-dir", str(tmp_path)]
         assert cli.main(argv) == 1

@@ -11,13 +11,12 @@ from microreserve.errors import ConfigError, DataError, LeakageError, NumericFau
 from microreserve.evaluation import (
     Fold,
     MetricsReport,
+    evaluate_chain_ladder,
     evaluate_predictions,
+    group_sums,
     guard_fnn_rows,
     guard_transitions,
     guard_validation,
-    ocl_share_curve,
-    relative_ocl,
-    rmse_per_claim,
     rsv_folds,
     size_terciles,
     split,
@@ -44,6 +43,7 @@ PREDICTIONS = {
     "exact": {"v1": 10.0, "v2": 20.0},  # ratio 1, rmse 0
     "swapped": {"v1": 20.0, "v2": 10.0},  # ratio 1, rmse 10
     "high": {"v1": 20.0, "v2": 40.0},  # ratio 2
+    "unaligned": {"zz": 10.0},  # no validation claim
 }
 
 
@@ -89,6 +89,10 @@ class TestTune:
         grid = [{"raise": exc}, {"preds": "high"}]
         _, entries = tune(grid, [validation_fold()], scripted)
         assert [e.reason for e in entries] == [reason, ""]
+
+    def test_predictions_for_no_validation_claim_are_invalid(self):
+        _, entries = tune([{"preds": "unaligned"}, {"preds": "high"}], [validation_fold()], scripted)
+        assert [e.reason for e in entries] == ["DataError: no aligned claims to score", ""]
 
     def test_every_entry_invalid_raises(self):
         with pytest.raises(DataError):
@@ -243,74 +247,69 @@ def test_true_ocl_map_keeps_open_claims_that_settle():
     assert true_ocl_map(scoring_portfolio(), VALUATION) == ACTUALS
 
 
+def score(preds):
+    data = scoring_portfolio()
+    return evaluate_predictions(preds, true_ocl_map(data, VALUATION), data, VALUATION)
+
+
 class TestEvaluatePredictions:
     def test_overall_ratio_and_rmse(self):
-        report = evaluate_predictions(PREDS, scoring_portfolio(), VALUATION)
+        report = score(PREDS)
         assert report.overall_ratio == 95.0 / 110.0
         assert report.rmse_overall == math.sqrt(1025.0 / 4)
 
     def test_accident_period_slices_drop_a_zero_ocl_group_from_ratios_only(self):
-        report = evaluate_predictions(PREDS, scoring_portfolio(), VALUATION)
+        report = score(PREDS)
         assert report.ratio_by_ap == {1: 60.0 / 50.0, 2: 0.5}
         assert report.rmse_by_ap == {1: math.sqrt(50.0), 2: 30.0, 3: 5.0}
         assert report.share_by_ap == [(1, 50.0 / 110.0), (2, 1.0), (3, 1.0)]
 
     def test_periods_since_notification_slices(self):
-        report = evaluate_predictions(PREDS, scoring_portfolio(), VALUATION)
+        report = score(PREDS)
         assert report.ratio_by_psn == {1: 1.5, 2: 0.5, 3: 1.25}
         assert report.rmse_by_psn == {1: math.sqrt(12.5), 2: 30.0, 3: 10.0}
         assert report.share_by_psn == [(1, 10.0 / 110.0), (2, 70.0 / 110.0), (3, 1.0)]
 
     def test_no_aligned_claims_is_data_error(self):
         with pytest.raises(DataError):
-            evaluate_predictions({"o1": 1.0, "zz": 2.0}, scoring_portfolio(), VALUATION)
+            score({"o1": 1.0, "zz": 2.0})
 
     def test_zero_aggregate_true_ocl_is_data_error(self):
         with pytest.raises(DataError):
-            evaluate_predictions({"c4": 5.0}, scoring_portfolio(), VALUATION)
+            score({"c4": 5.0})
 
 
-class TestMetricHelpers:
-    def test_relative_ocl_overall_and_grouped(self):
-        assert relative_ocl(PREDS, ACTUALS) == 95.0 / 110.0
-        ap = {"c1": 1, "c2": 1, "c3": 2, "c4": 3}
-        assert relative_ocl(PREDS, ACTUALS, group_of=ap.get) == {1: 1.2, 2: 0.5}
+PAIRS = [(PREDS[k], ACTUALS[k]) for k in sorted(ACTUALS)]
 
-    def test_rmse_overall_and_grouped(self):
-        assert rmse_per_claim(PREDS, ACTUALS) == math.sqrt(1025.0 / 4)
-        ap = {"c1": 1, "c2": 1, "c3": 2, "c4": 3}
-        assert rmse_per_claim(PREDS, ACTUALS, group_of=ap.get) == {
-            1: math.sqrt(50.0), 2: 30.0, 3: 5.0,
+
+class TestGroupSums:
+    def test_overall_and_grouped_sums(self):
+        assert group_sums(PAIRS, [None] * 4) == {None: [95.0, 110.0, 1025.0, 4]}
+        assert group_sums(PAIRS, [1, 1, 2, 3]) == {
+            1: [60.0, 50.0, 100.0, 2], 2: [30.0, 60.0, 900.0, 1], 3: [5.0, 0.0, 25.0, 1],
         }
 
-    def test_share_curve_is_cumulative_in_key_order(self):
-        psn = {"c1": 3, "c2": 1, "c3": 2, "c4": 1}
-        assert ocl_share_curve(ACTUALS, psn.get) == [(1, 10.0 / 110.0), (2, 70.0 / 110.0), (3, 1.0)]
-
-    def test_nothing_to_score_is_data_error(self):
-        with pytest.raises(DataError):
-            relative_ocl({"a": 1.0}, {"b": 1.0})
-        with pytest.raises(DataError):
-            relative_ocl({"c4": 5.0}, ACTUALS)
+    def test_sums_add_in_the_order_given(self):
+        # Float addition is not associative: (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3).
+        pairs = [(0.1, 0.0), (0.2, 0.0), (0.3, 0.0)]
+        assert group_sums(pairs, "ggg")["g"][0] == (0.1 + 0.2) + 0.3
+        assert group_sums(pairs[::-1], "ggg")["g"][0] == (0.3 + 0.2) + 0.1
 
 
 class TestTerciles:
     def test_ties_go_to_the_lower_bucket(self):
         # Cut points 30 and 40: 30 is small and 40 medium.
-        ultimates = {"c1": 40.0, "c2": 10.0, "c3": 80.0, "c4": 30.0}
-        assert size_terciles(ultimates) == {
-            "c1": "medium", "c2": "small", "c3": "large", "c4": "small",
-        }
+        assert size_terciles([40.0, 10.0, 80.0, 30.0]) == ["medium", "small", "large", "small"]
 
     def test_equal_sizes_are_all_small(self):
-        assert set(size_terciles({"a": 5.0, "b": 5.0, "c": 5.0}).values()) == {"small"}
+        assert size_terciles([5.0, 5.0, 5.0]) == ["small"] * 3
 
     def test_run_writes_the_tercile_ratios(self, tmp_path):
         # c2 and c4 are small (15 against 10), c1 medium (50 against 40), c3 large.
         path = tmp_path / "terciles.csv"
-        data = scoring_portfolio()
-        ultimates = {cn: data.by_no(cn).ultimate for cn in ACTUALS}
-        cli._write_terciles(PREDS, ACTUALS, ultimates, str(path))
+        report = score(PREDS)
+        assert report.ratio_by_tercile == {"small": 1.5, "medium": 1.25, "large": 0.5}
+        cli._write_terciles(report, str(path))
         assert read_rows(path) == [
             ["tercile", "relative_ocl"], ["small", "1.5"], ["medium", "1.25"], ["large", "0.5"],
         ]
@@ -323,8 +322,7 @@ def read_rows(path):
 
 def test_metrics_csv_has_one_row_per_slice_and_key(tmp_path):
     path = tmp_path / "m.csv"
-    report = evaluate_predictions(PREDS, scoring_portfolio(), VALUATION)
-    write_metrics_csv(report, "fnn", 7, str(path))
+    write_metrics_csv(score(PREDS), "fnn", 7, str(path))
     rows = read_rows(path)
     assert rows[0] == ["model", "seed", "slice", "key", "relative_ocl", "rmse", "ocl_share"]
     assert rows[1] == ["fnn", "7", "overall", "", repr(95.0 / 110.0), repr(math.sqrt(256.25)), ""]
@@ -369,6 +367,12 @@ class TestChainLadderReport:
             ["cl", "1", "ap", "1", "1.1", "", ""],
             ["cl", "1", "ap", "2", "0.5", "", ""],
         ]
+
+    def test_report_holds_the_aggregate_ratios_only(self):
+        report = evaluate_chain_ladder(
+            self.fake_result([55.0, 30.0, 7.0]), ACTUALS, scoring_portfolio()
+        )
+        assert report == MetricsReport(92.0 / 110.0, {1: 1.1, 2: 0.5})
 
     def test_zero_true_total_has_no_overall_ratio(self, tmp_path, monkeypatch):
         data = build_dataset(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from microreserve.claims import (
+    PAYMENT_TYPES,
     Claim,
     Transaction,
     discretize,
@@ -81,7 +82,7 @@ class TestGeneration:
             prev = 0.0
             real_total = 0.0
             for txn in claim.transactions:
-                if txn.is_payment:
+                if txn.txn_type in PAYMENT_TYPES:
                     real_total += (txn.cumpaid - prev) / inflation_index(txn.txn_time, cfg)
                     prev = txn.cumpaid
             assert real_total == pytest.approx(claim.claim_size, rel=1e-9)
