@@ -160,8 +160,8 @@ def _grid_sections(family: str, point: dict) -> dict:
     return point
 
 
-def _is(value, types) -> bool:
-    """isinstance, except that a JSON true/false is no number."""
+def _is_number(value, types=(int, float)) -> bool:
+    """isinstance of the number types, where a JSON true/false is no number."""
     return isinstance(value, types) and not isinstance(value, bool)
 
 
@@ -182,12 +182,12 @@ def validate_config(cfg: dict) -> None:
         if data.get("schema") not in ("splice", "cas"):
             raise ConfigError(f"unknown schema {data.get('schema')!r}")
     k_folds, boundary = cfg["split"]["k_folds"], cfg["split"]["boundary"]
-    if not (_is(k_folds, int) and k_folds >= 2):
+    if not (_is_number(k_folds, int) and k_folds >= 2):
         raise ConfigError(f"split.k_folds must be an integer >= 2, got {k_folds!r}")
-    if boundary is not None and not (_is(boundary, int) and boundary >= 1):
+    if boundary is not None and not (_is_number(boundary, int) and boundary >= 1):
         raise ConfigError(f"split.boundary must be null or an integer >= 1, got {boundary!r}")
     n = data["claims_per_period"]
-    if n is not None and not (_is(n, (int, float)) and 0 < n < math.inf):
+    if n is not None and not (_is_number(n) and 0 < n < math.inf):
         raise ConfigError(f"data.claims_per_period must be null or a positive number, got {n!r}")
     for model in cfg["models"]:
         if model not in DEFAULT_MODELS:
