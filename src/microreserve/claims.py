@@ -24,9 +24,10 @@ period after them, since the claim no longer changes. ``Dataset.by_no`` is
 a dict lookup built at construction: the claim list is treated as immutable.
 
 ``Transaction`` and ``DevelopmentRecord`` are named tuples (immutable, no
-``__dict__``). Records with equal transaction-type sets share one frozenset
-(``type_set``), quiet periods the empty one. The loader reads rows with
-``csv.reader``, with column positions resolved once from the header.
+``__dict__``), and ``Claim`` is a slotted dataclass. Records with equal
+transaction-type sets share one frozenset (``type_set``), quiet periods the
+empty one. The loader reads rows with ``csv.reader``, with column positions
+resolved once from the header.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def type_set(types) -> frozenset[str]:
     return _TYPE_SETS.setdefault(key, frozenset(key))
 
 
-@dataclass
+@dataclass(slots=True)
 class Claim:
     claim_no: str
     accident_period: int

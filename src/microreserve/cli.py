@@ -189,9 +189,14 @@ def validate_config(cfg: dict) -> None:
     n = data["claims_per_period"]
     if n is not None and not (_is_number(n) and 0 < n < math.inf):
         raise ConfigError(f"data.claims_per_period must be null or a positive number, got {n!r}")
-    for model in cfg["models"]:
+    models = cfg["models"]
+    if not isinstance(models, list) or not models:
+        raise ConfigError(f"models must be a non-empty list, got {models!r}")
+    for model in models:
         if model not in DEFAULT_MODELS:
             raise ConfigError(f"unknown model {model!r}")
+    if len(set(models)) < len(models):
+        raise ConfigError(f"models repeat: {models}")
     if not isinstance(cfg["seeds"], list) or not cfg["seeds"]:
         raise ConfigError("seeds must be a non-empty list")
     for seed in cfg["seeds"]:
@@ -201,15 +206,21 @@ def validate_config(cfg: dict) -> None:
     family = cfg["tuning"]["family"]
     if family not in ("fnn", "rl"):
         raise ConfigError(f"unknown tuning family {family!r}")
-    for point in cfg["tuning"]["grid"]:
+    # Constructor validation of the model configs, alone and with each tuning
+    # grid point merged in, before any work.
+    checks = [(section, cfg[section], "model config") for section in MODEL_SECTIONS]
+    grid = cfg["tuning"]["grid"]
+    if not isinstance(grid, list):
+        raise ConfigError(f"tuning.grid must be a list, got {grid!r}")
+    for point in grid:
         for section, params in _grid_sections(family, point).items():
             _check_keys(f"{section} tuning grid", params, _fields(section))
-    # Constructor validation of the model configs, before any work.
-    try:
-        for section, cls in MODEL_SECTIONS.items():
-            cls(**cfg[section])
-    except TypeError as exc:
-        raise ConfigError(f"bad model config value: {exc}") from None
+            checks.append((section, {**cfg[section], **params}, f"tuning grid point {point}"))
+    for section, params, where in checks:
+        try:
+            MODEL_SECTIONS[section](**params)
+        except TypeError as exc:
+            raise ConfigError(f"bad {where} value: {exc}") from None
 
 
 def _config_hash(cfg: dict) -> str:

@@ -15,7 +15,9 @@ to ``[-ln K, ln K]``. Rewards combine three parts:
   over the first ``m_warmup`` predictions, also gated by payments.
 
 Rollouts advance all claims in calendar order, so episodes interleave
-exactly as an insurer would see them.
+exactly as an insurer would see them. A rollout makes one ``Transition``
+per claim and period, so it and the per-claim records are slotted
+dataclasses, without a ``__dict__`` each.
 """
 
 from __future__ import annotations
@@ -290,7 +292,7 @@ def mean_training_ocl(dataset: Dataset, boundary: int) -> float:
     return total / n
 
 
-@dataclass
+@dataclass(slots=True)
 class RewardBreakdown:
     r_acc: float = 0.0
     r_stab: float = 0.0
@@ -298,7 +300,7 @@ class RewardBreakdown:
     weight: float = 1.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Transition:
     claim_no: str
     accident_period: int
@@ -330,7 +332,7 @@ class ScriptedPolicy:
         return self.actions[(claim_no, tau)]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Tracker:
     ocl: float
     ul0: float

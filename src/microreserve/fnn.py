@@ -8,7 +8,9 @@ profile without the model-generated slots: no past predictions
 amount at that period. ``build_training_rows`` walks each settled claim's
 development records once, notification to settlement, through the layout
 helper the environment's states use (``env.state_rows``), so the claim's
-static slots are computed once per claim rather than once per row.
+static slots are computed once per claim rather than once per row. The rows
+go end to end into one ``array("d")`` of C doubles, which the feature
+matrix then wraps without a copy.
 Regression runs on the log1p scale against an MSE
 weighted by the environment's settled-claim importance weight
 (OCL / s)^alpha, which is zero on zero-OCL rows. Early stopping uses an
@@ -17,11 +19,16 @@ output bias starts at the weighted mean log1p target of the training
 split, the best constant predictor under that loss; the log-scale targets
 sit far from zero (about 10.7 on the default portfolio), so a zero start
 spends the early epochs on the offset.
+
+``train_fnn`` holds one scaled copy of the features: the scaler is fitted
+and applied in one pass, and the unsplit matrix is dropped once the
+training and validation splits are gathered.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +36,16 @@ import numpy as np
 from .claims import Claim, Dataset
 from .env import PREV_OCL_SLOT, currency_mask, ocl_importance_weight, state_rows
 from .errors import ConfigError, DataError, NumericFault
-from .nets import AdamState, FeatureScaler, Mlp, adam_step, backward, forward, init_mlp
+from .nets import (
+    AdamState,
+    FeatureScaler,
+    Mlp,
+    adam_step,
+    backward,
+    forward,
+    hidden_sizes,
+    init_mlp,
+)
 
 
 @dataclass(frozen=True)
@@ -56,7 +72,7 @@ class FnnConfig:
             raise ConfigError("patience must be >= 0")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
-        object.__setattr__(self, "hidden", tuple(self.hidden))
+        object.__setattr__(self, "hidden", hidden_sizes(self.hidden))
 
 
 def row_features(claim: Claim, t: int, profile: str) -> list[float]:
@@ -79,14 +95,14 @@ def build_training_rows(train: Dataset, cutoff: int, cfg: FnnConfig) -> FnnRows:
     if not settled:
         raise DataError("no settled claims before the cutoff")
 
-    feats: list[float] = []  # the rows end to end
+    feats = array("d")  # the rows end to end
     targets: list[float] = []
     claim_nos: list[str] = []
     for claim in settled:
         t0 = claim.notification_period
         records = claim.dev_records[: claim.settlement_period - t0 + 1]
         assert records[-1].dev_period == claim.settlement_period + 1 - claim.accident_period
-        feats += state_rows(claim, records, t0, cfg.state_profile, [], [])
+        feats.fromlist(state_rows(claim, records, t0, cfg.state_profile, [], []))
         targets += [rec.true_ocl for rec in records]
         claim_nos += [claim.claim_no] * len(records)
 
@@ -101,7 +117,7 @@ def build_training_rows(train: Dataset, cutoff: int, cfg: FnnConfig) -> FnnRows:
         [ocl_importance_weight(True, cfg.alpha_w, s, ocl_tau=y) for y in targets]
     )
     return FnnRows(
-        features=np.array(feats, dtype=np.float64).reshape(len(targets), -1),
+        features=np.frombuffer(feats).reshape(len(targets), -1),
         targets=targets_arr,
         weights=weights,
         claim_nos=claim_nos,
@@ -162,8 +178,7 @@ def train_fnn(rows: FnnRows, cfg: FnnConfig) -> FnnModel:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 23]))
 
     mask = np.delete(currency_mask(cfg.state_profile, 0), PREV_OCL_SLOT)
-    scaler = FeatureScaler.fit(rows.features, mask)
-    x_all = scaler.transform(rows.features)
+    scaler, x_all = FeatureScaler.fit_transform(rows.features, mask)
     y_all = np.log1p(rows.targets)
     w_all = rows.weights
 
@@ -173,6 +188,7 @@ def train_fnn(rows: FnnRows, cfg: FnnConfig) -> FnnModel:
     x_tr, y_tr, w_tr = x_all[train_mask], y_all[train_mask], w_all[train_mask]
     has_val = val_mask.any() and w_all[val_mask].sum() > 0
     x_va, y_va, w_va = x_all[val_mask], y_all[val_mask], w_all[val_mask]
+    del x_all  # the splits are copies
 
     hid = list(cfg.hidden)
     net = init_mlp(

@@ -6,6 +6,10 @@ row-major. ``weights[i]`` and ``biases[i]`` are views into it, ``backward``
 returns its parameter gradient in the same layout, and Adam, Polyak
 averaging and snapshots each work on the whole vector at once.
 
+``FeatureScaler`` standardises with one copy of its input per call, and
+``fit_transform`` fits and standardises that one copy, so a large training
+matrix is copied once.
+
 Everything runs in 64-bit floats with explicit numpy generators, so a
 seeded run is bit-reproducible. Gradients are hand-derived; the tests
 check them against central finite differences.
@@ -71,6 +75,15 @@ class Mlp:
 
     def copy(self) -> "Mlp":
         return Mlp(list(self.sizes), list(self.activations), self.flat.copy())
+
+
+def hidden_sizes(hidden) -> tuple[int, ...]:
+    """A config's hidden-layer widths as a tuple; each must be a positive int."""
+    if not isinstance(hidden, (list, tuple)) or not all(
+        isinstance(h, int) and not isinstance(h, bool) and h >= 1 for h in hidden
+    ):
+        raise ConfigError(f"hidden must be a list of positive integers, got {hidden!r}")
+    return tuple(hidden)
 
 
 def init_mlp(sizes: list[int], activations: list[str], rng: np.random.Generator) -> Mlp:
@@ -220,7 +233,12 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
 
 @dataclass
 class FeatureScaler:
-    """Standardisation with log1p applied to currency-valued slots."""
+    """Standardisation with log1p applied to currency-valued slots.
+
+    Each call makes one copy of its input: ``_log_currency`` copies it and
+    takes the currency columns' logs, and the standardisation then runs on
+    that copy in place, with the operations of ``(z - shift) / scale``.
+    """
 
     shift: np.ndarray
     scale: np.ndarray
@@ -228,22 +246,35 @@ class FeatureScaler:
 
     @classmethod
     def fit(cls, x: np.ndarray, currency: np.ndarray) -> "FeatureScaler":
-        x = np.asarray(x, dtype=np.float64)
+        return cls.fit_transform(x, currency)[0]
+
+    @classmethod
+    def fit_transform(cls, x: np.ndarray, currency: np.ndarray):
+        """The scaler fitted to ``x`` and its transform of ``x``, from one copy."""
         currency = np.asarray(currency, dtype=bool)
-        z = x.copy()
-        z[:, currency] = np.log1p(np.maximum(z[:, currency], 0.0))
+        z = _log_currency(x, currency)
         shift = z.mean(axis=0)
         scale = z.std(axis=0)
         scale[scale < 1e-12] = 1.0
-        return cls(shift=shift, scale=scale, currency=currency)
+        scaler = cls(shift=shift, scale=scale, currency=currency)
+        return scaler, scaler._standardise(z)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        z = (x.reshape(1, -1) if squeeze else x).copy()
-        z[:, self.currency] = np.log1p(np.maximum(z[:, self.currency], 0.0))
-        z = (z - self.shift) / self.scale
-        return z[0] if squeeze else z
+        z = self._standardise(_log_currency(x, self.currency))
+        return z[0] if np.ndim(x) == 1 else z
+
+    def _standardise(self, z: np.ndarray) -> np.ndarray:
+        z -= self.shift
+        z /= self.scale
+        return z
+
+
+def _log_currency(x: np.ndarray, currency: np.ndarray) -> np.ndarray:
+    """A 2-D float64 copy of ``x`` with log1p(max(v, 0)) in the currency columns."""
+    z = np.array(x, dtype=np.float64, ndmin=2)
+    currency = np.asarray(currency, dtype=bool)
+    z[:, currency] = np.log1p(np.maximum(z[:, currency], 0.0))
+    return z
 
 
 def save_mlp(net: Mlp, path: str) -> None:

@@ -28,7 +28,18 @@ from .env import (
     state_dim,
 )
 from .errors import ConfigError, DataError, NumericFault
-from .nets import AdamState, FeatureScaler, Mlp, adam_step, backward, forward, init_mlp, load_mlp, save_mlp
+from .nets import (
+    AdamState,
+    FeatureScaler,
+    Mlp,
+    adam_step,
+    backward,
+    forward,
+    hidden_sizes,
+    init_mlp,
+    load_mlp,
+    save_mlp,
+)
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
@@ -65,7 +76,7 @@ class SacConfig:
             raise ConfigError("updates_per_step must be >= 0")
         if self.init_temp <= 0:
             raise ConfigError("init_temp must be positive")
-        object.__setattr__(self, "hidden", tuple(self.hidden))
+        object.__setattr__(self, "hidden", hidden_sizes(self.hidden))
 
 
 class ReplayBuffer:
@@ -140,26 +151,24 @@ def sample_action(
     rng: np.random.Generator | None = None,
     deterministic: bool = False,
 ):
-    """Draw (action, log_prob) from the squashed-Gaussian head.
+    """Draw an action from the squashed-Gaussian head.
 
-    Deterministic mode returns ln_k * tanh(mean) with log_prob None.
+    Deterministic mode returns ln_k * tanh(mean). The density of a drawn
+    action is ``gaussian_tanh_log_prob``; the updates compute it themselves.
     """
     out, _ = forward(actor, state_scaled)
     single = out.ndim == 1
     out2 = out.reshape(1, -1) if single else out
     mean = out2[:, 0]
-    log_std = np.clip(out2[:, 1], LOG_STD_MIN, LOG_STD_MAX)
     if not np.all(np.isfinite(mean)):
         raise NumericFault("actor produced non-finite mean")
     if deterministic:
-        a = ln_k * np.tanh(mean)
-        return (float(a[0]) if single else a), None
-    u = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
+        u = mean
+    else:
+        log_std = np.clip(out2[:, 1], LOG_STD_MIN, LOG_STD_MAX)
+        u = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
     a = ln_k * np.tanh(u)
-    logp = gaussian_tanh_log_prob(mean, log_std, u, ln_k)
-    if single:
-        return float(a[0]), float(logp[0])
-    return a, logp
+    return float(a[0]) if single else a
 
 
 class SacAgent:
@@ -202,10 +211,8 @@ class SacAgent:
             self.env_steps += 1
             if self.env_steps <= self.cfg.warmup_steps:
                 return float(self.rng.uniform(-self.env_cfg.ln_k, self.env_cfg.ln_k))
-            a, _ = sample_action(self.actor, scaled, self.env_cfg.ln_k, rng=self.rng)
-            return a
-        a, _ = sample_action(self.actor, scaled, self.env_cfg.ln_k, deterministic=True)
-        return a
+            return sample_action(self.actor, scaled, self.env_cfg.ln_k, rng=self.rng)
+        return sample_action(self.actor, scaled, self.env_cfg.ln_k, deterministic=True)
 
     def observe(self, txn: Transition) -> None:
         """Buffer a finished transition, then run the scheduled updates."""

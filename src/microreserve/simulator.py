@@ -31,7 +31,8 @@ stream, since numpy forms its results from the standard draws the same way:
 ``m + s * standard_normal()`` for ``normal(m, s)`` (``s * standard_normal()``
 when ``m`` is 0 and the result only feeds ``exp``); ``s *
 standard_exponential()`` for ``exponential(s)``; and one
-``standard_gamma`` per shape for ``gamma(shape=shapes, scale=1.0)``.
+``standard_gamma`` per shape for ``gamma(shape=shapes, scale=1.0)``, where
+shape 1.0 is ``standard_exponential()``, the draw numpy makes for it.
 ``float(np.exp(x))`` must stay: ``math.exp`` differs from it in the last
 bit on some draws.
 """
@@ -270,7 +271,9 @@ def _simulate_claim(config: SimConfig, i: int, k: int, rng: np.random.Generator)
     scheduled = sorted([(first, 1.5)] + mids)
     pay_times = [t for t, _ in scheduled] + [settle]
     shapes = [sh for _, sh in scheduled] + [config.final_payment_shape]
-    weights = np.array([standard_gamma(sh) for sh in shapes])
+    weights = np.array(
+        [standard_exponential() if sh == 1.0 else standard_gamma(sh) for sh in shapes]
+    )
     weights = weights / weights.sum()
     real_payments = (weights * size).tolist()
     # Force exact conservation of the pre-inflation total.

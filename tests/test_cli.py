@@ -115,6 +115,8 @@ class TestExitCodes:
             {"sac": {**TINY["sac"], "critic_lr": -0.001}},
             {"sac": {**TINY["sac"], "temp_lr": 0.0}},
             {"fnn": {**TINY["fnn"], "lr": 0.0}},
+            {"fnn": {**TINY["fnn"], "hidden": "ab"}},
+            {"sac": {**TINY["sac"], "hidden": [0]}},
             # The split and data values validate_config types itself.
             {"split": {"k_folds": "3"}},
             {"split": {"k_folds": True}},
@@ -124,17 +126,36 @@ class TestExitCodes:
             {"data": {**TINY["data"], "claims_per_period": "abc"}},
             {"data": {**TINY["data"], "claims_per_period": 0}},
             {"data": {**TINY["data"], "claims_per_period": float("inf")}},
+            # Each tuning grid point, merged into its section's config.
+            {"tuning": {"enabled": True, "family": "fnn", "grid": [{"lr": "abc"}]}},
+            {"tuning": {"enabled": True, "family": "fnn", "grid": [{"lr": 0.01}, {"hidden": 5}]}},
+            {"tuning": {"enabled": True, "family": "fnn", "grid": [{"dropout": 1.0}]}},
+            {"tuning": {"enabled": True, "family": "fnn", "grid": [{"hidden": [2.5]}]}},
+            {"tuning": {"enabled": True, "family": "rl", "grid": [{"sac": {"actor_lr": "x"}}]}},
+            {"tuning": {"enabled": True, "family": "rl", "grid": [{"env": {"k": 0.5}}]}},
+            {"tuning": {"enabled": True, "family": "fnn", "grid": {"lr": 0.01}}},
         ],
         ids=[
             "sac_ring_below_batch", "sac_warmup", "sac_actor_lr", "sac_critic_lr",
-            "sac_temp_lr", "fnn_lr", "k_folds_str", "k_folds_bool", "boundary_str",
+            "sac_temp_lr", "fnn_lr", "fnn_hidden_str", "sac_hidden_zero", "k_folds_str", "k_folds_bool", "boundary_str",
             "boundary_zero", "boundary_float", "claims_per_period_str",
-            "claims_per_period_zero", "claims_per_period_inf",
+            "claims_per_period_zero", "claims_per_period_inf", "fnn_grid_lr_str",
+            "fnn_grid_hidden_int", "fnn_grid_dropout", "fnn_grid_hidden_float",
+            "rl_grid_sac_lr_str", "rl_grid_env_k",
+            "grid_not_a_list",
         ],
     )
-    def test_invalid_value_is_config_error(self, tmp_path, extra):
+    def test_invalid_value_is_config_error(self, tmp_path, capsys, extra):
         cfg = {**TINY, **extra, "models": ["cl"], "output_dir": str(tmp_path)}
         assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("models", [[], "fnn", ["fnn", "fnn"], ["cl", "bogus"], [1]])
+    def test_bad_models_is_config_error(self, tmp_path, capsys, models):
+        cfg = {**TINY, "models": models, "output_dir": str(tmp_path / "out")}
+        assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seeds", [[-1], [1.5], ["2"], [True], [], 3, [3, 3]])
     def test_bad_config_seed_is_config_error(self, tmp_path, capsys, seeds):

@@ -278,6 +278,66 @@ class TestTrain:
             FnnConfig(lr=lr)
 
 
+def many_settled_claims(n: int):
+    """n settled claims over six accident periods, 4 to 8 records each."""
+    claims = []
+    for k in range(n):
+        ap, length = 1 + k % 6, 3 + k % 5
+        txns = [(ap + 0.5, "Ma", 0.0, 100.0 + k)]
+        txns += [
+            (ap + j + 0.4, "P" if j % 2 else "Mi", 10.0 * j + k % 7, 90.0 - j)
+            for j in range(1, length)
+        ]
+        txns.append((ap + length + 0.5, "PMa", 10.0 * length + k % 7 + 5.0, 0.0))
+        claims.append(build_claim(f"m{k}", ap, txns))
+    return build_dataset(claims)
+
+
+def traced_peak(fn, *args):
+    """fn's result and the peak of tracemalloc-traced memory it allocated.
+
+    A first, untraced call does the lazy imports numpy's seeding makes.
+    """
+    import gc
+    import tracemalloc
+
+    fn(*args)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestMemory:
+    """Peak allocations of the fit path, against the arrays it keeps."""
+
+    def test_rows_peak_within_twice_the_returned_arrays(self):
+        # The rows go into C doubles as they are built; a Python list of
+        # every float and its copy into numpy took 2.8 times the arrays here.
+        data = many_settled_claims(400)
+        cfg = FnnConfig(state_profile="splice_full")
+        rows, peak = traced_peak(build_training_rows, data, data.max_calendar_period, cfg)
+        kept = rows.features.nbytes + rows.targets.nbytes + rows.weights.nbytes
+        assert rows.features.shape[0] > 2000
+        assert peak / kept <= 2.0
+
+    def test_train_peak_within_two_and_a_half_feature_matrices(self):
+        # One scaled copy of the features, split into training and validation
+        # rows, then dropped; with a narrow net the copies set the peak.
+        # Separate fit and transform copies and a kept unsplit matrix took
+        # 3.1 times the features here.
+        data = many_settled_claims(2000)
+        cfg = FnnConfig(hidden=(4,), max_epochs=1, seed=2)
+        rows = build_training_rows(data, data.max_calendar_period, cfg)
+        _, peak = traced_peak(train_fnn, rows, cfg)
+        assert peak / rows.features.nbytes <= 2.5
+
+
 class TestPredict:
     def test_floor_at_zero(self):
         rows = linear_rows(n=60)

@@ -188,6 +188,49 @@ class TestScaler:
         z = scaler.transform(x)
         assert np.allclose(z[:, 0], 0.0)
 
+    @staticmethod
+    def features(seed: int = 3) -> tuple[np.ndarray, np.ndarray]:
+        """Rows with negative, zero and large cells in the currency columns."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, 1.0, size=(257, 6)) * np.array([1.0, 5e4, 3.0, 2e5, 1.0, 7.0])
+        x[::11, 1] = 0.0
+        x[5, 3] = -0.0
+        return x, np.array([False, True, False, True, False, False])
+
+    @staticmethod
+    def old_transform(scaler: FeatureScaler, x: np.ndarray) -> np.ndarray:
+        """The expression transform was first written as, with its temporaries."""
+        squeeze = x.ndim == 1
+        z = (x.reshape(1, -1) if squeeze else x).copy()
+        z[:, scaler.currency] = np.log1p(np.maximum(z[:, scaler.currency], 0.0))
+        z = (z - scaler.shift) / scaler.scale
+        return z[0] if squeeze else z
+
+    def test_fit_transform_equals_fit_then_transform(self):
+        x, currency = self.features()
+        assert (x[:, currency] < 0).any()
+        fitted = FeatureScaler.fit(x, currency)
+        scaler, z = FeatureScaler.fit_transform(x, currency)
+        for name in ("shift", "scale", "currency"):
+            assert getattr(scaler, name).tobytes() == getattr(fitted, name).tobytes()
+        assert z.tobytes() == fitted.transform(x).tobytes()
+
+    def test_in_place_transform_equals_the_old_expression(self):
+        x, currency = self.features()
+        scaler = FeatureScaler.fit(x[:100], currency)
+        for rows in (x, x[17], x[40:41], x[::-3]):
+            want = self.old_transform(scaler, rows)
+            got = scaler.transform(rows)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_transform_leaves_its_input_alone(self):
+        x, currency = self.features()
+        before = x.copy()
+        scaler, _ = FeatureScaler.fit_transform(x, currency)
+        scaler.transform(x)
+        scaler.transform(x[0])
+        assert x.tobytes() == before.tobytes()
+
 
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):

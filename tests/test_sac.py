@@ -37,11 +37,11 @@ def unit_scaler(dim: int) -> FeatureScaler:
 
 class TestSampleAction:
     def test_deterministic_zero_mean(self):
-        a, logp = sample_action(constant_actor(0.0, 0.0), np.zeros(3), LN2, deterministic=True)
-        assert a == 0.0 and logp is None
+        a = sample_action(constant_actor(0.0, 0.0), np.zeros(3), LN2, deterministic=True)
+        assert a == 0.0
 
     def test_saturation_at_bound(self):
-        a, _ = sample_action(constant_actor(50.0, 0.0), np.zeros(3), LN2, deterministic=True)
+        a = sample_action(constant_actor(50.0, 0.0), np.zeros(3), LN2, deterministic=True)
         assert a == pytest.approx(LN2)
 
     def test_stochastic_symmetry(self):
@@ -49,9 +49,13 @@ class TestSampleAction:
         rng = np.random.default_rng(0)
         actor = constant_actor(0.0, 0.0)
         states = np.zeros((100_000, 3))
-        a, logp = sample_action(actor, states, LN2, rng=rng)
+        a = sample_action(actor, states, LN2, rng=rng)
         assert abs(float(np.mean(a))) < 0.01
         assert np.all(np.abs(a) <= LN2)
+        # The same draws, as pre-squash values: their log-density is finite.
+        u = np.random.default_rng(0).standard_normal(a.shape)
+        assert a.tobytes() == (LN2 * np.tanh(u)).tobytes()
+        logp = gaussian_tanh_log_prob(np.zeros_like(u), np.zeros_like(u), u, LN2)
         assert np.all(np.isfinite(logp))
 
     def test_log_prob_integrates_to_one(self):

@@ -373,6 +373,18 @@ def as_text(obj, names):
     ]
 
 
+def test_unit_shape_gamma_is_the_standard_exponential():
+    """The payment weights' shape-1.0 draw: same value, same stream position."""
+    a = np.random.default_rng(17)
+    b = np.random.default_rng(17)
+    for n in range(20_000):
+        assert a.standard_gamma(1.0).hex() == b.standard_exponential().hex(), n
+        if n % 7 == 0:  # the first and final payments' shapes, between them
+            assert a.standard_gamma(1.5).hex() == b.standard_gamma(1.5).hex()
+            assert a.standard_gamma(3.0).hex() == b.standard_gamma(3.0).hex()
+    assert a.bit_generator.state == b.bit_generator.state
+
+
 @pytest.mark.parametrize("name", ["complexity1", "complexity5"])
 @pytest.mark.parametrize("seed", [1, 2, 9, 31])
 def test_every_claim_equals_the_reference_draws(name, seed):
