@@ -10,12 +10,11 @@ claims only, which is the quantity the claim-level models predict.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .claims import Dataset, Triangle, build_triangle, format_number
+from .claims import Dataset, Triangle, build_triangle, write_table
 from .credibility import age_to_ultimate, link_ratios
 from .errors import DataError, FactorError
 
@@ -239,19 +238,9 @@ def rbns_ocl(
 
 
 def write_cl_report(result: ClResult, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["accident_period", "ultimate_paid", "mu", "ibnr", "rbns_ocl", "stable"]
-        )
-        for row, i in enumerate(result.aps):
-            writer.writerow(
-                [
-                    i,
-                    format_number(result.ultimate_paid[row]),
-                    format_number(result.mu[row]),
-                    format_number(result.ibnr[row]),
-                    format_number(result.rbns_ocl[row]),
-                    int(result.stable[row]),
-                ]
-            )
+    header = ["accident_period", "ultimate_paid", "mu", "ibnr", "rbns_ocl", "stable"]
+    amounts = (result.ultimate_paid, result.mu, result.ibnr, result.rbns_ocl)
+    rows = (
+        [i, *cells, int(stable)] for i, stable, *cells in zip(result.aps, result.stable, *amounts)
+    )
+    write_table(path, header, rows)

@@ -28,6 +28,10 @@ a dict lookup built at construction: the claim list is treated as immutable.
 transaction-type sets share one frozenset (``type_set``), quiet periods the
 empty one. The loader reads rows with ``csv.reader``, with column positions
 resolved once from the header.
+
+Every CSV the package writes goes through ``write_table``: a float cell is
+written as ``format_number``'s shortest round-trip text and any other cell
+as ``csv.writer`` writes it. Each writer only names its header and rows.
 """
 
 from __future__ import annotations
@@ -537,70 +541,50 @@ def censor(dataset: Dataset, boundary: int) -> Dataset:
     )
 
 
+def write_table(path: str, header: list[str], rows) -> None:
+    """Write a CSV: the header, then each row, every float cell as ``format_number`` gives it.
+
+    A ``float`` cell (numpy ``float64`` included) is written as its shortest
+    round-trip text. Any other cell goes to ``csv.writer`` as it is, so None
+    is an empty cell and an int or a string is written unchanged.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [format_number(v) if isinstance(v, float) else v for v in row] for row in rows
+        )
+
+
 def write_transactions(dataset: Dataset, path: str, schema: str | None = None) -> None:
-    """Export the transaction ledger as CSV (deterministic formatting)."""
+    """Export the transaction ledger as CSV (deterministic formatting).
+
+    Each column is the ``Transaction`` field of its name, ``OCL`` being ``case_ocl``.
+    """
     schema = schema or dataset.schema
     if schema not in ("splice", "cas"):
         raise DataError(f"unknown schema {schema!r}")
     cols = SPLICE_COLUMNS if schema == "splice" else CAS_COLUMNS
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for claim in dataset.claims:
-            for txn in claim.transactions:
-                if schema == "splice":
-                    writer.writerow(
-                        [
-                            txn.claim_no,
-                            format_number(txn.claim_size),
-                            format_number(txn.txn_time),
-                            txn.txn_type,
-                            format_number(txn.incurred),
-                            format_number(txn.case_ocl),
-                            format_number(txn.cumpaid),
-                            txn.accident_period,
-                        ]
-                    )
-                else:
-                    writer.writerow(
-                        [
-                            txn.claim_no,
-                            format_number(txn.claim_size),
-                            format_number(txn.txn_time),
-                            format_number(txn.cumpaid),
-                            txn.accident_period,
-                        ]
-                    )
+    fields = operator.attrgetter(*("case_ocl" if c == "OCL" else c for c in cols))
+    write_table(path, cols, (fields(t) for claim in dataset.claims for t in claim.transactions))
 
 
 def write_dev_records(dataset: Dataset, path: str) -> None:
     """Export the discretized development view as CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "claim_no",
-                "accident_period",
-                "dev_period",
-                "cum_paid",
-                "n_pay",
-                "case",
-                "txn_types",
-                "true_ocl",
-            ]
-        )
-        for claim in dataset.claims:
-            for rec in claim.dev_records:
-                writer.writerow(
-                    [
-                        claim.claim_no,
-                        claim.accident_period,
-                        rec.dev_period,
-                        format_number(rec.cum_paid),
-                        rec.n_pay,
-                        format_number(rec.case),
-                        "|".join(sorted(rec.txn_types)),
-                        format_number(rec.true_ocl),
-                    ]
-                )
+    header = [
+        "claim_no",
+        "accident_period",
+        "dev_period",
+        "cum_paid",
+        "n_pay",
+        "case",
+        "txn_types",
+        "true_ocl",
+    ]
+    rows = (
+        [c.claim_no, c.accident_period, r.dev_period, r.cum_paid, r.n_pay, r.case]
+        + ["|".join(sorted(r.txn_types)), r.true_ocl]
+        for c in dataset.claims
+        for r in c.dev_records
+    )
+    write_table(path, header, rows)

@@ -15,11 +15,12 @@ amounts once per seed (``true_ocl_map``): each rl or fnn model gets one
 ``evaluate_predictions`` report, from which its metrics CSV, tercile CSV
 and summary are written, and the chain ladder gets one
 ``evaluate_chain_ladder`` report of aggregate ratios, written by the same
-metrics writer. Every number written to a CSV goes through
-``claims.format_number``.
+metrics writer. Every CSV is written by ``claims.write_table``, the one
+place a number becomes text.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 numeric
-fault during training or evaluation.
+fault during training or evaluation, 4 any other error (a crash: the
+traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from importlib import resources
 from types import SimpleNamespace
 
@@ -39,9 +41,9 @@ from . import chainladder as cl
 from .claims import (
     Dataset,
     discretize,
-    format_number,
     load_transactions,
     write_dev_records,
+    write_table,
     write_transactions,
 )
 from .credibility import InitTables, build_init_tables, write_init_tables
@@ -51,7 +53,7 @@ from .env import (
     export_transition_log,
     rollout_calendar,
 )
-from .errors import ConfigError, DataError, LeakageError, NumericFault
+from .errors import ConfigError, DataError, LeakageError, NumericFault, ParseError
 from .evaluation import (
     CAS_VALUATION,
     SPLICE_VALUATION,
@@ -388,20 +390,13 @@ def run_pipeline(cfg: dict) -> str:
             acquired = None
         manifest["stage_reached"] = "reports"
         summary_path = os.path.join(out_root, "summary.csv")
-        with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["seed", "model", "relative_ocl", "rmse"])
-            for s in summaries:
-                for model in ("rl", "fnn", "cl"):
-                    if f"{model}_ratio" in s:
-                        writer.writerow(
-                            [
-                                s["seed"],
-                                model,
-                                format_number(s[f"{model}_ratio"]),
-                                format_number(s.get(f"{model}_rmse")),
-                            ]
-                        )
+        rows = (
+            [s["seed"], model, s[f"{model}_ratio"], s.get(f"{model}_rmse")]
+            for s in summaries
+            for model in ("rl", "fnn", "cl")
+            if f"{model}_ratio" in s
+        )
+        write_table(summary_path, ["seed", "model", "relative_ocl", "rmse"], rows)
         for s in summaries:
             for path in s.pop("outputs"):
                 manifest["outputs"][os.path.relpath(path, out_root)] = _sha256(path)
@@ -416,12 +411,8 @@ def run_pipeline(cfg: dict) -> str:
 
 def _write_terciles(report: MetricsReport, path: str) -> None:
     ratios = report.ratio_by_tercile
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tercile", "relative_ocl"])
-        for name in ("small", "medium", "large"):
-            if name in ratios:
-                writer.writerow([name, format_number(ratios[name])])
+    rows = ([name, ratios[name]] for name in ("small", "medium", "large") if name in ratios)
+    write_table(path, ["tercile", "relative_ocl"], rows)
 
 
 def tune_from_config(cfg: dict, acquired: tuple) -> dict:
@@ -612,16 +603,39 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.transitions, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise DataError("transition log is empty")
-
-    txns = [SimpleNamespace(action=float(r["action"]), tau=int(r["tau"])) for r in rows]
+    EnvConfig(k=args.k)  # the environment's rule for k
+    if args.bins < 1:
+        raise ConfigError(f"--bins must be >= 1, got {args.bins}")
+    txns = _read_actions(args.transitions)
     counts, edges = action_histogram(txns, args.k, bins=args.bins, by_psn=args.by_psn)
     write_histogram_csv(counts, edges, args.out)
     print(f"histogram -> {args.out}")
     return 0
+
+
+def _read_actions(path: str) -> list[SimpleNamespace]:
+    """Each transition-log row's ``action`` (a float) and ``tau`` (an int).
+
+    A log without those columns, or a row whose cells do not parse, is a
+    ``ParseError`` naming the row (the header is row 1).
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in ("action", "tau") if c not in (reader.fieldnames or [])]
+        if reader.fieldnames and missing:
+            raise ParseError(f"transition log lacks columns {missing}")
+        txns = []
+        for row in reader:
+            action, tau = row["action"], row["tau"]
+            try:
+                txns.append(SimpleNamespace(action=float(action), tau=int(tau)))
+            except (TypeError, ValueError):
+                raise ParseError(
+                    f"row {reader.line_num}: cannot parse action={action!r}, tau={tau!r}"
+                ) from None
+    if not txns:
+        raise DataError("transition log is empty")
+    return txns
 
 
 def cmd_run(args) -> int:
@@ -763,6 +777,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericFault as exc:
         print(f"numeric fault: {exc}", file=sys.stderr)
         return 3
+    except Exception:
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -11,13 +11,12 @@ how much the average cost per incurred claim still grows from that age.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .claims import Dataset, Triangle, build_triangle, format_number
+from .claims import Dataset, Triangle, build_triangle, write_table
 from .errors import FactorError, InitError
 
 
@@ -155,30 +154,27 @@ def initialise_claim(
 
 def write_init_tables(tables: InitTables, path: str) -> None:
     """Audit export of the initialisation quantities."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "accident_period",
-                "n_settled",
-                "mean_ultimate",
-                "pi_paid",
-                "pi_ppci",
-                "credibility",
-                "adj_mean_ultimate",
-                "overall_adj_mean",
-            ]
-        )
-        for i in sorted(tables.settled_counts):
-            writer.writerow(
-                [
-                    i,
-                    tables.settled_counts[i],
-                    format_number(tables.mean_ultimate[i]),
-                    format_number(tables.pi_paid[i]),
-                    format_number(tables.pi_ppci[i]),
-                    format_number(tables.credibility[i]),
-                    format_number(tables.adj_mean_ultimate[i]),
-                    format_number(tables.overall_adj_mean),
-                ]
-            )
+    header = [
+        "accident_period",
+        "n_settled",
+        "mean_ultimate",
+        "pi_paid",
+        "pi_ppci",
+        "credibility",
+        "adj_mean_ultimate",
+        "overall_adj_mean",
+    ]
+    rows = (
+        [
+            i,
+            tables.settled_counts[i],
+            tables.mean_ultimate[i],
+            tables.pi_paid[i],
+            tables.pi_ppci[i],
+            tables.credibility[i],
+            tables.adj_mean_ultimate[i],
+            tables.overall_adj_mean,
+        ]
+        for i in sorted(tables.settled_counts)
+    )
+    write_table(path, header, rows)

@@ -22,14 +22,13 @@ dataclasses, without a ``__dict__`` each.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .claims import Claim, Dataset, DevelopmentRecord, format_number, type_set
+from .claims import Claim, Dataset, DevelopmentRecord, type_set, write_table
 from .credibility import InitTables, initialise_claim
 from .errors import ConfigError, DataError
 
@@ -57,8 +56,8 @@ class EnvConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.gamma < 1.0):
             raise ConfigError("gamma must lie in (0, 1)")
-        if self.k <= 1.0:
-            raise ConfigError("k must exceed 1")
+        if not 1.0 < self.k < math.inf:
+            raise ConfigError(f"k must be a finite number above 1, got {self.k!r}")
         if self.c_acc <= 0:
             raise ConfigError("c_acc must be positive")
         if self.m_warmup < 1:
@@ -519,36 +518,23 @@ def _finalize_settlement(claim: Claim, tracker: _Tracker | None, cfg: EnvConfig,
 
 def export_transition_log(transitions: list[Transition], path: str) -> None:
     """CSV log feeding the action-histogram and audit reports."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "claim_no",
-                "tau",
-                "accident_period",
-                "dev_period",
-                "action",
-                "exp_action",
-                "r_acc",
-                "r_stab",
-                "r_smooth",
-                "weight",
-                "ocl_pred",
-            ]
-        )
-        for txn in transitions:
-            writer.writerow(
-                [
-                    txn.claim_no,
-                    txn.tau,
-                    txn.accident_period,
-                    txn.dev_period,
-                    format_number(txn.action),
-                    format_number(math.exp(txn.action)),
-                    format_number(txn.breakdown.r_acc),
-                    format_number(txn.breakdown.r_stab),
-                    format_number(txn.breakdown.r_smooth),
-                    format_number(txn.breakdown.weight),
-                    format_number(txn.pred_ocl),
-                ]
-            )
+    header = [
+        "claim_no",
+        "tau",
+        "accident_period",
+        "dev_period",
+        "action",
+        "exp_action",
+        "r_acc",
+        "r_stab",
+        "r_smooth",
+        "weight",
+        "ocl_pred",
+    ]
+    rows = (
+        [t.claim_no, t.tau, t.accident_period, t.dev_period, t.action, math.exp(t.action)]
+        + [t.breakdown.r_acc, t.breakdown.r_stab, t.breakdown.r_smooth, t.breakdown.weight]
+        + [t.pred_ocl]
+        for t in transitions
+    )
+    write_table(path, header, rows)

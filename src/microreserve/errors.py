@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
 Exit-code mapping used by the CLI: ConfigError -> 1, DataError (and
-subclasses) -> 2, NumericFault -> 3.
+subclasses), LeakageError and FileNotFoundError -> 2, NumericFault -> 3,
+and any other exception -> 4, with its traceback on stderr.
 """
 
 

@@ -22,14 +22,13 @@ and the metrics writer takes such a report with its other slices empty.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chainladder import ClResult
-from .claims import Claim, Dataset, censor, format_number
+from .claims import Claim, Dataset, censor, write_table
 from .env import Transition
 from .errors import ConfigError, DataError, LeakageError, NumericFault
 
@@ -341,47 +340,28 @@ def tune(
 
 def write_metrics_csv(report: MetricsReport, model: str, seed: int, path: str) -> None:
     """Long-format slicing table: one row per (slice, value, metric)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "seed", "slice", "key", "relative_ocl", "rmse", "ocl_share"])
-        writer.writerow(
-            [
-                model,
-                seed,
-                "overall",
-                "",
-                format_number(report.overall_ratio),
-                format_number(report.rmse_overall),
-                "",
-            ]
+    header = ["model", "seed", "slice", "key", "relative_ocl", "rmse", "ocl_share"]
+    rows = [[model, seed, "overall", "", report.overall_ratio, report.rmse_overall, ""]]
+    for name, ratios, rmses, shares in (
+        ("ap", report.ratio_by_ap, report.rmse_by_ap, dict(report.share_by_ap)),
+        ("psn", report.ratio_by_psn, report.rmse_by_psn, dict(report.share_by_psn)),
+    ):
+        rows += (
+            [model, seed, name, key, ratios.get(key), rmses.get(key), shares.get(key)]
+            for key in sorted(set(ratios) | set(shares))
         )
-        for name, ratios, rmses, shares in (
-            ("ap", report.ratio_by_ap, report.rmse_by_ap, dict(report.share_by_ap)),
-            ("psn", report.ratio_by_psn, report.rmse_by_psn, dict(report.share_by_psn)),
-        ):
-            for key in sorted(set(ratios) | set(shares)):
-                writer.writerow(
-                    [
-                        model,
-                        seed,
-                        name,
-                        key,
-                        format_number(ratios.get(key)),
-                        format_number(rmses.get(key)),
-                        format_number(shares.get(key)),
-                    ]
-                )
+    write_table(path, header, rows)
 
 
 def write_histogram_csv(counts, edges, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if isinstance(counts, dict):
-            writer.writerow(["psn", "bin_left", "bin_right", "count"])
-            for psn, row in counts.items():
-                for b, c in enumerate(row):
-                    writer.writerow([psn, format_number(edges[b]), format_number(edges[b + 1]), int(c)])
-        else:
-            writer.writerow(["bin_left", "bin_right", "count"])
-            for b, c in enumerate(counts):
-                writer.writerow([format_number(edges[b]), format_number(edges[b + 1]), int(c)])
+    """One row per bin; per-psn counts (a dict) lead each row with the psn."""
+    header = ["bin_left", "bin_right", "count"]
+
+    def bins(row):
+        return ([edges[b], edges[b + 1], int(c)] for b, c in enumerate(row))
+
+    if isinstance(counts, dict):
+        rows = ([psn, *cells] for psn, row in counts.items() for cells in bins(row))
+        write_table(path, ["psn", *header], rows)
+    else:
+        write_table(path, header, bins(counts))

@@ -27,9 +27,11 @@ training and validation splits are gathered.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -45,6 +47,8 @@ from .nets import (
     forward,
     hidden_sizes,
     init_mlp,
+    load_mlp,
+    save_mlp,
 )
 
 
@@ -243,40 +247,19 @@ def train_fnn(rows: FnnRows, cfg: FnnConfig) -> FnnModel:
 
 
 def save_fnn(model: FnnModel, directory: str) -> None:
-    import dataclasses
-    import json
-    import os
-
-    from .nets import save_mlp
-
     os.makedirs(directory, exist_ok=True)
     save_mlp(model.net, os.path.join(directory, "net.json"))
-    np.savez(
-        os.path.join(directory, "scaler.npz"),
-        shift=model.scaler.shift,
-        scale=model.scaler.scale,
-        currency=model.scaler.currency,
-    )
+    model.scaler.save(os.path.join(directory, "scaler.npz"))
     with open(os.path.join(directory, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {"cfg": dataclasses.asdict(model.cfg), "s_scale": model.s_scale}, fh, indent=1
-        )
+        json.dump({"cfg": asdict(model.cfg), "s_scale": model.s_scale}, fh, indent=1)
 
 
 def load_fnn(directory: str) -> FnnModel:
-    import json
-    import os
-
-    from .nets import load_mlp
-
     with open(os.path.join(directory, "config.json"), encoding="utf-8") as fh:
         payload = json.load(fh)
-    data = np.load(os.path.join(directory, "scaler.npz"))
     return FnnModel(
         net=load_mlp(os.path.join(directory, "net.json")),
-        scaler=FeatureScaler(
-            shift=data["shift"], scale=data["scale"], currency=data["currency"]
-        ),
+        scaler=FeatureScaler.load(os.path.join(directory, "scaler.npz"))[0],
         cfg=FnnConfig(**payload["cfg"]),
         s_scale=payload["s_scale"],
     )

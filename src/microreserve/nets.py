@@ -8,7 +8,9 @@ averaging and snapshots each work on the whole vector at once.
 
 ``FeatureScaler`` standardises with one copy of its input per call, and
 ``fit_transform`` fits and standardises that one copy, so a large training
-matrix is copied once.
+matrix is copied once. ``FeatureScaler.save`` and ``load`` hold the one
+checkpoint array layout, a ``.npz`` of shift, scale and currency followed by
+any extra named arrays; the FNN and the SAC agent checkpoint through them.
 
 Everything runs in 64-bit floats with explicit numpy generators, so a
 seeded run is bit-reproducible. Gradients are hand-derived; the tests
@@ -267,6 +269,18 @@ class FeatureScaler:
         z -= self.shift
         z /= self.scale
         return z
+
+    def save(self, path: str, **extra: np.ndarray) -> None:
+        """One ``.npz`` file: shift, scale and currency, then the ``extra`` arrays by name."""
+        np.savez(path, shift=self.shift, scale=self.scale, currency=self.currency, **extra)
+
+    @classmethod
+    def load(cls, path: str) -> tuple["FeatureScaler", dict[str, np.ndarray]]:
+        """The scaler ``save`` wrote to ``path``, and its extra arrays by name."""
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        fields = {name: arrays.pop(name) for name in ("shift", "scale", "currency")}
+        return cls(**fields), arrays
 
 
 def _log_currency(x: np.ndarray, currency: np.ndarray) -> np.ndarray:

@@ -6,18 +6,23 @@ entropy-temperature tuning. Training is a single chronological pass over
 the calendar rollout: every environment transition is appended to the
 buffer and followed by a fixed number of gradient updates, so the agent
 learns while claims are still developing.
+
+Acting, the Bellman targets and the actor step each draw the pre-squash
+sample through ``squashed_draw``. ``save_agent`` checkpoints the networks as
+JSON, the configs, and the scaler with the log temperature as an extra
+array; ``load_agent`` rebuilds the agent around the loaded scaler.
 """
 
 from __future__ import annotations
 
-import csv
+import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .claims import Dataset, format_number
+from .claims import Dataset, write_table
 from .env import (
     EnvConfig,
     Transition,
@@ -144,6 +149,18 @@ def gaussian_tanh_log_prob(mean, log_std, u, ln_k: float):
     return base - _log1m_tanh_sq(u) - math.log(ln_k)
 
 
+def squashed_draw(mean: np.ndarray, raw_log_std: np.ndarray, rng: np.random.Generator):
+    """Reparameterised draw of the pre-squash ``u = mean + std * eps``.
+
+    Clips the log-std to [LOG_STD_MIN, LOG_STD_MAX] and makes one
+    ``standard_normal`` call of ``mean``'s shape. Returns (log_std, std, eps, u).
+    """
+    log_std = np.clip(raw_log_std, LOG_STD_MIN, LOG_STD_MAX)
+    std = np.exp(log_std)
+    eps = rng.standard_normal(mean.shape)
+    return log_std, std, eps, mean + std * eps
+
+
 def sample_action(
     actor: Mlp,
     state_scaled: np.ndarray,
@@ -162,11 +179,7 @@ def sample_action(
     mean = out2[:, 0]
     if not np.all(np.isfinite(mean)):
         raise NumericFault("actor produced non-finite mean")
-    if deterministic:
-        u = mean
-    else:
-        log_std = np.clip(out2[:, 1], LOG_STD_MIN, LOG_STD_MAX)
-        u = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
+    u = mean if deterministic else squashed_draw(mean, out2[:, 1], rng)[3]
     a = ln_k * np.tanh(u)
     return float(a[0]) if single else a
 
@@ -236,8 +249,7 @@ class SacAgent:
         """Bellman targets y = r + gamma (1-done)(min Q' - temp * log pi)."""
         out, _ = forward(self.actor, next_states)
         mean = out[:, 0]
-        log_std = np.clip(out[:, 1], LOG_STD_MIN, LOG_STD_MAX)
-        u = mean + np.exp(log_std) * self.rng.standard_normal(mean.shape)
+        log_std, _, _, u = squashed_draw(mean, out[:, 1], self.rng)
         a_norm = np.tanh(u)
         logp = gaussian_tanh_log_prob(mean, log_std, u, self.env_cfg.ln_k)
         x = np.concatenate([next_states, a_norm[:, None]], axis=1)
@@ -274,10 +286,7 @@ class SacAgent:
         out, actor_cache = forward(self.actor, states)
         mean = out[:, 0]
         log_std_raw = out[:, 1]
-        log_std = np.clip(log_std_raw, LOG_STD_MIN, LOG_STD_MAX)
-        std = np.exp(log_std)
-        eps = self.rng.standard_normal(mean.shape)
-        u = mean + std * eps
+        log_std, std, eps, u = squashed_draw(mean, log_std_raw, self.rng)
         tanh_u = np.tanh(u)
         logp = gaussian_tanh_log_prob(mean, log_std, u, self.env_cfg.ln_k)
 
@@ -329,64 +338,31 @@ class SacAgent:
         self.training_log.append(diag)
         return diag
 
-    # -- persistence ----------------------------------------------------------
 
-    def save(self, directory: str) -> None:
-        os.makedirs(directory, exist_ok=True)
-        save_mlp(self.actor, os.path.join(directory, "actor.json"))
-        save_mlp(self.critic1, os.path.join(directory, "critic1.json"))
-        save_mlp(self.critic2, os.path.join(directory, "critic2.json"))
-        np.savez(
-            os.path.join(directory, "scaler.npz"),
-            shift=self.scaler.shift,
-            scale=self.scaler.scale,
-            currency=self.scaler.currency,
-            log_temp=self._log_temp_arr,
-        )
-
-    def load(self, directory: str) -> None:
-        self.actor = load_mlp(os.path.join(directory, "actor.json"))
-        self.critic1 = load_mlp(os.path.join(directory, "critic1.json"))
-        self.critic2 = load_mlp(os.path.join(directory, "critic2.json"))
-        self.target1 = self.critic1.copy()
-        self.target2 = self.critic2.copy()
-        data = np.load(os.path.join(directory, "scaler.npz"))
-        self.scaler = FeatureScaler(
-            shift=data["shift"], scale=data["scale"], currency=data["currency"]
-        )
-        self._log_temp_arr = data["log_temp"]
+CHECKPOINT_NETS = ("actor", "critic1", "critic2")
 
 
 def save_agent(agent: SacAgent, directory: str) -> None:
-    """Checkpoint networks, scaler and both configs for later scoring."""
-    import dataclasses
-    import json
-
-    agent.save(directory)
+    """Checkpoint networks, scaler (with the log temperature) and both configs for scoring."""
+    os.makedirs(directory, exist_ok=True)
+    for name in CHECKPOINT_NETS:
+        save_mlp(getattr(agent, name), os.path.join(directory, f"{name}.json"))
+    agent.scaler.save(os.path.join(directory, "scaler.npz"), log_temp=agent._log_temp_arr)
     with open(os.path.join(directory, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "env": dataclasses.asdict(agent.env_cfg),
-                "sac": dataclasses.asdict(agent.cfg),
-            },
-            fh,
-            indent=1,
-        )
+        json.dump({"env": asdict(agent.env_cfg), "sac": asdict(agent.cfg)}, fh, indent=1)
 
 
 def load_agent(directory: str) -> SacAgent:
-    import json
-
+    """The agent ``save_agent`` wrote; its target critics are copies of the loaded critics."""
     with open(os.path.join(directory, "config.json"), encoding="utf-8") as fh:
         payload = json.load(fh)
-    env_cfg = EnvConfig(**payload["env"])
-    cfg = SacConfig(**payload["sac"])
-    dim = state_dim(env_cfg.state_profile, env_cfg.n_past)
-    placeholder = FeatureScaler(
-        shift=np.zeros(dim), scale=np.ones(dim), currency=np.zeros(dim, dtype=bool)
-    )
-    agent = SacAgent(env_cfg, cfg, placeholder)
-    agent.load(directory)
+    scaler, extra = FeatureScaler.load(os.path.join(directory, "scaler.npz"))
+    agent = SacAgent(EnvConfig(**payload["env"]), SacConfig(**payload["sac"]), scaler)
+    for name in CHECKPOINT_NETS:
+        setattr(agent, name, load_mlp(os.path.join(directory, f"{name}.json")))
+    agent.target1 = agent.critic1.copy()
+    agent.target2 = agent.critic2.copy()
+    agent._log_temp_arr[...] = extra["log_temp"]
     return agent
 
 
@@ -451,16 +427,5 @@ def predict_ocl_sac(
 
 
 def write_training_log(log: list[dict], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["update", "critic_loss", "actor_loss", "temperature", "buffer"])
-        for row in log:
-            writer.writerow(
-                [
-                    row["update"],
-                    format_number(row["critic_loss"]),
-                    format_number(row["actor_loss"]),
-                    format_number(row["temperature"]),
-                    row["buffer"],
-                ]
-            )
+    header = ["update", "critic_loss", "actor_loss", "temperature", "buffer"]
+    write_table(path, header, ([row[name] for name in header] for row in log))

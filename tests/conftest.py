@@ -3,7 +3,15 @@ from importlib import resources
 
 import pytest
 
-from microreserve.claims import Claim, Dataset, Transaction, discretize
+from microreserve.claims import Claim, Dataset, Transaction, discretize, format_number
+
+
+def as_cells(values) -> list:
+    """The values as ``claims.write_table`` writes them: floats as round-trip text.
+
+    So a comparison of cells tells -0.0 from 0.0 and compares nan equal to nan.
+    """
+    return [format_number(v) if isinstance(v, float) else v for v in values]
 
 
 def fixture_path(name: str) -> str:

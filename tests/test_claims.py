@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import os
@@ -19,11 +20,12 @@ from microreserve.claims import (
     load_transactions,
     period_of,
     type_set,
+    write_table,
     write_transactions,
 )
 from microreserve.errors import DataError, IntegrityError, ParseError
 
-from conftest import build_claim, build_dataset, fixture_path
+from conftest import as_cells, build_claim, build_dataset, fixture_path
 
 
 SPLICE_HEADER = "claim_no,claim_size,txn_time,txn_type,incurred,OCL,cumpaid,accident_period"
@@ -336,6 +338,38 @@ class TestTriangle:
             build_triangle(Dataset(claims=[], max_calendar_period=5), 5)
 
 
+class TestWriteTable:
+    CELLS = [1.5, np.float64(0.1), -0.0, 5e-324, math.nan, None, 7, np.int64(3), "x,y", ""]
+
+    def read(self, path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+
+    def test_header_then_rows(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        write_table(path, ["a", "b"], iter([[1, "p"], (2.5, None)]))
+        assert self.read(path) == [["a", "b"], ["1", "p"], ["2.5", ""]]
+
+    def test_each_cell_as_written(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        write_table(path, [f"c{i}" for i in range(len(self.CELLS))], [self.CELLS])
+        row = self.read(path)[1]
+        assert row[:5] == [format_number(v) for v in self.CELLS[:5]]
+        assert row[:5] == ["1.5", "0.1", "-0.0", "5e-324", "nan"]
+        assert row[5:] == ["", "7", "3", "x,y", ""]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+    def test_finite_floats_read_back_equal(self, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            write_table(path, [f"c{i}" for i in range(len(values))], [values])
+            cells = self.read(path)[1]
+        back = [float(c) for c in cells]
+        assert back == values
+        assert [math.copysign(1.0, v) for v in back] == [math.copysign(1.0, v) for v in values]
+
+
 class TestRoundTrip:
     def test_export_reingest_identical_dev_records(self, tmp_path):
         import dataclasses
@@ -643,10 +677,7 @@ def per_cell_triangle(dataset, valuation, settled_only=False):
 
 def record_fields(rec):
     """Every field of a record, floats as their round-trip text (so -0.0 != 0.0)."""
-    return [
-        format_number(v) if isinstance(v, float) else v
-        for v in (getattr(rec, name) for name in rec._fields)
-    ]
+    return as_cells(rec)
 
 
 def assert_same_view(view, expected):

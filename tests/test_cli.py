@@ -175,6 +175,51 @@ class TestExitCodes:
         assert "config error: seed must be a non-negative integer" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
+    def test_untyped_crash_exits_four_with_traceback(self, tmp_path, monkeypatch, capsys):
+        def crash(cfg, seed):
+            raise TypeError("boom")
+
+        monkeypatch.setattr(cli, "acquire_dataset", crash)
+        assert cli.main(["run", "--models", "cl", "--output-dir", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "TypeError: boom" in err
+
+    @pytest.mark.parametrize(
+        "log, flags, code, message",
+        [
+            ("claim_no,tau,action\na,1,0.1\nb,2,abc\n", [], 2, "row 3: cannot parse action='abc'"),
+            ("claim_no,tau,action\na,x,0.1\n", [], 2, "row 2: cannot parse action='0.1', tau='x'"),
+            ("claim_no,action\na,0.1\n", [], 2, "lacks columns ['tau']"),
+            ("claim_no,tau,action\n", [], 2, "transition log is empty"),
+            ("claim_no,tau,action\na,1,0.1\n", ["--k", "0.5"], 1, "k must be a finite number"),
+            ("claim_no,tau,action\na,1,0.1\n", ["--k", "1"], 1, "k must be a finite number"),
+            ("claim_no,tau,action\na,1,0.1\n", ["--k", "nan"], 1, "above 1, got nan"),
+            ("claim_no,tau,action\na,1,0.1\n", ["--k", "inf"], 1, "above 1, got inf"),
+            ("claim_no,tau,action\na,1,0.1\n", ["--bins", "0"], 1, "--bins must be >= 1"),
+        ],
+        ids=[
+            "action_abc", "tau_x", "no_tau", "header_only", "k_half", "k_one", "k_nan", "k_inf",
+            "bins_zero",
+        ],
+    )
+    def test_report_checks_its_inputs(self, tmp_path, capsys, log, flags, code, message):
+        (tmp_path / "log.csv").write_text(log, encoding="utf-8")
+        out = tmp_path / "hist.csv"
+        argv = ["report", "--transitions", str(tmp_path / "log.csv"), "--out", str(out), *flags]
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        assert ("data error:" if code == 2 else "config error:") in err and message in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_report_writes_each_bin(self, tmp_path):
+        (tmp_path / "log.csv").write_text("claim_no,tau,action\na,1,0.0\nb,2,0.5\n")
+        out = tmp_path / "hist.csv"
+        argv = ["report", "--transitions", str(tmp_path / "log.csv"), "--out", str(out)]
+        assert cli.main([*argv, "--bins", "3"]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert rows[0] == ["bin_left", "bin_right", "count"]
+        assert [int(r[2]) for r in rows[1:]] == [0, 1, 1]
+
     def test_single_fold_is_config_error(self, tmp_path):
         cfg = {**TINY, "split": {"k_folds": 1}, "models": ["cl"], "output_dir": str(tmp_path)}
         assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1

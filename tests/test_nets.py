@@ -223,6 +223,22 @@ class TestScaler:
             got = scaler.transform(rows)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    def test_save_load_round_trip_with_extra_arrays(self, tmp_path):
+        x, currency = self.features()
+        scaler = FeatureScaler.fit(x, currency)
+        path = str(tmp_path / "scaler.npz")
+        scaler.save(path, log_temp=np.array([-1.25]))
+        with np.load(path) as data:
+            assert data.files == ["shift", "scale", "currency", "log_temp"]
+        again, extra = FeatureScaler.load(path)
+        for name in ("shift", "scale", "currency"):
+            got, want = getattr(again, name), getattr(scaler, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert list(extra) == ["log_temp"] and extra["log_temp"].tolist() == [-1.25]
+        bare = str(tmp_path / "bare.npz")
+        scaler.save(bare)
+        assert FeatureScaler.load(bare)[1] == {}
+
     def test_transform_leaves_its_input_alone(self):
         x, currency = self.features()
         before = x.copy()

@@ -15,6 +15,7 @@ from microreserve.sac import (
     load_agent,
     sample_action,
     save_agent,
+    squashed_draw,
     train_sac,
 )
 
@@ -33,6 +34,21 @@ def unit_scaler(dim: int) -> FeatureScaler:
     return FeatureScaler(
         shift=np.zeros(dim), scale=np.ones(dim), currency=np.zeros(dim, dtype=bool)
     )
+
+
+class TestSquashedDraw:
+    def test_same_bits_and_stream_as_the_inline_draw(self):
+        mean = np.array([0.3, -1.0, 2.0, 0.0])
+        raw = np.array([-25.0, 0.5, 3.0, -20.0])
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        log_std, std, eps, u = squashed_draw(mean, raw, rng)
+        want_log_std = np.clip(raw, -20.0, 2.0)
+        want_eps = ref.standard_normal(mean.shape)
+        want_u = mean + np.exp(want_log_std) * want_eps
+        assert log_std.tobytes() == want_log_std.tobytes()
+        assert std.tobytes() == np.exp(want_log_std).tobytes()
+        assert eps.tobytes() == want_eps.tobytes() and u.tobytes() == want_u.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestSampleAction:
@@ -287,6 +303,25 @@ class TestPersistence:
             assert np.array_equal(target.flat, critic.flat)
             assert not np.shares_memory(target.flat, critic.flat)
         assert np.array_equal(again.critic1.flat, agent.critic1.flat)
+
+    def test_loaded_temperature_and_scaler_are_bitwise_equal(self, tmp_path):
+        agent = make_agent(seed=4)
+        agent.scaler = FeatureScaler(
+            shift=np.array([0.1, -2.0, 3.5, 1e-300]),
+            scale=np.array([1.0, 0.3, 7.0, 2.0]),
+            currency=np.array([False, False, True, True]),
+        )
+        fill_buffer(agent)
+        for _ in range(5):
+            agent.update()  # auto_temp moves the temperature off its start
+        assert agent.temperature != agent.cfg.init_temp
+        save_agent(agent, str(tmp_path / "ckpt"))
+        again = load_agent(str(tmp_path / "ckpt"))
+        assert again.temperature == agent.temperature
+        assert again._log_temp_arr.tobytes() == agent._log_temp_arr.tobytes()
+        for name in ("shift", "scale", "currency"):
+            got, want = getattr(again.scaler, name), getattr(agent.scaler, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # -- oracles: the list buffer and the per-array Adam and Polyak loops ---------

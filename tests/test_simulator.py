@@ -9,7 +9,6 @@ from microreserve.claims import (
     Claim,
     Transaction,
     discretize,
-    format_number,
     period_of,
     write_transactions,
 )
@@ -22,6 +21,8 @@ from microreserve.simulator import (
     simulate_portfolio,
     with_seed,
 )
+
+from conftest import as_cells
 
 
 def small(cfg: SimConfig, aps=8, mean=25.0) -> SimConfig:
@@ -367,10 +368,7 @@ def reference_claim(config: SimConfig, i: int, k: int) -> Claim:
 
 def as_text(obj, names):
     """The named fields, floats as their round-trip text (so -0.0 != 0.0)."""
-    return [
-        (name, format_number(v) if isinstance(v, float) else v)
-        for name, v in ((name, getattr(obj, name)) for name in names)
-    ]
+    return list(zip(names, as_cells(getattr(obj, name) for name in names)))
 
 
 def test_unit_shape_gamma_is_the_standard_exponential():
