@@ -165,7 +165,6 @@ class Claim:
 @dataclass
 class Dataset:
     claims: list[Claim]
-    period_unit: str = "quarter"  # "quarter" | "year"
     schema: str = "splice"  # "splice" | "cas"
     max_calendar_period: int = 0
     n_dropped_zero_loss: int = 0
@@ -324,7 +323,7 @@ def _assemble_claim(txns: list[Transaction], schema: str) -> Claim | None:
     )
 
 
-def load_transactions(path: str, schema: str = "splice", period_unit: str | None = None) -> Dataset:
+def load_transactions(path: str, schema: str = "splice") -> Dataset:
     """Load a transactions CSV into a validated Dataset.
 
     schema "splice" expects case-estimate columns; "cas" is the reduced
@@ -335,8 +334,6 @@ def load_transactions(path: str, schema: str = "splice", period_unit: str | None
     if schema not in ("splice", "cas"):
         raise DataError(f"unknown schema {schema!r}")
     expected = SPLICE_COLUMNS if schema == "splice" else CAS_COLUMNS
-    if period_unit is None:
-        period_unit = "quarter" if schema == "splice" else "year"
 
     groups: dict[str, list[Transaction]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -377,7 +374,6 @@ def load_transactions(path: str, schema: str = "splice", period_unit: str | None
 
     return Dataset(
         claims=claims,
-        period_unit=period_unit,
         schema=schema,
         max_calendar_period=max_t,
         n_dropped_zero_loss=n_zero,
@@ -535,7 +531,6 @@ def censor(dataset: Dataset, boundary: int) -> Dataset:
         )
     return Dataset(
         claims=out,
-        period_unit=dataset.period_unit,
         schema=dataset.schema,
         max_calendar_period=horizon,
     )

@@ -4,8 +4,12 @@ Subcommands: simulate, ingest, chain-ladder, train-rl, train-fnn, tune,
 evaluate, report, run (full pipeline), verify (golden single-claim
 replay). A JSON run-config drives the pipeline; command-line flags
 override config keys, which override built-in defaults. A key that no
-section knows, in the config or in a tuning grid point, a wrongly typed
-split or data value, or a repeated seed is a configuration error.
+section knows, in the config or in a tuning grid point, or a repeated seed
+is a configuration error, and so is any number that breaks the one rule
+of ``errors.check_number``: of its field's kind (a bool is no number),
+finite and inside its interval. The model sections and each tuning grid
+point are checked by their config classes, which apply that rule, and the
+split and data numbers by the rule itself, all before any data is acquired.
 
 Every command that models data takes it from one helper: acquire the
 seed's data, resolve the train/test boundary and censor there. The rl
@@ -20,7 +24,8 @@ place a number becomes text.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 numeric
 fault during training or evaluation, 4 any other error (a crash: the
-traceback goes to stderr).
+traceback goes to stderr). ``evaluate`` loads its checkpoints before it
+acquires data, and a damaged checkpoint file is a data error naming it.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from .env import (
     export_transition_log,
     rollout_calendar,
 )
-from .errors import ConfigError, DataError, LeakageError, NumericFault, ParseError
+from .errors import ConfigError, DataError, LeakageError, NumericFault, ParseError, check_number
 from .evaluation import (
     CAS_VALUATION,
     SPLICE_VALUATION,
@@ -162,11 +167,6 @@ def _grid_sections(family: str, point: dict) -> dict:
     return point
 
 
-def _is_number(value, types=(int, float)) -> bool:
-    """isinstance of the number types, where a JSON true/false is no number."""
-    return isinstance(value, types) and not isinstance(value, bool)
-
-
 def validate_config(cfg: dict) -> None:
     defaults = default_config()
     for section in ("data", "split", "tuning"):
@@ -183,14 +183,9 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError("ingest source needs data.path")
         if data.get("schema") not in ("splice", "cas"):
             raise ConfigError(f"unknown schema {data.get('schema')!r}")
-    k_folds, boundary = cfg["split"]["k_folds"], cfg["split"]["boundary"]
-    if not (_is_number(k_folds, int) and k_folds >= 2):
-        raise ConfigError(f"split.k_folds must be an integer >= 2, got {k_folds!r}")
-    if boundary is not None and not (_is_number(boundary, int) and boundary >= 1):
-        raise ConfigError(f"split.boundary must be null or an integer >= 1, got {boundary!r}")
-    n = data["claims_per_period"]
-    if n is not None and not (_is_number(n) and 0 < n < math.inf):
-        raise ConfigError(f"data.claims_per_period must be null or a positive number, got {n!r}")
+    check_number("split.k_folds", cfg["split"]["k_folds"], "int", "[2, inf)")
+    check_number("split.boundary", cfg["split"]["boundary"], "int | None", "[1, inf)")
+    check_number("data.claims_per_period", data["claims_per_period"], "float | None", "(0, inf)")
     models = cfg["models"]
     if not isinstance(models, list) or not models:
         raise ConfigError(f"models must be a non-empty list, got {models!r}")
@@ -210,19 +205,16 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"unknown tuning family {family!r}")
     # Constructor validation of the model configs, alone and with each tuning
     # grid point merged in, before any work.
-    checks = [(section, cfg[section], "model config") for section in MODEL_SECTIONS]
+    checks = [(section, cfg[section]) for section in MODEL_SECTIONS]
     grid = cfg["tuning"]["grid"]
     if not isinstance(grid, list):
         raise ConfigError(f"tuning.grid must be a list, got {grid!r}")
     for point in grid:
         for section, params in _grid_sections(family, point).items():
             _check_keys(f"{section} tuning grid", params, _fields(section))
-            checks.append((section, {**cfg[section], **params}, f"tuning grid point {point}"))
-    for section, params, where in checks:
-        try:
-            MODEL_SECTIONS[section](**params)
-        except TypeError as exc:
-            raise ConfigError(f"bad {where} value: {exc}") from None
+            checks.append((section, {**cfg[section], **params}))
+    for section, params in checks:
+        MODEL_SECTIONS[section](**params)
 
 
 def _config_hash(cfg: dict) -> str:
@@ -581,17 +573,19 @@ def cmd_tune(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, _data_overrides(args))
+    if not (args.rl_checkpoint or args.fnn_model):
+        raise ConfigError("evaluate needs --rl-checkpoint and/or --fnn-model")
+    # Load the checkpoints first, so a damaged one is reported before any data work.
+    agent = load_agent(args.rl_checkpoint) if args.rl_checkpoint else None
+    model = load_fnn(args.fnn_model) if args.fnn_model else None
     seed = cfg["seeds"][0]
     dataset, boundary, view = _acquire_view(cfg, seed)
     predictions: dict[str, dict[str, float]] = {}
-    if args.rl_checkpoint:
-        agent = load_agent(args.rl_checkpoint)
+    if agent is not None:
         tables = build_init_tables(view, boundary)
         predictions["rl"], _ = _predict_rl(agent, view, tables, boundary)
-    if args.fnn_model:
-        predictions["fnn"] = predict_ocl_fnn(load_fnn(args.fnn_model), view, boundary)
-    if not predictions:
-        raise ConfigError("evaluate needs --rl-checkpoint and/or --fnn-model")
+    if model is not None:
+        predictions["fnn"] = predict_ocl_fnn(model, view, boundary)
     os.makedirs(cfg["output_dir"], exist_ok=True)
     actuals = true_ocl_map(dataset, boundary)
     for name, preds in predictions.items():

@@ -30,7 +30,7 @@ import numpy as np
 
 from .claims import Claim, Dataset, DevelopmentRecord, type_set, write_table
 from .credibility import InitTables, initialise_claim
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_config
 
 PROFILES = ("minimal", "cas", "splice_full")
 ONE_HOT_TYPES = ("Mi", "Ma", "P", "PMi", "PMa")
@@ -54,20 +54,8 @@ class EnvConfig:
     state_profile: str = "splice_full"
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.gamma < 1.0):
-            raise ConfigError("gamma must lie in (0, 1)")
-        if not 1.0 < self.k < math.inf:
-            raise ConfigError(f"k must be a finite number above 1, got {self.k!r}")
-        if self.c_acc <= 0:
-            raise ConfigError("c_acc must be positive")
-        if self.m_warmup < 1:
-            raise ConfigError("m_warmup must be >= 1")
-        if self.n_past < 0:
-            raise ConfigError("n_past must be >= 0")
-        if self.alpha_w < 0:
-            raise ConfigError("alpha_w must be >= 0")
-        if self.s_scale is not None and self.s_scale <= 0:
-            raise ConfigError("s_scale must be positive")
+        check_config(self, k="(1, inf)", gamma="(0, 1)", c_acc="(0, inf)", m_warmup="[1, inf)",
+                     n_past="[0, inf)", alpha_w="[0, inf)", s_scale="(0, inf)")
         if self.state_profile not in PROFILES:
             raise ConfigError(f"unknown state profile {self.state_profile!r}")
 
@@ -337,7 +325,7 @@ class _Tracker:
     ul0: float
     horizon: float  # settlement periods-since-notification; inf while open
     preds: list[float] = field(default_factory=list)
-    pred_records: list[tuple[int, int, float]] = field(default_factory=list)
+    pred_records: list[tuple[int, float]] = field(default_factory=list)  # (t, estimate)
     ul_path: list[float] = field(default_factory=list)
     pending: Transition | None = None
     emitted: list[Transition] = field(default_factory=list)
@@ -346,12 +334,12 @@ class _Tracker:
 @dataclass
 class RolloutResult:
     transitions: list[Transition]
-    predictions: dict[str, list[tuple[int, int, float]]]
+    predictions: dict[str, list[tuple[int, float]]]  # per claim: (period, estimate)
     n_skipped: int
 
     def final_predictions(self) -> dict[str, float]:
         """Each claim's last estimate: its reserve at the end of the rollout."""
-        return {cn: records[-1][2] for cn, records in self.predictions.items()}
+        return {cn: records[-1][1] for cn, records in self.predictions.items()}
 
 
 def rollout_calendar(
@@ -393,7 +381,7 @@ def rollout_calendar(
 
     trackers: dict[str, _Tracker] = {}
     transitions: list[Transition] = []
-    predictions: dict[str, list[tuple[int, int, float]]] = {}
+    predictions: dict[str, list[tuple[int, float]]] = {}
 
     def emit(txn: Transition) -> None:
         transitions.append(txn)
@@ -441,7 +429,7 @@ def rollout_calendar(
 
             tracker.ocl = new_ocl
             tracker.preds.append(new_ocl)
-            tracker.pred_records.append((tau, t, new_ocl))
+            tracker.pred_records.append((t, new_ocl))
             tracker.ul_path.append(new_ocl + rec.cum_paid)
 
             r_stab = reward_stability(
@@ -470,7 +458,7 @@ def rollout_calendar(
         predictions[claim_no] = tracker.pred_records
         if claim.settled and claim.settlement_period <= horizon:
             continue
-        last_t = tracker.pred_records[-1][1]
+        last_t = tracker.pred_records[-1][0]
         rec_curr = claim.record_at(last_t)
         for txn in tracker.emitted:
             p_tau = claim.record_at(claim.notification_period + txn.tau - 1).cum_paid

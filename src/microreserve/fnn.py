@@ -37,7 +37,7 @@ import numpy as np
 
 from .claims import Claim, Dataset
 from .env import PREV_OCL_SLOT, currency_mask, ocl_importance_weight, state_rows
-from .errors import ConfigError, DataError, NumericFault
+from .errors import DataError, NumericFault, check_config
 from .nets import (
     AdamState,
     FeatureScaler,
@@ -47,6 +47,7 @@ from .nets import (
     forward,
     hidden_sizes,
     init_mlp,
+    load_config_json,
     load_mlp,
     save_mlp,
 )
@@ -66,16 +67,9 @@ class FnnConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.dropout < 1.0):
-            raise ConfigError("dropout must lie in [0, 1)")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ConfigError("batch_size and max_epochs must be >= 1")
-        if self.alpha_w < 0:
-            raise ConfigError("alpha_w must be >= 0")
-        if self.patience < 0:
-            raise ConfigError("patience must be >= 0")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        check_config(self, batch_size="[1, inf)", dropout="[0, 1)", lr="(0, inf)",
+                     alpha_w="[0, inf)", s_scale="(0, inf)", patience="[0, inf)",
+                     max_epochs="[1, inf)")
         object.__setattr__(self, "hidden", hidden_sizes(self.hidden))
 
 
@@ -161,6 +155,13 @@ class FnnModel:
         return np.maximum(np.expm1(np.clip(out[:, 0], None, 40.0)), 0.0)
 
 
+def _layout(cfg: FnnConfig) -> tuple[np.ndarray, list[int], list[str]]:
+    """The features' currency mask, and the network's layer sizes and activations."""
+    mask = np.delete(currency_mask(cfg.state_profile, 0), PREV_OCL_SLOT)
+    hidden = list(cfg.hidden)
+    return mask, [mask.size, *hidden, 1], ["relu"] * len(hidden) + ["identity"]
+
+
 def _split_by_claim(rows: FnnRows, rng: np.random.Generator):
     claim_ids = sorted(set(rows.claim_nos))
     perm = rng.permutation(len(claim_ids))
@@ -181,7 +182,7 @@ def train_fnn(rows: FnnRows, cfg: FnnConfig) -> FnnModel:
         raise DataError("too few rows to train on")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 23]))
 
-    mask = np.delete(currency_mask(cfg.state_profile, 0), PREV_OCL_SLOT)
+    mask, sizes, activations = _layout(cfg)
     scaler, x_all = FeatureScaler.fit_transform(rows.features, mask)
     y_all = np.log1p(rows.targets)
     w_all = rows.weights
@@ -194,12 +195,7 @@ def train_fnn(rows: FnnRows, cfg: FnnConfig) -> FnnModel:
     x_va, y_va, w_va = x_all[val_mask], y_all[val_mask], w_all[val_mask]
     del x_all  # the splits are copies
 
-    hid = list(cfg.hidden)
-    net = init_mlp(
-        [rows.features.shape[1]] + hid + [1],
-        ["relu"] * len(hid) + ["identity"],
-        rng,
-    )
+    net = init_mlp(sizes, activations, rng)
     net.biases[-1][...] = np.sum(w_tr * y_tr) / np.sum(w_tr)
     opt = AdamState.for_params(net.flat, cfg.lr)
 
@@ -255,13 +251,14 @@ def save_fnn(model: FnnModel, directory: str) -> None:
 
 
 def load_fnn(directory: str) -> FnnModel:
-    with open(os.path.join(directory, "config.json"), encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """The model ``save_fnn`` wrote; a damaged file is a DataError naming it."""
+    cfgs = load_config_json(os.path.join(directory, "config.json"), cfg=FnnConfig, s_scale="float")
+    _, sizes, activations = _layout(cfgs["cfg"])
     return FnnModel(
-        net=load_mlp(os.path.join(directory, "net.json")),
-        scaler=FeatureScaler.load(os.path.join(directory, "scaler.npz"))[0],
-        cfg=FnnConfig(**payload["cfg"]),
-        s_scale=payload["s_scale"],
+        net=load_mlp(os.path.join(directory, "net.json"), like=Mlp(sizes, activations)),
+        scaler=FeatureScaler.load(os.path.join(directory, "scaler.npz"), sizes[0])[0],
+        cfg=cfgs["cfg"],
+        s_scale=cfgs["s_scale"],
     )
 
 

@@ -11,6 +11,9 @@ averaging and snapshots each work on the whole vector at once.
 matrix is copied once. ``FeatureScaler.save`` and ``load`` hold the one
 checkpoint array layout, a ``.npz`` of shift, scale and currency followed by
 any extra named arrays; the FNN and the SAC agent checkpoint through them.
+Every checkpoint reader (``FeatureScaler.load``, ``load_mlp`` and
+``load_config_json``) checks what it reads against the model it is for and
+raises a DataError naming the file for any damage.
 
 Everything runs in 64-bit floats with explicit numpy generators, so a
 seeded run is bit-reproducible. Gradients are hand-derived; the tests
@@ -19,12 +22,14 @@ check them against central finite differences.
 
 from __future__ import annotations
 
+import contextlib
 import json
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericFault
+from .errors import ConfigError, DataError, NumericFault, check_number
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
@@ -275,12 +280,27 @@ class FeatureScaler:
         np.savez(path, shift=self.shift, scale=self.scale, currency=self.currency, **extra)
 
     @classmethod
-    def load(cls, path: str) -> tuple["FeatureScaler", dict[str, np.ndarray]]:
-        """The scaler ``save`` wrote to ``path``, and its extra arrays by name."""
-        with np.load(path) as data:
+    def load(cls, path: str, width: int | None = None, **extra_shapes: tuple[int, ...]):
+        """The scaler ``save`` wrote to ``path``, and its extra arrays by name.
+
+        Given the model's feature ``width``, the file must hold exactly
+        shift, scale and currency of that width and the ``extra_shapes``
+        arrays; currency is bool and the rest finite float64, scale positive.
+        Any damage is a DataError naming the file.
+        """
+        with _reading(path), np.load(path) as data:
             arrays = {name: data[name] for name in data.files}
-        fields = {name: arrays.pop(name) for name in ("shift", "scale", "currency")}
-        return cls(**fields), arrays
+            shapes = {"shift": (width,), "scale": (width,), "currency": (width,), **extra_shapes}
+            if width is not None and not (
+                {name: a.shape for name, a in arrays.items()} == shapes
+                and arrays["currency"].dtype == bool
+                and all(a.dtype == np.float64 and np.isfinite(a).all()
+                        for name, a in arrays.items() if name != "currency")
+                and (arrays["scale"] > 0).all()
+            ):
+                raise ValueError("its arrays do not form the model's scaler")
+            scaler = cls(*(arrays.pop(name) for name in ("shift", "scale", "currency")))
+        return scaler, arrays
 
 
 def _log_currency(x: np.ndarray, currency: np.ndarray) -> np.ndarray:
@@ -303,17 +323,69 @@ def save_mlp(net: Mlp, path: str) -> None:
         json.dump(payload, fh)
 
 
-def load_mlp(path: str) -> Mlp:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    net = Mlp(sizes=payload["sizes"], activations=payload["activations"])
-    saved = payload["weights"] + payload["biases"]
-    views = net.weights + net.biases
-    if len(saved) != len(views):
-        raise DataError(f"{path}: {len(saved)} parameter arrays for {len(views)} slots")
-    for view, arr in zip(views, saved):
-        arr = np.array(arr, dtype=np.float64)
-        if arr.shape != view.shape:
-            raise DataError(f"{path}: parameter array of shape {arr.shape} != {view.shape}")
-        view[...] = arr
+def load_mlp(path: str, like: Mlp | None = None) -> Mlp:
+    """The network ``save_mlp`` wrote, whose parameters must be finite numbers.
+
+    Given ``like``, its layer sizes and activations must be like's. Any damage
+    is a DataError naming the file.
+    """
+    with _reading(path):
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        layers = (payload["sizes"], payload["activations"])
+        if like is not None and layers != (like.sizes, like.activations):
+            raise ValueError(f"layers {layers} are not the model's")
+        net = Mlp(*layers)
+        saved = payload["weights"] + payload["biases"]
+        views = net.weights + net.biases
+        if len(saved) != len(views):
+            raise ValueError(f"{len(saved)} parameter arrays for {len(views)} slots")
+        for view, arr in zip(views, saved):
+            arr = np.asarray(arr)
+            if arr.dtype.kind not in "if" or arr.shape != view.shape:
+                raise ValueError(f"parameter array of {arr.dtype} {arr.shape}, not {view.shape}")
+            view[...] = arr
+        if not np.isfinite(net.flat).all():
+            raise ValueError("non-finite parameters")
     return net
+
+
+def load_config_json(path: str, **sections) -> dict:
+    """A checkpoint's ``config.json``, each named section built by its config class.
+
+    The file holds exactly these sections, and each section exactly its
+    class's fields: a missing field would load its default and score a
+    different model. A section given as a kind (``"float"``) holds one
+    number that ``check_number`` accepts. Any damage is a DataError naming
+    the file.
+    """
+    with _reading(path):
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict) or set(payload) != set(sections):
+            raise ValueError(f"the sections are not {sorted(sections)}")
+        loaded = {}
+        for name, kind in sections.items():
+            value = payload[name]
+            if isinstance(kind, str):
+                check_number(name, value, kind)
+            elif isinstance(value, dict) and set(value) == {f.name for f in fields(kind)}:
+                value = kind(**value)
+            else:
+                raise ValueError(f"section {name!r} is not exactly the fields of {kind.__name__}")
+            loaded[name] = value
+    return loaded
+
+
+# What damaged file contents raise while a loader reads and checks them;
+# ConfigError and DataError are ValueErrors, so a value the configs reject counts.
+_DAMAGE = (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile)
+
+
+@contextlib.contextmanager
+def _reading(path: str):
+    """Turn any sign of damage while reading ``path`` into a DataError naming it."""
+    try:
+        yield
+    except _DAMAGE as exc:
+        raise DataError(f"bad checkpoint file {path}: {exc}") from None

@@ -32,7 +32,7 @@ from .env import (
     rollout_calendar,
     state_dim,
 )
-from .errors import ConfigError, DataError, NumericFault
+from .errors import ConfigError, DataError, NumericFault, check_config
 from .nets import (
     AdamState,
     FeatureScaler,
@@ -42,6 +42,7 @@ from .nets import (
     forward,
     hidden_sizes,
     init_mlp,
+    load_config_json,
     load_mlp,
     save_mlp,
 )
@@ -67,20 +68,11 @@ class SacConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rho < 1.0):
-            raise ConfigError("rho must lie strictly inside (0, 1)")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        check_config(self, batch_size="[1, inf)", actor_lr="(0, inf)", critic_lr="(0, inf)",
+                     temp_lr="(0, inf)", rho="(0, 1)", init_temp="(0, inf)",
+                     updates_per_step="[0, inf)", warmup_steps="[0, inf)")
         if self.replay_capacity is not None and self.replay_capacity < self.batch_size:
             raise ConfigError("replay_capacity must be >= batch_size, or no update ever runs")
-        if self.warmup_steps < 0:
-            raise ConfigError("warmup_steps must be >= 0")
-        if min(self.actor_lr, self.critic_lr, self.temp_lr) <= 0:
-            raise ConfigError("actor_lr, critic_lr and temp_lr must be positive")
-        if self.updates_per_step < 0:
-            raise ConfigError("updates_per_step must be >= 0")
-        if self.init_temp <= 0:
-            raise ConfigError("init_temp must be positive")
         object.__setattr__(self, "hidden", hidden_sizes(self.hidden))
 
 
@@ -353,13 +345,18 @@ def save_agent(agent: SacAgent, directory: str) -> None:
 
 
 def load_agent(directory: str) -> SacAgent:
-    """The agent ``save_agent`` wrote; its target critics are copies of the loaded critics."""
-    with open(os.path.join(directory, "config.json"), encoding="utf-8") as fh:
-        payload = json.load(fh)
-    scaler, extra = FeatureScaler.load(os.path.join(directory, "scaler.npz"))
-    agent = SacAgent(EnvConfig(**payload["env"]), SacConfig(**payload["sac"]), scaler)
+    """The agent ``save_agent`` wrote; its target critics are copies of the loaded critics.
+
+    The scaler and each network must fit the saved configs' state layout and
+    layer sizes; a damaged file is a DataError naming it.
+    """
+    cfgs = load_config_json(os.path.join(directory, "config.json"), env=EnvConfig, sac=SacConfig)
+    width = state_dim(cfgs["env"].state_profile, cfgs["env"].n_past)
+    scaler, extra = FeatureScaler.load(os.path.join(directory, "scaler.npz"), width, log_temp=(1,))
+    agent = SacAgent(cfgs["env"], cfgs["sac"], scaler)
     for name in CHECKPOINT_NETS:
-        setattr(agent, name, load_mlp(os.path.join(directory, f"{name}.json")))
+        path = os.path.join(directory, f"{name}.json")
+        setattr(agent, name, load_mlp(path, like=getattr(agent, name)))
     agent.target1 = agent.critic1.copy()
     agent.target2 = agent.critic2.copy()
     agent._log_temp_arr[...] = extra["log_temp"]

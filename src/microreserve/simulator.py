@@ -46,7 +46,7 @@ from operator import itemgetter
 import numpy as np
 
 from .claims import Claim, Dataset, Transaction
-from .errors import ConfigError
+from .errors import ConfigError, check_config
 
 
 @dataclass(frozen=True)
@@ -84,45 +84,18 @@ class SimConfig:
     break_settlement_factor: float = 0.70
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_seed(self.seed)
-        if self.n_accident_periods < 1:
-            raise ConfigError("n_accident_periods must be >= 1")
-        if self.mean_claims_per_period < 0:
-            raise ConfigError("mean_claims_per_period must be >= 0")
-        for name in (
-            "size_log_sigma",
-            "notif_delay_mean",
-            "settle_delay_log_sigma",
-            "payment_intensity",
-            "first_payment_delay",
-            "final_payment_shape",
-            "minor_revision_rate",
-            "major_revision_rate",
-            "case_initial_sigma",
-            "case_minor_sigma",
-            "case_major_sigma",
-        ):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ConfigError(f"{name} must be finite and >= 0")
-        if self.final_payment_shape <= 0:
-            raise ConfigError("final_payment_shape must be > 0")
-        if self.max_claim_duration <= 1:
-            raise ConfigError("max_claim_duration must exceed one period")
-        if not math.isfinite(self.base_inflation_rate) or self.base_inflation_rate < 0:
-            raise ConfigError("base_inflation_rate must be finite and >= 0")
-        if (
-            not math.isfinite(self.superimposed_inflation_rate)
-            or self.superimposed_inflation_rate < 0
-        ):
-            raise ConfigError("superimposed_inflation_rate must be finite and >= 0")
+        # Every number is >= 0 unless named here.
+        finite = "(-inf, inf)"
+        check_config(self, "[0, inf)", n_accident_periods="[1, inf)", max_claim_duration="(1, inf)",
+                     final_payment_shape="(0, inf)", break_settlement_factor="(0, inf)",
+                     size_log_mean=finite, settle_delay_log_mean=finite, settle_size_slope=finite,
+                     minor_at_payment_prob=finite, major_at_payment_prob=finite)
         if self.structural_break_period is not None and not (
             1 <= self.structural_break_period <= self.n_accident_periods
         ):
             raise ConfigError("structural_break_period must lie within the horizon")
-        if self.break_settlement_factor <= 0:
-            raise ConfigError("break_settlement_factor must be > 0")
 
 
 def check_seed(seed) -> None:
@@ -344,7 +317,6 @@ def _simulate_claim(config: SimConfig, i: int, k: int, rng: np.random.Generator)
 
 def simulate_portfolio(config: SimConfig) -> Dataset:
     """Generate a full portfolio; deterministic for a fixed config."""
-    config.validate()
     rng = np.random.Generator(np.random.PCG64(0))  # each claim loads its own state
     bit_generator = rng.bit_generator
     claims: list[Claim] = []
@@ -362,7 +334,6 @@ def simulate_portfolio(config: SimConfig) -> Dataset:
     max_t = max((math.ceil(c.transactions[-1].txn_time) for c in claims), default=0)
     return Dataset(
         claims=claims,
-        period_unit="quarter",
         schema="splice",
         max_calendar_period=max_t,
     )

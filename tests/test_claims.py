@@ -644,7 +644,6 @@ def rederived_censor(dataset, boundary):
         )
     view = Dataset(
         claims=out,
-        period_unit=dataset.period_unit,
         schema=dataset.schema,
         max_calendar_period=min(dataset.max_calendar_period, boundary),
     )

@@ -213,7 +213,7 @@ class TestRollout:
         cfg = EnvConfig(state_profile="minimal", s_scale=100.0)
         result = rollout_calendar(three_period_claim, ZeroPolicy(), {"a1": 80.0}, cfg)
         assert len(result.transitions) == 2
-        assert [p for _, _, p in result.predictions["a1"]] == [80.0, 80.0]
+        assert [p for _, p in result.predictions["a1"]] == [80.0, 80.0]
         assert result.transitions[-1].done
         assert result.n_skipped == 0
 
