@@ -215,6 +215,20 @@ def validate_config(cfg: dict) -> None:
             checks.append((section, {**cfg[section], **params}))
     for section, params in checks:
         MODEL_SECTIONS[section](**params)
+        if section == "env":
+            _check_profile(cfg, params.get("state_profile"), "configured")
+
+
+def _check_profile(cfg: dict, profile: str | None, what: str) -> None:
+    """Refuse the splice_full layout on data without case estimates.
+
+    Its case slot would read 0.0 for every claim. The schema comes from the
+    config: simulated data is splice.
+    """
+    data = cfg["data"]
+    schema = "splice" if data["source"] == "simulate" else data["schema"]
+    if profile == "splice_full" and schema != "splice":
+        raise ConfigError(f"{what} state profile 'splice_full' needs splice data, not {schema!r}")
 
 
 def _config_hash(cfg: dict) -> str:
@@ -281,7 +295,7 @@ def _predict_rl(agent, view: Dataset, tables: InitTables, boundary: int):
     """Leakage-guarded deterministic replay: (final estimate per claim, replay)."""
     replay = predict_ocl_sac(agent, view, tables, boundary)
     guard_transitions(replay.transitions, view, boundary)
-    return replay.final_predictions(), replay
+    return replay.reserves, replay
 
 
 def _fit_fnn(cfg: dict, view: Dataset, boundary: int, seed: int, rows_memo: dict | None = None):
@@ -578,6 +592,10 @@ def cmd_evaluate(args) -> int:
     # Load the checkpoints first, so a damaged one is reported before any data work.
     agent = load_agent(args.rl_checkpoint) if args.rl_checkpoint else None
     model = load_fnn(args.fnn_model) if args.fnn_model else None
+    if agent is not None:
+        _check_profile(cfg, agent.env_cfg.state_profile, f"checkpoint {args.rl_checkpoint}")
+    if model is not None:
+        _check_profile(cfg, model.cfg.state_profile, f"checkpoint {args.fnn_model}")
     seed = cfg["seeds"][0]
     dataset, boundary, view = _acquire_view(cfg, seed)
     predictions: dict[str, dict[str, float]] = {}

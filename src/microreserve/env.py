@@ -17,7 +17,10 @@ to ``[-ln K, ln K]``. Rewards combine three parts:
 Rollouts advance all claims in calendar order, so episodes interleave
 exactly as an insurer would see them. A rollout makes one ``Transition``
 per claim and period, so it and the per-claim records are slotted
-dataclasses, without a ``__dict__`` each.
+dataclasses, without a ``__dict__`` each. A transition's importance weight
+is set when its step is built, so a learner consuming the stream sees the
+transition the log records. The rollout returns each claim's last estimate
+as ``RolloutResult.reserves``.
 """
 
 from __future__ import annotations
@@ -324,22 +327,19 @@ class _Tracker:
     ocl: float
     ul0: float
     horizon: float  # settlement periods-since-notification; inf while open
+    p_last: float | None  # paid at the rollout's last period; None if it settles by then
     preds: list[float] = field(default_factory=list)
-    pred_records: list[tuple[int, float]] = field(default_factory=list)  # (t, estimate)
     ul_path: list[float] = field(default_factory=list)
+    true_ocl: list[float] = field(default_factory=list)  # settling claims only
+    weights: list[float] = field(default_factory=list)  # settling claims only
     pending: Transition | None = None
-    emitted: list[Transition] = field(default_factory=list)
 
 
 @dataclass
 class RolloutResult:
     transitions: list[Transition]
-    predictions: dict[str, list[tuple[int, float]]]  # per claim: (period, estimate)
+    reserves: dict[str, float]  # each claim's last estimate: its reserve at the end
     n_skipped: int
-
-    def final_predictions(self) -> dict[str, float]:
-        """Each claim's last estimate: its reserve at the end of the rollout."""
-        return {cn: records[-1][1] for cn, records in self.predictions.items()}
 
 
 def rollout_calendar(
@@ -357,8 +357,12 @@ def rollout_calendar(
     settling in their notification period make no predictions and are
     counted in ``n_skipped``. Open claims at the boundary keep their final
     prediction but that last step has no observable successor state, so it
-    is not emitted as a transition. With ``explore=False`` and a
-    deterministic policy the rollout is a pure function of its inputs.
+    is not emitted as a transition. Each transition leaves complete: its
+    importance weight is set when its step is built, from the true OCL for
+    a claim settling by the boundary and from the open-claim lower bound
+    otherwise. The result's ``reserves`` holds each claim's last estimate.
+    With ``explore=False`` and a deterministic policy the rollout is a pure
+    function of its inputs.
     """
     if cfg.s_scale is None:
         raise ConfigError("s_scale must be resolved before rolling out")
@@ -381,7 +385,6 @@ def rollout_calendar(
 
     trackers: dict[str, _Tracker] = {}
     transitions: list[Transition] = []
-    predictions: dict[str, list[tuple[int, float]]] = {}
 
     def emit(txn: Transition) -> None:
         transitions.append(txn)
@@ -392,7 +395,7 @@ def rollout_calendar(
         for claim in sorted(schedule[t], key=lambda c: c.claim_no):
             tracker = trackers.get(claim.claim_no)
             if claim.settled and t == claim.settlement_period:
-                _finalize_settlement(claim, tracker, cfg, emit)
+                _finalize_settlement(tracker, cfg, emit)
                 continue
 
             if tracker is None:
@@ -403,10 +406,12 @@ def rollout_calendar(
                     ocl0 = init[claim.claim_no]
                 if ocl0 <= 0:
                     raise DataError(f"non-positive initial OCL for {claim.claim_no}")
+                settles = claim.settled and claim.settlement_period <= horizon
                 tracker = _Tracker(
                     ocl=ocl0,
                     ul0=ocl0 + paid0,
                     horizon=claim.psn_at(claim.settlement_period) if claim.settled else math.inf,
+                    p_last=None if settles else claim.record_at(horizon).cum_paid,
                     ul_path=[ocl0 + paid0],
                 )
                 trackers[claim.claim_no] = tracker
@@ -419,7 +424,6 @@ def rollout_calendar(
             if tracker.pending is not None:
                 tracker.pending.next_state = state
                 emit(tracker.pending)
-                tracker.emitted.append(tracker.pending)
                 tracker.pending = None
 
             raw = policy.act(state, explore=explore, claim_no=claim.claim_no, tau=tau)
@@ -429,15 +433,23 @@ def rollout_calendar(
 
             tracker.ocl = new_ocl
             tracker.preds.append(new_ocl)
-            tracker.pred_records.append((t, new_ocl))
             tracker.ul_path.append(new_ocl + rec.cum_paid)
+            if tracker.p_last is None:
+                weight = ocl_importance_weight(True, cfg.alpha_w, cfg.s_scale, ocl_tau=rec.true_ocl)
+                tracker.true_ocl.append(rec.true_ocl)
+                tracker.weights.append(weight)
+            else:
+                weight = ocl_importance_weight(
+                    False, cfg.alpha_w, cfg.s_scale,
+                    p_tau=rec.cum_paid, p_curr=tracker.p_last, ul0=tracker.ul0,
+                )
 
             r_stab = reward_stability(
                 tau, tracker.ul_path, action, payment, cfg.gamma, cfg.k, tracker.horizon
             )
             r_smooth = reward_smoothing(action, tau - 1, cfg.m_warmup, cfg.k, payment)
 
-            breakdown = RewardBreakdown(r_stab=r_stab, r_smooth=r_smooth)
+            breakdown = RewardBreakdown(r_stab=r_stab, r_smooth=r_smooth, weight=weight)
             tracker.pending = Transition(
                 claim_no=claim.claim_no,
                 accident_period=claim.accident_period,
@@ -452,56 +464,22 @@ def rollout_calendar(
                 breakdown=breakdown,
             )
 
-    # Open claims: attach lower-bound importance weights to the log.
-    for claim_no, tracker in trackers.items():
-        claim = dataset.by_no(claim_no)
-        predictions[claim_no] = tracker.pred_records
-        if claim.settled and claim.settlement_period <= horizon:
-            continue
-        last_t = tracker.pred_records[-1][0]
-        rec_curr = claim.record_at(last_t)
-        for txn in tracker.emitted:
-            p_tau = claim.record_at(claim.notification_period + txn.tau - 1).cum_paid
-            txn.breakdown.weight = ocl_importance_weight(
-                settled_in_train=False,
-                alpha=cfg.alpha_w,
-                s=cfg.s_scale,
-                p_tau=p_tau,
-                p_curr=rec_curr.cum_paid,
-                ul0=tracker.ul0,
-            )
-
-    return RolloutResult(
-        transitions=transitions, predictions=predictions, n_skipped=n_skipped
-    )
+    reserves = {claim_no: tracker.ocl for claim_no, tracker in trackers.items()}
+    return RolloutResult(transitions=transitions, reserves=reserves, n_skipped=n_skipped)
 
 
-def _finalize_settlement(claim: Claim, tracker: _Tracker | None, cfg: EnvConfig, emit):
-    """Close the episode: add r_acc to the last prediction step."""
-    if tracker is None or tracker.pending is None:
-        return
+def _finalize_settlement(tracker: _Tracker, cfg: EnvConfig, emit):
+    """Close the episode: add r_acc to the last prediction step and emit it.
+
+    Claims settling in their notification period are skipped before
+    scheduling, so a settling claim always has a tracker and a pending step.
+    """
     pending = tracker.pending
-    ocl_path = []
-    weights = []
-    for tau in range(1, tracker.horizon):
-        true_ocl = claim.record_at(claim.notification_period + tau - 1).true_ocl
-        ocl_path.append(true_ocl)
-        weights.append(
-            ocl_importance_weight(
-                settled_in_train=True, alpha=cfg.alpha_w, s=cfg.s_scale, ocl_tau=true_ocl
-            )
-        )
-    r_acc = reward_accuracy(ocl_path, tracker.preds, cfg.gamma, cfg.c_acc, weights)
-
+    r_acc = reward_accuracy(tracker.true_ocl, tracker.preds, cfg.gamma, cfg.c_acc, tracker.weights)
     pending.breakdown.r_acc = r_acc
     pending.reward += r_acc
     pending.done = True
-    pending.next_state = None
-    for txn, w in zip(tracker.emitted + [pending], weights):
-        txn.breakdown.weight = w
     emit(pending)
-    tracker.emitted.append(pending)
-    tracker.pending = None
 
 
 def export_transition_log(transitions: list[Transition], path: str) -> None:

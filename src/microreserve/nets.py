@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericFault, check_number
 
-ACTIVATIONS = ("relu", "tanh", "identity")
+ACTIVATIONS = ("relu", "identity")
 
 
 @dataclass
@@ -120,18 +120,13 @@ def forward(
     if dropout and rng is None:
         raise ConfigError("dropout needs a generator")
 
-    # cache["inputs"][k] is layer k's input, so [k + 1] is its output;
-    # cache["acts"][k] is that output before dropout.
-    cache = {"inputs": [h], "acts": [], "masks": [], "squeeze": squeeze}
+    # cache["inputs"][k] is layer k's input, so [k + 1] is its output.
+    cache = {"inputs": [h], "masks": [], "squeeze": squeeze}
     for layer in range(net.n_layers):
         a = h @ net.weights[layer]
         a += net.biases[layer]
-        act = net.activations[layer]
-        if act == "relu":
+        if net.activations[layer] == "relu":
             np.maximum(a, 0.0, out=a)
-        elif act == "tanh":
-            a = np.tanh(a)
-        cache["acts"].append(a)
         if dropout and layer < net.n_layers - 1:
             mask = (rng.uniform(size=a.shape) >= dropout) / (1.0 - dropout)
             a = a * mask
@@ -171,12 +166,10 @@ def backward(net: Mlp, cache, upstream: np.ndarray, param_grads: bool = True):
     for layer in reversed(range(net.n_layers)):
         if cache["masks"][layer] is not None:
             g *= cache["masks"][layer]
-        act = net.activations[layer]
-        post = cache["acts"][layer]  # the slope is that of the unmasked activation
-        if act == "relu":
-            g *= post > 0.0
-        elif act == "tanh":
-            g *= 1.0 - post * post
+        if net.activations[layer] == "relu":
+            # A dropped unit's g is already zero, so the masked output's sign
+            # gives the same slope bits as the unmasked one.
+            g *= cache["inputs"][layer + 1] > 0.0
         if param_grads:
             w_slice, shape, b_slice = net.layout[layer]
             np.matmul(cache["inputs"][layer].T, g, out=grad[w_slice].reshape(shape))

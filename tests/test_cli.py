@@ -17,6 +17,9 @@ TINY = {
     "seeds": [3],
 }
 
+# Cas-schema data to ingest; tests that use it stop before acquisition.
+CAS_INGEST = {"source": "ingest", "path": "absent.csv", "schema": "cas"}
+
 LABELS = {
     "model": {"rl", "fnn", "cl"},
     "slice": {"overall", "ap", "psn"},
@@ -42,6 +45,10 @@ def run_tiny(out_dir, **extra) -> dict:
 def tiny_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny") / "run"
     return out, run_tiny(out)
+
+
+def no_acquisition(cfg, seed):
+    pytest.fail("data was acquired")
 
 
 def cell_ok(column: str, cell: str) -> bool:
@@ -134,6 +141,11 @@ class TestExitCodes:
             {"tuning": {"enabled": True, "family": "rl", "grid": [{"sac": {"actor_lr": "x"}}]}},
             {"tuning": {"enabled": True, "family": "rl", "grid": [{"env": {"k": 0.5}}]}},
             {"tuning": {"enabled": True, "family": "fnn", "grid": {"lr": 0.01}}},
+            # The splice_full layout on cas data, whose case slot would read 0.0.
+            {"data": CAS_INGEST, "env": {"state_profile": "splice_full"}},
+            {"data": CAS_INGEST, "tuning": {"enabled": True, "family": "rl", "grid": [
+                {"env": {"c_acc": 2.0}}, {"env": {"state_profile": "splice_full"}},
+            ]}},
         ],
         ids=[
             "sac_ring_below_batch", "sac_warmup", "sac_actor_lr", "sac_critic_lr",
@@ -142,13 +154,20 @@ class TestExitCodes:
             "claims_per_period_zero", "claims_per_period_inf", "fnn_grid_lr_str",
             "fnn_grid_hidden_int", "fnn_grid_dropout", "fnn_grid_hidden_float",
             "rl_grid_sac_lr_str", "rl_grid_env_k",
-            "grid_not_a_list",
+            "grid_not_a_list", "cas_splice_full", "cas_rl_grid_splice_full",
         ],
     )
-    def test_invalid_value_is_config_error(self, tmp_path, capsys, extra):
+    def test_invalid_value_is_config_error(self, tmp_path, monkeypatch, capsys, extra):
+        monkeypatch.setattr(cli, "acquire_dataset", no_acquisition)
         cfg = {**TINY, **extra, "models": ["cl"], "output_dir": str(tmp_path)}
         assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("profile", [None, "cas", "minimal"])
+    def test_cas_data_takes_the_profiles_it_fills(self, tmp_path, profile):
+        env = {} if profile is None else {"state_profile": profile}
+        cfg = {**TINY, "data": CAS_INGEST, "env": env, "output_dir": str(tmp_path)}
+        assert cli.load_config(write_config(tmp_path / "c.json", cfg), {})["env"] == env
 
     @pytest.mark.parametrize("models", [[], "fnn", ["fnn", "fnn"], ["cl", "bogus"], [1]])
     def test_bad_models_is_config_error(self, tmp_path, capsys, models):
@@ -261,6 +280,22 @@ class TestRun:
         manifest = run_tiny(tmp_path / "tuned", models=["rl"], tuning=tuning)
         assert manifest["stage_reached"] == "done"
         assert manifest["tuned_params"] in tuning["grid"]
+
+    def test_tune_writes_the_params_a_tuned_run_picks(self, tmp_path):
+        tuning = {"enabled": True, "family": "fnn", "grid": [{"lr": 0.001}, {"lr": 0.01}]}
+        cfg = {**TINY, "tuning": tuning, "output_dir": str(tmp_path / "tune")}
+        assert cli.main(["tune", "--config", write_config(tmp_path / "tune.json", cfg)]) == 0
+        best = json.loads((tmp_path / "tune" / "best_params.json").read_text(encoding="utf-8"))
+        manifest = run_tiny(tmp_path / "run", models=["fnn"], tuning=tuning)
+        assert best in tuning["grid"] and best == manifest["tuned_params"]
+
+    def test_tune_with_an_empty_grid_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "acquire_dataset", no_acquisition)
+        tuning = {"enabled": True, "family": "fnn", "grid": []}
+        cfg = {**TINY, "tuning": tuning, "output_dir": str(tmp_path / "tune")}
+        assert cli.main(["tune", "--config", write_config(tmp_path / "tune.json", cfg)]) == 1
+        assert "config error: tuning.grid is empty" in capsys.readouterr().err
+        assert not (tmp_path / "tune").exists()
 
     def test_tuned_run_acquires_each_seed_once(self, tmp_path, monkeypatch):
         seeds = []

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microreserve.claims import discretize, load_transactions
+from microreserve.claims import censor, discretize, load_transactions
+from microreserve.credibility import build_init_tables, initialise_claim
 from microreserve.env import (
     EnvConfig,
     ScriptedPolicy,
@@ -22,6 +24,7 @@ from microreserve.env import (
     state_dim,
 )
 from microreserve.errors import ConfigError, DataError
+from microreserve.simulator import preset, simulate_portfolio, with_seed
 
 from conftest import build_claim, build_dataset, fixture_path
 
@@ -208,12 +211,96 @@ class TestImportanceWeight:
         assert w2 > w1
 
 
+def posthoc_weights(dataset, init, cfg, horizon, transitions, actions) -> list[float]:
+    """Each transition's importance weight as a pass after the rollout computed it.
+
+    The reference for the weights the rollout sets when it builds a step. A
+    claim settled by the horizon weighs each step by its true OCL. Any other
+    claim weighs a step by the lower bound max(paid at its last prediction
+    period, UL_0) minus the paid at the step. ``actions`` holds the policy's
+    actions per claim, one per prediction, so the last prediction period is
+    the notification period plus their count minus one.
+    """
+    weights = []
+    for txn in transitions:
+        claim = dataset.by_no(txn.claim_no)
+        rec = claim.record_at(claim.notification_period + txn.tau - 1)
+        if claim.settled and claim.settlement_period <= horizon:
+            weights.append(ocl_importance_weight(True, cfg.alpha_w, cfg.s_scale, rec.true_ocl))
+            continue
+        last_t = claim.notification_period + len(actions[txn.claim_no]) - 1
+        weights.append(
+            ocl_importance_weight(
+                False,
+                cfg.alpha_w,
+                cfg.s_scale,
+                p_tau=rec.cum_paid,
+                p_curr=claim.record_at(last_t).cum_paid,
+                ul0=init[txn.claim_no] + claim.dev_records[0].cum_paid,
+            )
+        )
+    return weights
+
+
+class RecordingPolicy:
+    """Seeded actions (or the wrapped policy's), recorded per claim in the order made."""
+
+    def __init__(self, policy=None, seed=0):
+        self.policy, self.rng, self.actions = policy, np.random.default_rng(seed), {}
+
+    def act(self, state, explore=False, claim_no=None, tau=None, **_):
+        if self.policy is None:
+            action = float(self.rng.normal(0.0, 0.3))
+        else:
+            action = self.policy.act(state, explore=explore, claim_no=claim_no, tau=tau)
+        self.actions.setdefault(claim_no, []).append(action)
+        return action
+
+
+def rollout_with_reference_weights(data, policy, init, cfg, boundary):
+    """Roll out, checking every transition against the post-hoc reference as it arrives.
+
+    The weight each transition carries when ``on_transition`` receives it
+    must equal the reference bit for bit. A settled claim's accuracy reward
+    must equal ``reward_accuracy`` over its true-OCL path and reference
+    weights, and ``reserves`` must hold each scheduled claim's last estimate.
+    """
+    recorder = RecordingPolicy(policy)
+    received = []
+    result = rollout_calendar(
+        data, recorder, init, cfg, boundary=boundary,
+        on_transition=lambda txn: received.append((txn, txn.breakdown.weight)),
+    )
+    assert [txn for txn, _ in received] == result.transitions
+    want = posthoc_weights(data, init, cfg, boundary, result.transitions, recorder.actions)
+    assert [w for _, w in received] == want
+    paths: dict[str, list] = {}  # per claim: (true OCL, estimate, weight) per step
+    for txn, w in zip(result.transitions, want):
+        assert txn.breakdown.weight == w
+        claim = data.by_no(txn.claim_no)
+        true_ocl = claim.record_at(claim.notification_period + txn.tau - 1).true_ocl
+        paths.setdefault(txn.claim_no, []).append((true_ocl, txn.pred_ocl, w))
+        if txn.done:
+            ocl_path, preds, weights = zip(*paths[txn.claim_no])
+            r_acc = reward_accuracy(ocl_path, preds, cfg.gamma, cfg.c_acc, weights)
+            assert txn.breakdown.r_acc == r_acc
+    reserves = {}
+    for claim_no, actions in recorder.actions.items():
+        ocl = init[claim_no]
+        for action in actions:
+            ocl = apply_action(ocl, action, cfg.k)[0]
+        reserves[claim_no] = ocl
+    assert result.reserves == reserves
+    return result
+
+
 class TestRollout:
     def test_zero_policy_three_period_claim(self, three_period_claim):
         cfg = EnvConfig(state_profile="minimal", s_scale=100.0)
         result = rollout_calendar(three_period_claim, ZeroPolicy(), {"a1": 80.0}, cfg)
         assert len(result.transitions) == 2
-        assert [p for _, p in result.predictions["a1"]] == [80.0, 80.0]
+        assert [t.pred_ocl for t in result.transitions] == [80.0, 80.0]
+        assert result.reserves == {"a1": 80.0}
         assert result.transitions[-1].done
         assert result.n_skipped == 0
 
@@ -265,7 +352,7 @@ class TestRollout:
         cfg = EnvConfig(state_profile="minimal", s_scale=5.0)
         result = rollout_calendar(data, ZeroPolicy(), {"q1": 1.0, "q2": 5.0}, cfg)
         assert result.n_skipped == 1
-        assert "q1" not in result.predictions
+        assert "q1" not in result.reserves
 
     def test_positivity_and_bound_under_wild_policy(self, three_period_claim):
         class Wild:
@@ -340,11 +427,41 @@ class TestRollout:
         claim.settlement_period = None  # force open
         data = build_dataset([claim], max_t=6)
         cfg = EnvConfig(state_profile="minimal", s_scale=25.0, alpha_w=1.0)
-        result = rollout_calendar(data, ZeroPolicy(), {"w1": 80.0}, cfg, boundary=6)
+        result = rollout_with_reference_weights(data, ZeroPolicy(), {"w1": 80.0}, cfg, 6)
         # P_curr = 50, UL_0 = 80; tau=1 has P_tau=0 -> (80-0)/25
         assert result.transitions[0].breakdown.weight == pytest.approx(80.0 / 25.0)
         # tau=2 has P_tau=30 -> (80-30)/25 = 2
         assert result.transitions[1].breakdown.weight == pytest.approx(2.0)
+
+    def test_step_weights_equal_the_posthoc_reference(self):
+        # A complexity5 portfolio censored at several boundaries, so each rollout
+        # has claims settled by the boundary and claims still open there. On the
+        # full data the same boundaries also leave claims that settle later.
+        sim = dataclasses.replace(
+            with_seed(preset("complexity5"), 3),
+            n_accident_periods=12,
+            mean_claims_per_period=15.0,
+            structural_break_period=6,
+        )
+        data = discretize(simulate_portfolio(sim))
+        n_open = n_settled = 0
+        for boundary in (6, 9, 12, data.max_calendar_period):
+            view = censor(data, boundary)
+            tables = build_init_tables(view, boundary)
+            init = {
+                c.claim_no: initialise_claim(
+                    c.accident_period, c.dev_records[0].cum_paid, tables, k=2.0
+                )[1]
+                for c in view.claims
+            }
+            for alpha_w in (1.0, 0.5):
+                cfg = EnvConfig(s_scale=mean_training_ocl(view, boundary), alpha_w=alpha_w)
+                for dataset in (view, data):
+                    result = rollout_with_reference_weights(dataset, None, init, cfg, boundary)
+                    settled = {t.claim_no for t in result.transitions if t.done}
+                    n_settled += len(settled)
+                    n_open += len(result.reserves) - len(settled)
+        assert n_open > 100 and n_settled > 100
 
     def test_mean_training_ocl(self, three_period_claim):
         # Claim pays 40 at tau=2 out of 100: OCL path is 100, 60.

@@ -66,17 +66,18 @@ class TestForward:
         assert np.allclose(out, x)
 
     def test_zero_weights_give_activation_of_bias(self):
-        net = Mlp(sizes=[2, 2], activations=["tanh"])
+        net = Mlp(sizes=[2, 2], activations=["relu"])
         net.biases[0][...] = [0.3, -0.7]
         out, _ = forward(net, np.array([5.0, 5.0]))
-        assert np.allclose(out, np.tanh([0.3, -0.7]))
+        assert np.array_equal(out, [0.3, 0.0])
 
     def test_matches_hand_rolled_matrix_product(self):
         # Oracle: explicit matrix arithmetic.
         rng = np.random.default_rng(0)
-        net = init_mlp([2, 2, 1], ["tanh", "identity"], rng)
+        net = init_mlp([2, 2, 1], ["relu", "identity"], rng)
         x = rng.normal(size=2)
-        expected = np.tanh(x @ net.weights[0] + net.biases[0]) @ net.weights[1] + net.biases[1]
+        hidden = np.maximum(x @ net.weights[0] + net.biases[0], 0.0)
+        expected = hidden @ net.weights[1] + net.biases[1]
         out, _ = forward(net, x)
         assert np.allclose(out, expected, atol=1e-12)
 
@@ -110,7 +111,7 @@ class TestBackward:
 
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(3)
-        net = init_mlp([3, 4, 2], ["tanh", "identity"], rng)
+        net = init_mlp([3, 4, 2], ["relu", "identity"], rng)
         out, cache = forward(net, rng.normal(size=3))
         grad, _ = backward(net, cache, np.zeros(2))
         _, input_grad = backward(net, cache, np.zeros(2), param_grads=False)
@@ -124,8 +125,11 @@ class TestBackward:
 
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
-        net = init_mlp([3, 6, 1], ["tanh", "identity"], rng)
+        net = init_mlp([3, 6, 1], ["relu", "identity"], rng)
         x = rng.normal(size=3)
+        # Away from the ReLU kink, a central difference sees one linear piece.
+        pre = x @ net.weights[0] + net.biases[0]
+        assert np.min(np.abs(pre)) > 1e-3 and np.count_nonzero(pre > 0) >= 2
         out, cache = forward(net, x)
         _, input_grad = backward(net, cache, np.ones(1), param_grads=False)
         h = 1e-6
@@ -171,7 +175,7 @@ class TestAdam:
 
 
 class TestGradCheckAcrossActivations:
-    @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
+    @pytest.mark.parametrize("act", ["relu", "identity"])
     def test_parity_per_activation(self, act):
         rng = np.random.default_rng(13)
         net = init_mlp([3, 5, 2], [act, "identity"], rng)
@@ -284,7 +288,7 @@ class TestFlatLayout:
         assert net.flat[4 * 6 + 6 + 1] == 7.5 and net.biases[1][-1] == -2.0
 
     def test_layout_is_w1_b1_w2_b2(self):
-        net = init_mlp([3, 2, 1], ["tanh", "identity"], np.random.default_rng(0))
+        net = init_mlp([3, 2, 1], ["relu", "identity"], np.random.default_rng(0))
         parts = (net.weights[0], net.biases[0], net.weights[1], net.biases[1])
         expected = np.concatenate([a.ravel() for a in parts])
         assert np.array_equal(net.flat, expected)
@@ -309,15 +313,11 @@ class TestFlatLayout:
         save_mlp(load_mlp(str(first)), str(second))
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
+    @pytest.mark.parametrize("act", ["relu", "identity"])
     def test_input_only_backward_matches_a_reference_loop(self, act):
         rng = np.random.default_rng(17)
         net = init_mlp([4, 9, 9, 1], [act, act, "identity"], rng)
-        slope = {
-            "relu": lambda a: a > 0.0,
-            "tanh": lambda a: 1.0 - a * a,
-            "identity": lambda a: 1.0,
-        }
+        slope = {"relu": lambda a: a > 0.0, "identity": lambda a: 1.0}
         for x in (rng.normal(size=(32, 4)), rng.normal(size=4)):
             out, cache = forward(net, x)
             upstream = rng.normal(size=out.shape)
@@ -334,19 +334,25 @@ class TestFlatLayout:
 
 
 class TestDropout:
-    def test_tanh_gradient_under_a_fixed_mask(self):
-        # Central differences with the cached dropout mask held fixed.
+    def test_relu_gradient_under_a_fixed_mask(self):
+        # Central differences with the cached dropout mask held fixed, on
+        # inputs away from the ReLU kink. Kept units with a positive input
+        # must pass gradient, so the slope cannot come from dropped units.
         rng = np.random.default_rng(4)
-        net = init_mlp([3, 5, 1], ["tanh", "identity"], rng)
+        net = init_mlp([3, 5, 1], ["relu", "identity"], rng)
         x = rng.normal(size=(6, 3))
         target = rng.normal(size=(6, 1))
+        pre = x @ net.weights[0] + net.biases[0]
+        assert np.min(np.abs(pre)) > 1e-3
         out, cache = forward(net, x, dropout=0.5, rng=np.random.default_rng(1))
         (mask,) = [m for m in cache["masks"] if m is not None]
         assert 0 < np.count_nonzero(mask) < mask.size
+        assert np.count_nonzero((pre > 0) & (mask > 0)) >= 5
+        assert np.count_nonzero((pre > 0) & (mask == 0)) >= 1
 
         def loss(flat):
             w, b = net.views(flat)
-            h = np.tanh(x @ w[0] + b[0]) * mask
+            h = np.maximum(x @ w[0] + b[0], 0.0) * mask
             return float(np.sum((h @ w[1] + b[1] - target) ** 2))
 
         grad, _ = backward(net, cache, 2.0 * (out - target))
@@ -364,7 +370,10 @@ class TestDropout:
 
 
 def reference_backward(net, cache, upstream, param_grads=True):
-    """backward written with fresh arrays for every product and ``@`` for every layer."""
+    """backward written with fresh arrays for every product and ``@`` for every layer.
+
+    The ReLU slope comes from each layer's output recomputed before dropout.
+    """
     g = np.asarray(upstream, dtype=np.float64)
     if cache["squeeze"] and g.ndim == 1:
         g = g.reshape(1, -1)
@@ -374,12 +383,9 @@ def reference_backward(net, cache, upstream, param_grads=True):
     for layer in reversed(range(net.n_layers)):
         if cache["masks"][layer] is not None:
             g = g * cache["masks"][layer]
-        act = net.activations[layer]
-        post = cache["acts"][layer]
-        if act == "relu":
-            g = g * (post > 0.0)
-        elif act == "tanh":
-            g = g * (1.0 - post * post)
+        if net.activations[layer] == "relu":
+            unmasked = cache["inputs"][layer] @ net.weights[layer] + net.biases[layer]
+            g = g * (unmasked > 0.0)
         if param_grads:
             np.matmul(cache["inputs"][layer].T, g, out=grad_w[layer])
             np.sum(g, axis=0, out=grad_b[layer])
@@ -409,12 +415,12 @@ def same_bits(a, b) -> bool:
 
 
 def cache_arrays(cache):
-    return [a for key in ("inputs", "acts", "masks") for a in cache[key] if a is not None]
+    return [a for key in ("inputs", "masks") for a in cache[key] if a is not None]
 
 
 class TestStepOracles:
     @pytest.mark.parametrize("width", [1, 2])
-    @pytest.mark.parametrize("act", ["relu", "tanh", "identity"])
+    @pytest.mark.parametrize("act", ["relu", "identity"])
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     @pytest.mark.parametrize("param_grads", [True, False])
     def test_backward_matches_the_reference(self, width, act, dropout, param_grads):

@@ -25,7 +25,7 @@ from microreserve.fnn import FnnConfig
 from microreserve.sac import SacConfig
 from microreserve.simulator import SimConfig
 
-from test_cli import TINY, run_tiny, write_config
+from test_cli import CAS_INGEST, TINY, no_acquisition, run_tiny, write_config
 
 CLASSES = (EnvConfig, SacConfig, FnnConfig, SimConfig)
 NUMERIC = [
@@ -45,10 +45,6 @@ def builds_or_config_error(cls, name, value) -> bool:
     except ConfigError:
         return False
     return True
-
-
-def no_acquisition(cfg, seed):
-    pytest.fail("data was acquired")
 
 
 class TestConstructors:
@@ -316,6 +312,18 @@ class TestCheckpoints:
         assert cli.main(["evaluate", "--config", config, flag, str(copy)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(copy) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("model", ["rl", "fnn"])
+    def test_splice_full_checkpoint_on_cas_data_exits_one_before_acquisition(
+        self, checkpoints, tmp_path, monkeypatch, capsys, model
+    ):
+        _, dirs = checkpoints
+        config = write_config(tmp_path / "cas.json", {**TINY, "data": CAS_INGEST})
+        monkeypatch.setattr(cli, "acquire_dataset", no_acquisition)
+        flag = "--rl-checkpoint" if model == "rl" else "--fnn-model"
+        assert cli.main(["evaluate", "--config", config, flag, str(dirs[model])]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(dirs[model]) in err and "splice_full" in err
 
     def test_intact_checkpoints_score_as_the_run_did(self, checkpoints, tmp_path):
         config, dirs = checkpoints

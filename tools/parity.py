@@ -12,10 +12,10 @@ each file that differs and exits 1 on any difference.
 
 The matrix: the ``perfbench/workloads.py`` run configs (rl_train seeds
 1-3, portfolio_fit seed 1, ingest_tune seed 1), a tiny rl-family tuning
-run, ``simulate`` in both schemas, ``ingest --dev-out`` in both schemas,
-``chain-ladder`` on ingested and on simulated data, ``evaluate`` on the
-saved rl checkpoint and fnn model, ``report`` and ``verify``. It takes about a minute per
-tree on two cores.
+run, a tiny fnn-family ``tune``, ``simulate`` in both schemas,
+``ingest --dev-out`` in both schemas, ``chain-ladder`` on ingested and on
+simulated data, ``evaluate`` on the saved rl checkpoint and fnn model,
+``report`` and ``verify``. It takes about a minute per tree on two cores.
 """
 
 from __future__ import annotations
@@ -55,6 +55,14 @@ RL_TUNE = {
     },
     "output_dir": "runs/rl_tune",
 }
+# The ``tune`` subcommand on the same tiny portfolio: two fnn grid points.
+FNN_TUNE = {
+    "data": RL_TUNE["data"],
+    "fnn": {"max_epochs": 3, "hidden": [8]},
+    "seeds": [3],
+    "tuning": {"family": "fnn", "grid": [{"lr": 0.001}, {"lr": 0.01}]},
+    "output_dir": "runs/fnn_tune",
+}
 
 
 def inputs() -> dict[str, dict]:
@@ -66,6 +74,7 @@ def inputs() -> dict[str, dict]:
             name, seed, f"runs/{name}_{seed}", csv_path
         )
     files["rl_tune.json"] = RL_TUNE
+    files["fnn_tune.json"] = FNN_TUNE
     files["cl_cas.json"] = {"data": {"source": "ingest", "path": "sim_cas.csv", "schema": "cas"}}
     return files
 
@@ -81,6 +90,7 @@ def matrix() -> list[tuple[str, list[str]]]:
     ]
     cmds += [(f"run_{name}_{seed}", ["run", "--config", f"{name}_{seed}.json"]) for name, seed in RUNS]
     cmds.append(("run_rl_tune", ["run", "--config", "rl_tune.json"]))
+    cmds.append(("tune_fnn", ["tune", "--config", "fnn_tune.json"]))
     sim = ["simulate", "--preset", "complexity1", "--seed", "2", "--claims-per-period", "10"]
     seed_1 = "runs/{}_1/seed_1/{}"
     cmds += [
