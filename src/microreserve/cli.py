@@ -9,7 +9,11 @@ is a configuration error, and so is any number that breaks the one rule
 of ``errors.check_number``: of its field's kind (a bool is no number),
 finite and inside its interval. The model sections and each tuning grid
 point are checked by their config classes, which apply that rule, and the
-split and data numbers by the rule itself, all before any data is acquired.
+split and data numbers and the two switches (``tuning.enabled``,
+``data.write_transactions``) by the rule itself; ``output_dir`` and
+``data.path`` must be strings. All of this happens before any data is
+acquired, and a config file that cannot be read or holds no JSON object is a
+configuration error too.
 
 Every command that models data takes it from one helper: acquire the
 seed's data, resolve the train/test boundary and censor there. The rl
@@ -116,13 +120,12 @@ def load_config(path: str | None, overrides: dict) -> dict:
         try:
             with open(path, encoding="utf-8") as fh:
                 user = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
+        except (FileNotFoundError, IsADirectoryError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
+        _check_keys("config", user, cfg)
         for key, value in user.items():
-            if key not in cfg:
-                raise ConfigError(f"unknown config key {key!r}")
             if isinstance(cfg[key], dict) and isinstance(value, dict):
                 cfg[key].update(value)
             else:
@@ -174,6 +177,11 @@ def validate_config(cfg: dict) -> None:
     for section in MODEL_SECTIONS:
         _check_keys(section, cfg[section], _fields(section))
     data = cfg["data"]
+    if not isinstance(cfg["output_dir"], str) or not isinstance(data["path"], (str, type(None))):
+        raise ConfigError(f"output_dir and data.path must be strings, got "
+                          f"{cfg['output_dir']!r} and {data['path']!r}")
+    check_number("tuning.enabled", cfg["tuning"]["enabled"], "bool")
+    check_number("data.write_transactions", data["write_transactions"], "bool")
     if data["source"] not in ("simulate", "ingest"):
         raise ConfigError(f"unknown data source {data['source']!r}")
     if data["source"] == "simulate":
@@ -307,7 +315,7 @@ def _fit_fnn(cfg: dict, view: Dataset, boundary: int, seed: int, rows_memo: dict
     """
     fnn_cfg = FnnConfig(**{**cfg["fnn"], "state_profile": _profile(cfg, view), "seed": seed})
     memo = {} if rows_memo is None else rows_memo
-    key = (boundary, fnn_cfg.state_profile, fnn_cfg.alpha_w, fnn_cfg.s_scale)
+    key = (boundary, fnn_cfg.state_profile, fnn_cfg.alpha_w)
     if key not in memo:
         rows = build_training_rows(view, boundary, fnn_cfg)
         guard_fnn_rows(rows.claim_nos, view, boundary)
@@ -476,16 +484,7 @@ def run_verify(
     with open(expected_path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     claim_no = data.claims[0].claim_no
-    env_cfg = EnvConfig(
-        k=g["k"],
-        gamma=g["gamma"],
-        c_acc=g["c_acc"],
-        m_warmup=g["m_warmup"],
-        alpha_w=g["alpha_w"],
-        s_scale=g["s_scale"],
-        n_past=g["n_past"],
-        state_profile=g["state_profile"],
-    )
+    env_cfg = EnvConfig(**{f.name: g[f.name] for f in dataclasses.fields(EnvConfig)})
     policy = ScriptedPolicy({(claim_no, int(r["tau"])): float(r["action"]) for r in rows})
     result = rollout_calendar(data, policy, {claim_no: g["ocl0"]}, env_cfg)
 

@@ -168,24 +168,19 @@ def reward_accuracy(
     pred_path: "np.ndarray | list[float]",
     gamma: float,
     c: float,
-    weights: "np.ndarray | list[float] | None" = None,
+    weights: "np.ndarray | list[float]",
 ) -> float:
     """Terminal accuracy reward over the whole prediction path.
 
     c * sum_tau w_tau gamma^(tau-1) h(ocl_tau, pred_tau) / sum_tau gamma^(tau-1);
-    the normaliser deliberately excludes the weights so that materiality
-    differences between claims survive.
+    the normaliser deliberately excludes the importance weights w so that
+    materiality differences between claims survive.
     """
     ocl = np.asarray(ocl_path, dtype=float)
     pred = np.asarray(pred_path, dtype=float)
-    if ocl.size == 0 or ocl.shape != pred.shape:
-        raise DataError("accuracy reward needs equal-length non-empty paths")
-    if weights is None:
-        w = np.ones_like(ocl)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != ocl.shape:
-            raise DataError("weights must match path length")
+    w = np.asarray(weights, dtype=float)
+    if ocl.size == 0 or ocl.shape != pred.shape or w.shape != ocl.shape:
+        raise DataError("accuracy reward needs equal-length non-empty paths and weights")
     disc = gamma ** np.arange(ocl.size)
     h = np.array([smape_h(y, p) for y, p in zip(ocl, pred)])
     return float(c * np.sum(w * disc * h) / np.sum(disc))
@@ -237,31 +232,15 @@ def reward_smoothing(
     return -ramp * (abs(action) / math.log(k)) ** 2
 
 
-def ocl_importance_weight(
-    settled_in_train: bool,
-    alpha: float,
-    s: float,
-    ocl_tau: float | None = None,
-    p_tau: float | None = None,
-    p_curr: float | None = None,
-    ul0: float | None = None,
-) -> float:
-    """Materiality weight (OCL_tau / s)^alpha.
+def importance_weight(inner: float, alpha: float, s: float) -> float:
+    """Materiality weight (inner / s)^alpha; a non-positive ``inner`` weighs zero.
 
-    Settled claims use the realised outstanding amount; open claims use
-    the lower bound max(paid-so-far, initial ultimate) - paid-at-tau.
-    Non-positive inner values weigh zero.
+    ``inner`` is the outstanding amount: the realised one for a settled
+    claim, and for an open claim the lower bound max(paid at the last
+    period, initial ultimate) - paid at the step.
     """
     if s <= 0:
         raise ConfigError("weight scale s must be positive")
-    if settled_in_train:
-        if ocl_tau is None:
-            raise DataError("settled weight needs the true OCL")
-        inner = ocl_tau
-    else:
-        if p_tau is None or p_curr is None or ul0 is None:
-            raise DataError("open-claim weight needs p_tau, p_curr and ul0")
-        inner = max(p_curr, ul0) - p_tau
     if inner <= 0:
         return 0.0
     return (inner / s) ** alpha
@@ -435,14 +414,12 @@ def rollout_calendar(
             tracker.preds.append(new_ocl)
             tracker.ul_path.append(new_ocl + rec.cum_paid)
             if tracker.p_last is None:
-                weight = ocl_importance_weight(True, cfg.alpha_w, cfg.s_scale, ocl_tau=rec.true_ocl)
+                weight = importance_weight(rec.true_ocl, cfg.alpha_w, cfg.s_scale)
                 tracker.true_ocl.append(rec.true_ocl)
                 tracker.weights.append(weight)
             else:
-                weight = ocl_importance_weight(
-                    False, cfg.alpha_w, cfg.s_scale,
-                    p_tau=rec.cum_paid, p_curr=tracker.p_last, ul0=tracker.ul0,
-                )
+                inner = max(tracker.p_last, tracker.ul0) - rec.cum_paid
+                weight = importance_weight(inner, cfg.alpha_w, cfg.s_scale)
 
             r_stab = reward_stability(
                 tau, tracker.ul_path, action, payment, cfg.gamma, cfg.k, tracker.horizon

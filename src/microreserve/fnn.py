@@ -11,10 +11,12 @@ helper the environment's states use (``env.state_rows``), so the claim's
 static slots are computed once per claim rather than once per row. The rows
 go end to end into one ``array("d")`` of C doubles, which the feature
 matrix then wraps without a copy.
-Regression runs on the log1p scale against an MSE
-weighted by the environment's settled-claim importance weight
-(OCL / s)^alpha, which is zero on zero-OCL rows. Early stopping uses an
-80/20 split of the training claims (split by claim, never by row). The
+Regression runs on the log1p scale against an MSE weighted by the
+environment's importance weight (OCL / s)^alpha, which is zero on zero-OCL
+rows. Every use of the weights divides by their sum (the loss, its
+gradient, the validation loss, the bias start), so the scale s cancels and
+has no setting; the rows take s as the mean positive target. Early stopping
+uses an 80/20 split of the training claims (split by claim, never by row). The
 output bias starts at the weighted mean log1p target of the training
 split, the best constant predictor under that loss; the log-scale targets
 sit far from zero (about 10.7 on the default portfolio), so a zero start
@@ -36,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .claims import Claim, Dataset
-from .env import PREV_OCL_SLOT, currency_mask, ocl_importance_weight, state_rows
+from .env import PREV_OCL_SLOT, currency_mask, importance_weight, state_rows
 from .errors import DataError, NumericFault, check_config
 from .nets import (
     AdamState,
@@ -60,7 +62,6 @@ class FnnConfig:
     dropout: float = 0.0
     lr: float = 1e-3
     alpha_w: float = 1.0
-    s_scale: float | None = None  # resolved to the mean positive training OCL
     patience: int = 8
     max_epochs: int = 200
     state_profile: str = "splice_full"
@@ -68,7 +69,7 @@ class FnnConfig:
 
     def __post_init__(self) -> None:
         check_config(self, batch_size="[1, inf)", dropout="[0, 1)", lr="(0, inf)",
-                     alpha_w="[0, inf)", s_scale="(0, inf)", patience="[0, inf)",
+                     alpha_w="[0, inf)", patience="[0, inf)",
                      max_epochs="[1, inf)")
         object.__setattr__(self, "hidden", hidden_sizes(self.hidden))
 
@@ -84,7 +85,6 @@ class FnnRows:
     targets: np.ndarray  # (n,) true OCL in money units
     weights: np.ndarray  # (n,)
     claim_nos: list[str]
-    s_scale: float
 
 
 def build_training_rows(train: Dataset, cutoff: int, cfg: FnnConfig) -> FnnRows:
@@ -105,21 +105,17 @@ def build_training_rows(train: Dataset, cutoff: int, cfg: FnnConfig) -> FnnRows:
         claim_nos += [claim.claim_no] * len(records)
 
     targets_arr = np.array(targets)
-    s = cfg.s_scale
-    if s is None:
-        positive = targets_arr[targets_arr > 0]
-        if positive.size == 0:
-            raise DataError("all training targets are zero")
-        s = float(positive.mean())
-    weights = np.array(
-        [ocl_importance_weight(True, cfg.alpha_w, s, ocl_tau=y) for y in targets]
-    )
+    positive = targets_arr[targets_arr > 0]
+    if positive.size == 0:
+        raise DataError("all training targets are zero")
+    # Any positive scale gives the same fit up to rounding. This one keeps
+    # the weights, and so every fit, bit for bit what they have been.
+    s = float(positive.mean())
     return FnnRows(
         features=np.frombuffer(feats).reshape(len(targets), -1),
         targets=targets_arr,
-        weights=weights,
+        weights=np.array([importance_weight(y, cfg.alpha_w, s) for y in targets]),
         claim_nos=claim_nos,
-        s_scale=s,
     )
 
 
@@ -141,7 +137,6 @@ class FnnModel:
     net: Mlp
     scaler: FeatureScaler
     cfg: FnnConfig
-    s_scale: float
     epochs_run: int = 0
     history: list[tuple[int, float]] = field(default_factory=list)
 
@@ -155,11 +150,10 @@ class FnnModel:
         return np.maximum(np.expm1(np.clip(out[:, 0], None, 40.0)), 0.0)
 
 
-def _layout(cfg: FnnConfig) -> tuple[np.ndarray, list[int], list[str]]:
-    """The features' currency mask, and the network's layer sizes and activations."""
+def _layout(cfg: FnnConfig) -> tuple[np.ndarray, list[int]]:
+    """The features' currency mask, and the network's layer sizes."""
     mask = np.delete(currency_mask(cfg.state_profile, 0), PREV_OCL_SLOT)
-    hidden = list(cfg.hidden)
-    return mask, [mask.size, *hidden, 1], ["relu"] * len(hidden) + ["identity"]
+    return mask, [mask.size, *cfg.hidden, 1]
 
 
 def _split_by_claim(rows: FnnRows, rng: np.random.Generator):
@@ -182,7 +176,7 @@ def train_fnn(rows: FnnRows, cfg: FnnConfig) -> FnnModel:
         raise DataError("too few rows to train on")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 23]))
 
-    mask, sizes, activations = _layout(cfg)
+    mask, sizes = _layout(cfg)
     scaler, x_all = FeatureScaler.fit_transform(rows.features, mask)
     y_all = np.log1p(rows.targets)
     w_all = rows.weights
@@ -195,7 +189,7 @@ def train_fnn(rows: FnnRows, cfg: FnnConfig) -> FnnModel:
     x_va, y_va, w_va = x_all[val_mask], y_all[val_mask], w_all[val_mask]
     del x_all  # the splits are copies
 
-    net = init_mlp(sizes, activations, rng)
+    net = init_mlp(sizes, rng)
     net.biases[-1][...] = np.sum(w_tr * y_tr) / np.sum(w_tr)
     opt = AdamState.for_params(net.flat, cfg.lr)
 
@@ -203,7 +197,7 @@ def train_fnn(rows: FnnRows, cfg: FnnConfig) -> FnnModel:
         out, _ = forward(net, x_va)
         return weighted_mse(out[:, 0], y_va, w_va)
 
-    model = FnnModel(net=net, scaler=scaler, cfg=cfg, s_scale=rows.s_scale)
+    model = FnnModel(net=net, scaler=scaler, cfg=cfg)
     best = math.inf
     best_params = net.flat.copy()
     stale = 0
@@ -247,18 +241,17 @@ def save_fnn(model: FnnModel, directory: str) -> None:
     save_mlp(model.net, os.path.join(directory, "net.json"))
     model.scaler.save(os.path.join(directory, "scaler.npz"))
     with open(os.path.join(directory, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump({"cfg": asdict(model.cfg), "s_scale": model.s_scale}, fh, indent=1)
+        json.dump({"cfg": asdict(model.cfg)}, fh, indent=1)
 
 
 def load_fnn(directory: str) -> FnnModel:
     """The model ``save_fnn`` wrote; a damaged file is a DataError naming it."""
-    cfgs = load_config_json(os.path.join(directory, "config.json"), cfg=FnnConfig, s_scale="float")
-    _, sizes, activations = _layout(cfgs["cfg"])
+    cfg = load_config_json(os.path.join(directory, "config.json"), cfg=FnnConfig)["cfg"]
+    _, sizes = _layout(cfg)
     return FnnModel(
-        net=load_mlp(os.path.join(directory, "net.json"), like=Mlp(sizes, activations)),
+        net=load_mlp(os.path.join(directory, "net.json"), like=Mlp(sizes)),
         scaler=FeatureScaler.load(os.path.join(directory, "scaler.npz"), sizes[0])[0],
-        cfg=cfgs["cfg"],
-        s_scale=cfgs["s_scale"],
+        cfg=cfg,
     )
 
 

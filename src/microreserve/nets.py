@@ -15,6 +15,10 @@ Every checkpoint reader (``FeatureScaler.load``, ``load_mlp`` and
 ``load_config_json``) checks what it reads against the model it is for and
 raises a DataError naming the file for any damage.
 
+Every network has one shape: ReLU hidden layers and a linear output layer.
+``save_mlp`` still writes that activation list into the JSON header, and
+``load_mlp`` rejects a file whose list is not it.
+
 Everything runs in 64-bit floats with explicit numpy generators, so a
 seeded run is bit-reproducible. Gradients are hand-derived; the tests
 check them against central finite differences.
@@ -29,14 +33,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericFault, check_number
-
-ACTIVATIONS = ("relu", "identity")
+from .errors import ConfigError, DataError, NumericFault
 
 
 @dataclass
 class Mlp:
-    """Layer sizes and activations over one flat parameter vector.
+    """Layer sizes over one flat parameter vector; the hidden layers are ReLU.
 
     ``flat`` defaults to zeros; pass a vector of the right length to adopt
     it (no copy). ``weights`` and ``biases`` are views into ``flat``, so
@@ -44,18 +46,12 @@ class Mlp:
     """
 
     sizes: list[int]
-    activations: list[str]
     flat: np.ndarray | None = None
     weights: list[np.ndarray] = field(init=False, repr=False)
     biases: list[np.ndarray] = field(init=False, repr=False)
     layout: list[tuple[slice, tuple[int, int], slice]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.activations) != len(self.sizes) - 1:
-            raise ConfigError("one activation per layer transition required")
-        for a in self.activations:
-            if a not in ACTIVATIONS:
-                raise ConfigError(f"unknown activation {a!r}")
         size = sum(i * o + o for i, o in zip(self.sizes[:-1], self.sizes[1:]))
         if self.flat is None:
             self.flat = np.zeros(size)
@@ -81,7 +77,7 @@ class Mlp:
         return weights, biases
 
     def copy(self) -> "Mlp":
-        return Mlp(list(self.sizes), list(self.activations), self.flat.copy())
+        return Mlp(list(self.sizes), self.flat.copy())
 
 
 def hidden_sizes(hidden) -> tuple[int, ...]:
@@ -93,9 +89,9 @@ def hidden_sizes(hidden) -> tuple[int, ...]:
     return tuple(hidden)
 
 
-def init_mlp(sizes: list[int], activations: list[str], rng: np.random.Generator) -> Mlp:
+def init_mlp(sizes: list[int], rng: np.random.Generator) -> Mlp:
     """He-normal weights drawn layer by layer, zero biases."""
-    net = Mlp(sizes=list(sizes), activations=list(activations))
+    net = Mlp(sizes=list(sizes))
     for w in net.weights:
         w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
     return net
@@ -109,8 +105,10 @@ def forward(
 ):
     """Run the network; returns (output, cache) with cache for backward.
 
-    Dropout (inverted scaling) applies to hidden activations only and
-    requires a generator; evaluation calls leave it at zero.
+    Every layer but the last applies ReLU. Dropout (inverted scaling)
+    applies to those hidden activations only and requires a generator;
+    evaluation calls leave it at zero. A 1-D input gives a 1-D output, and
+    ``backward`` takes only the cache of a 2-D one.
     """
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
@@ -121,17 +119,17 @@ def forward(
         raise ConfigError("dropout needs a generator")
 
     # cache["inputs"][k] is layer k's input, so [k + 1] is its output.
-    cache = {"inputs": [h], "masks": [], "squeeze": squeeze}
-    for layer in range(net.n_layers):
+    cache = {"inputs": [h], "masks": []}
+    last = net.n_layers - 1
+    for layer in range(last + 1):
         a = h @ net.weights[layer]
         a += net.biases[layer]
-        if net.activations[layer] == "relu":
+        mask = None
+        if layer < last:
             np.maximum(a, 0.0, out=a)
-        if dropout and layer < net.n_layers - 1:
-            mask = (rng.uniform(size=a.shape) >= dropout) / (1.0 - dropout)
-            a = a * mask
-        else:
-            mask = None
+            if dropout:
+                mask = (rng.uniform(size=a.shape) >= dropout) / (1.0 - dropout)
+                a = a * mask
         cache["masks"].append(mask)
         cache["inputs"].append(a)
         h = a
@@ -149,7 +147,7 @@ def backward(net: Mlp, cache, upstream: np.ndarray, param_grads: bool = True):
     layer's input product is skipped); ``param_grads=False`` returns grad None
     and skips the weight and bias products.
 
-    Neither ``upstream`` nor the cache is written: the activation slopes and
+    Neither ``upstream`` nor the cache is written: the ReLU slopes and
     dropout masks multiply in place into a copy of ``upstream`` and then into
     the layer products, arrays this call allocates. A width-1 layer's input
     product is a broadcast multiply: each entry is the one product that the
@@ -159,14 +157,13 @@ def backward(net: Mlp, cache, upstream: np.ndarray, param_grads: bool = True):
     if cache is None:
         raise ConfigError("backward needs the cache from forward")
     g = np.array(upstream, dtype=np.float64)
-    if cache["squeeze"] and g.ndim == 1:
-        g = g.reshape(1, -1)
     if param_grads:
         grad = np.empty_like(net.flat)
-    for layer in reversed(range(net.n_layers)):
-        if cache["masks"][layer] is not None:
-            g *= cache["masks"][layer]
-        if net.activations[layer] == "relu":
+    last = net.n_layers - 1
+    for layer in range(last, -1, -1):
+        if layer < last:
+            if cache["masks"][layer] is not None:
+                g *= cache["masks"][layer]
             # A dropped unit's g is already zero, so the masked output's sign
             # gives the same slope bits as the unmasked one.
             g *= cache["inputs"][layer + 1] > 0.0
@@ -178,7 +175,7 @@ def backward(net: Mlp, cache, upstream: np.ndarray, param_grads: bool = True):
                 return grad, None
         w = net.weights[layer]
         g = g * w.T if w.shape[1] == 1 else g @ w.T
-    return None, g[0] if cache["squeeze"] else g
+    return None, g
 
 
 @dataclass
@@ -304,11 +301,16 @@ def _log_currency(x: np.ndarray, currency: np.ndarray) -> np.ndarray:
     return z
 
 
+def _activations(sizes: list[int]) -> list[str]:
+    """The activation list a network file's header holds: ReLU, then a linear output."""
+    return ["relu"] * (len(sizes) - 2) + ["identity"]
+
+
 def save_mlp(net: Mlp, path: str) -> None:
     """Flat JSON layout: sizes + activations header, row-major parameters."""
     payload = {
         "sizes": net.sizes,
-        "activations": net.activations,
+        "activations": _activations(net.sizes),
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
     }
@@ -319,16 +321,19 @@ def save_mlp(net: Mlp, path: str) -> None:
 def load_mlp(path: str, like: Mlp | None = None) -> Mlp:
     """The network ``save_mlp`` wrote, whose parameters must be finite numbers.
 
-    Given ``like``, its layer sizes and activations must be like's. Any damage
-    is a DataError naming the file.
+    The header's activations must be the ones its sizes give, and given
+    ``like``, its layer sizes must be like's. Any damage is a DataError
+    naming the file.
     """
     with _reading(path):
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        layers = (payload["sizes"], payload["activations"])
-        if like is not None and layers != (like.sizes, like.activations):
-            raise ValueError(f"layers {layers} are not the model's")
-        net = Mlp(*layers)
+        sizes = payload["sizes"]
+        if payload["activations"] != _activations(sizes):
+            raise ValueError(f"activations {payload['activations']} are not {_activations(sizes)}")
+        if like is not None and sizes != like.sizes:
+            raise ValueError(f"layer sizes {sizes} are not the model's")
+        net = Mlp(sizes)
         saved = payload["weights"] + payload["biases"]
         views = net.weights + net.biases
         if len(saved) != len(views):
@@ -348,9 +353,7 @@ def load_config_json(path: str, **sections) -> dict:
 
     The file holds exactly these sections, and each section exactly its
     class's fields: a missing field would load its default and score a
-    different model. A section given as a kind (``"float"``) holds one
-    number that ``check_number`` accepts. Any damage is a DataError naming
-    the file.
+    different model. Any damage is a DataError naming the file.
     """
     with _reading(path):
         with open(path, encoding="utf-8") as fh:
@@ -360,13 +363,9 @@ def load_config_json(path: str, **sections) -> dict:
         loaded = {}
         for name, kind in sections.items():
             value = payload[name]
-            if isinstance(kind, str):
-                check_number(name, value, kind)
-            elif isinstance(value, dict) and set(value) == {f.name for f in fields(kind)}:
-                value = kind(**value)
-            else:
+            if not (isinstance(value, dict) and set(value) == {f.name for f in fields(kind)}):
                 raise ValueError(f"section {name!r} is not exactly the fields of {kind.__name__}")
-            loaded[name] = value
+            loaded[name] = kind(**value)
     return loaded
 
 

@@ -187,11 +187,10 @@ class SacAgent:
         dim = state_dim(env_cfg.state_profile, env_cfg.n_past)
         self.dim = dim
         hid = list(cfg.hidden)
-        acts = ["relu"] * len(hid) + ["identity"]
         init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
-        self.actor = init_mlp([dim] + hid + [2], acts, init_rng)
-        self.critic1 = init_mlp([dim + 1] + hid + [1], acts, init_rng)
-        self.critic2 = init_mlp([dim + 1] + hid + [1], acts, init_rng)
+        self.actor = init_mlp([dim] + hid + [2], init_rng)
+        self.critic1 = init_mlp([dim + 1] + hid + [1], init_rng)
+        self.critic2 = init_mlp([dim + 1] + hid + [1], init_rng)
         self.target1 = self.critic1.copy()
         self.target2 = self.critic2.copy()
         self.actor_opt = AdamState.for_params(self.actor.flat, cfg.actor_lr)

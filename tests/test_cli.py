@@ -101,10 +101,14 @@ class TestExitCodes:
             {"fnn": {**TINY["fnn"], "seed": 5}},
             {"fnn": {**TINY["fnn"], "state_profile": "minimal"}},
             {"tuning": {"enabled": True, "family": "fnn", "grid": [{"seed": 5}]}},
+            # The FNN's weight scale cancels in training, so no config sets it.
+            {"fnn": {"s_scale": 5}},
+            {"tuning": {"enabled": True, "family": "fnn", "grid": [{"s_scale": 5}]}},
         ],
         ids=[
             "sac", "split_kind", "data", "fnn_grid", "rl_grid",
             "sac_seed", "fnn_seed", "fnn_state_profile", "fnn_grid_seed",
+            "fnn_s_scale", "fnn_grid_s_scale",
         ],
     )
     def test_unknown_key_is_config_error(self, tmp_path, extra):

@@ -14,8 +14,8 @@ from microreserve.env import (
     ScriptedPolicy,
     ZeroPolicy,
     apply_action,
+    importance_weight,
     mean_training_ocl,
-    ocl_importance_weight,
     reward_accuracy,
     reward_smoothing,
     reward_stability,
@@ -90,7 +90,7 @@ class TestSmapeH:
 
 class TestRewardAccuracy:
     def test_single_perfect_step(self):
-        assert reward_accuracy([7.0], [7.0], gamma=0.99, c=5.0) == pytest.approx(5.0)
+        assert reward_accuracy([7.0], [7.0], gamma=0.99, c=5.0, weights=[1.0]) == pytest.approx(5.0)
 
     def test_golden_unweighted(self, golden_config):
         # Oracle: spreadsheet-style recomputation over the 12 table rows,
@@ -98,7 +98,7 @@ class TestRewardAccuracy:
         rows = golden_rows()
         trues = [float(r["true_ocl"]) for r in rows]
         preds = [float(r["pred_ocl"]) for r in rows]
-        got = reward_accuracy(trues, preds, gamma=0.99, c=5.0)
+        got = reward_accuracy(trues, preds, gamma=0.99, c=5.0, weights=[1.0] * len(trues))
         assert got == pytest.approx(golden_config["racc_unweighted"], abs=1e-9)
         assert got == pytest.approx(2.8899689630676613)
 
@@ -112,7 +112,11 @@ class TestRewardAccuracy:
 
     def test_empty_path_rejected(self):
         with pytest.raises(DataError):
-            reward_accuracy([], [], gamma=0.99, c=5.0)
+            reward_accuracy([], [], gamma=0.99, c=5.0, weights=[])
+
+    def test_weights_of_another_length_rejected(self):
+        with pytest.raises(DataError):
+            reward_accuracy([1.0, 2.0], [1.0, 2.0], gamma=0.99, c=5.0, weights=[1.0])
 
 
 class TestRewardStability:
@@ -183,32 +187,31 @@ class TestRewardSmoothing:
 
 class TestImportanceWeight:
     def test_settled_at_scale(self):
-        assert ocl_importance_weight(True, 0.7, 25.0, ocl_tau=25.0) == pytest.approx(1.0)
+        assert importance_weight(25.0, 0.7, 25.0) == pytest.approx(1.0)
 
     def test_settled_double_scale_alpha_one(self):
-        assert ocl_importance_weight(True, 1.0, 10.0, ocl_tau=20.0) == pytest.approx(2.0)
+        assert importance_weight(20.0, 1.0, 10.0) == pytest.approx(2.0)
 
     def test_open_claim_lower_bound(self):
-        # Oracle: direct formula, max branch picks the initial ultimate.
-        got = ocl_importance_weight(False, 1.0, 25.0, p_tau=30.0, p_curr=50.0, ul0=80.0)
-        assert got == pytest.approx(2.0)
+        # Oracle: direct formula, max(paid at the last period 50, UL_0 80)
+        # minus the paid 30 at the step.
+        assert importance_weight(max(50.0, 80.0) - 30.0, 1.0, 25.0) == pytest.approx(2.0)
 
-    def test_zero_ocl_weighs_nothing(self):
-        assert ocl_importance_weight(True, 1.0, 10.0, ocl_tau=0.0) == 0.0
+    @pytest.mark.parametrize("inner", [0.0, -0.0, -5.0])
+    def test_non_positive_ocl_weighs_nothing(self, inner):
+        assert importance_weight(inner, 1.0, 10.0) == 0.0
 
     def test_alpha_zero_is_unit(self):
-        assert ocl_importance_weight(True, 0.0, 10.0, ocl_tau=123.0) == 1.0
+        assert importance_weight(123.0, 0.0, 10.0) == 1.0
 
     def test_bad_scale(self):
         with pytest.raises(ConfigError):
-            ocl_importance_weight(True, 1.0, 0.0, ocl_tau=5.0)
+            importance_weight(5.0, 1.0, 0.0)
 
     @given(st.floats(min_value=0.1, max_value=1e6), st.floats(min_value=0.2, max_value=2.0))
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_ocl(self, ocl, alpha):
-        w1 = ocl_importance_weight(True, alpha, 100.0, ocl_tau=ocl)
-        w2 = ocl_importance_weight(True, alpha, 100.0, ocl_tau=ocl * 1.5)
-        assert w2 > w1
+        assert importance_weight(ocl * 1.5, alpha, 100.0) > importance_weight(ocl, alpha, 100.0)
 
 
 def posthoc_weights(dataset, init, cfg, horizon, transitions, actions) -> list[float]:
@@ -226,19 +229,12 @@ def posthoc_weights(dataset, init, cfg, horizon, transitions, actions) -> list[f
         claim = dataset.by_no(txn.claim_no)
         rec = claim.record_at(claim.notification_period + txn.tau - 1)
         if claim.settled and claim.settlement_period <= horizon:
-            weights.append(ocl_importance_weight(True, cfg.alpha_w, cfg.s_scale, rec.true_ocl))
+            weights.append(importance_weight(rec.true_ocl, cfg.alpha_w, cfg.s_scale))
             continue
         last_t = claim.notification_period + len(actions[txn.claim_no]) - 1
-        weights.append(
-            ocl_importance_weight(
-                False,
-                cfg.alpha_w,
-                cfg.s_scale,
-                p_tau=rec.cum_paid,
-                p_curr=claim.record_at(last_t).cum_paid,
-                ul0=init[txn.claim_no] + claim.dev_records[0].cum_paid,
-            )
-        )
+        p_last = claim.record_at(last_t).cum_paid
+        ul0 = init[txn.claim_no] + claim.dev_records[0].cum_paid
+        weights.append(importance_weight(max(p_last, ul0) - rec.cum_paid, cfg.alpha_w, cfg.s_scale))
     return weights
 
 

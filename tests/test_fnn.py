@@ -10,7 +10,7 @@ from microreserve.env import (
     PREV_OCL_SLOT,
     PROFILES,
     currency_mask,
-    ocl_importance_weight,
+    importance_weight,
     state_features,
 )
 from microreserve.errors import ConfigError, DataError
@@ -60,12 +60,13 @@ class TestRows:
         assert rows.claim_nos.count("f1") == 4
         assert rows.claim_nos.count("f2") == 2
 
-    def test_weight_at_scale_is_one(self):
+    def test_weight_is_target_over_the_mean_positive_target(self):
         data = settled_fixture()
-        cfg = FnnConfig(state_profile="minimal", alpha_w=1.0, s_scale=60.0)
+        cfg = FnnConfig(state_profile="minimal", alpha_w=1.0)
         rows = build_training_rows(data, 5, cfg)
-        i = rows.targets.tolist().index(60.0)
-        assert rows.weights[i] == pytest.approx(1.0)
+        # Positive targets 100, 60, 60 (f1) and 10 (f2) have mean 57.5.
+        assert sorted(rows.targets.tolist()) == [0.0, 0.0, 10.0, 60.0, 60.0, 100.0]
+        assert rows.weights.tolist() == [y / 57.5 for y in rows.targets.tolist()]
 
     def test_zero_ocl_rows_weigh_nothing(self):
         data = settled_fixture()
@@ -129,16 +130,16 @@ def reference_rows(train, cutoff, cfg):
             targets.append(claim.record_at(t).true_ocl)
             claim_nos.append(claim.claim_no)
     positive = [y for y in targets if y > 0]
-    if not positive and cfg.s_scale is None:
+    if not positive:
         raise DataError("no rows, or no positive target")
-    s = cfg.s_scale if cfg.s_scale is not None else float(np.mean(positive))
-    weights = [ocl_importance_weight(True, cfg.alpha_w, s, ocl_tau=y) for y in targets]
-    return feats, targets, weights, claim_nos, s
+    s = float(np.mean(positive))
+    weights = [importance_weight(y, cfg.alpha_w, s) for y in targets]
+    return feats, targets, weights, claim_nos
 
 
 def assert_rows_match_reference(data, cutoff, cfg):
     try:
-        feats, targets, weights, claim_nos, s = reference_rows(data, cutoff, cfg)
+        feats, targets, weights, claim_nos = reference_rows(data, cutoff, cfg)
     except DataError:
         with pytest.raises(DataError):
             build_training_rows(data, cutoff, cfg)
@@ -150,7 +151,6 @@ def assert_rows_match_reference(data, cutoff, cfg):
     assert rows.targets.tobytes() == np.array(targets).tobytes()
     assert rows.weights.tobytes() == np.array(weights).tobytes()
     assert rows.claim_nos == claim_nos
-    assert rows.s_scale == s
 
 
 class TestRowsAgainstThePerRowLoop:
@@ -177,8 +177,8 @@ class TestRowsAgainstThePerRowLoop:
         for boundary in (6, 12, data.max_calendar_period):
             view = censor(data, boundary)
             for profile in PROFILES:
-                for alpha_w, s_scale in ((1.0, None), (0.5, 2500.0)):
-                    cfg = FnnConfig(state_profile=profile, alpha_w=alpha_w, s_scale=s_scale)
+                for alpha_w in (1.0, 0.5):
+                    cfg = FnnConfig(state_profile=profile, alpha_w=alpha_w)
                     assert_rows_match_reference(view, boundary, cfg)
 
 
@@ -208,7 +208,6 @@ def linear_rows(n=400, seed=0) -> FnnRows:
         targets=y,
         weights=np.ones(n),
         claim_nos=[f"r{i}" for i in range(n)],
-        s_scale=float(y.mean()),
     )
 
 
@@ -235,7 +234,7 @@ class TestTrain:
         monkeypatch.setattr(fnn, "adam_step", lambda state, params, grads: params)
         rows = linear_rows(n=50)
         rows.claim_nos = ["c0"] * 50
-        rows.weights = rows.targets / rows.s_scale  # importance weights, alpha 1
+        rows.weights = rows.targets / rows.targets.mean()  # importance weights, alpha 1
         cfg = FnnConfig(state_profile="minimal", hidden=(8,), max_epochs=2, seed=3)
         model = train_fnn(rows, cfg)
         y = np.log1p(rows.targets)
@@ -336,6 +335,24 @@ class TestMemory:
         rows = build_training_rows(data, data.max_calendar_period, cfg)
         _, peak = traced_peak(train_fnn, rows, cfg)
         assert peak / rows.features.nbytes <= 2.5
+
+
+class TestWeightScale:
+    @pytest.mark.parametrize("max_epochs", [8, 40])
+    def test_scaling_every_weight_leaves_the_fit(self, max_epochs):
+        # Every use of the weights divides by their sum (the loss, its
+        # gradient, the validation loss, the bias start), so a common factor
+        # cancels up to rounding and the weights need no scale of their own.
+        data = many_settled_claims(60)
+        cfg = FnnConfig(state_profile="cas", hidden=(8,), max_epochs=max_epochs, patience=3, seed=5)
+        rows = build_training_rows(data, data.max_calendar_period, cfg)
+        assert (rows.weights == 0.0).any() and len(set(rows.weights)) > 10
+        base = train_fnn(rows, cfg)
+        want = base.predict(rows.features)
+        for c in (1e-3, 7.3, 1e4):
+            model = train_fnn(dataclasses.replace(rows, weights=rows.weights * c), cfg)
+            assert model.epochs_run == base.epochs_run
+            np.testing.assert_allclose(model.predict(rows.features), want, rtol=1e-12, atol=0.0)
 
 
 class TestPredict:

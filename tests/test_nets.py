@@ -1,9 +1,10 @@
+import json
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from microreserve.errors import ConfigError
+from microreserve.errors import ConfigError, DataError
 from microreserve.nets import (
     AdamState,
     FeatureScaler,
@@ -58,23 +59,24 @@ def quadratic_loss(target):
 
 
 class TestForward:
-    def test_identity_layer_passes_through(self):
-        net = Mlp(sizes=[3, 3], activations=["identity"])
+    def test_output_layer_is_linear(self):
+        net = Mlp(sizes=[3, 3])
         net.weights[0][...] = np.eye(3)
         x = np.array([1.0, -2.0, 0.5])
         out, _ = forward(net, x)
         assert np.allclose(out, x)
 
     def test_zero_weights_give_activation_of_bias(self):
-        net = Mlp(sizes=[2, 2], activations=["relu"])
+        net = Mlp(sizes=[2, 2, 2])
         net.biases[0][...] = [0.3, -0.7]
+        net.weights[1][...] = np.eye(2)
         out, _ = forward(net, np.array([5.0, 5.0]))
         assert np.array_equal(out, [0.3, 0.0])
 
     def test_matches_hand_rolled_matrix_product(self):
         # Oracle: explicit matrix arithmetic.
         rng = np.random.default_rng(0)
-        net = init_mlp([2, 2, 1], ["relu", "identity"], rng)
+        net = init_mlp([2, 2, 1], rng)
         x = rng.normal(size=2)
         hidden = np.maximum(x @ net.weights[0] + net.biases[0], 0.0)
         expected = hidden @ net.weights[1] + net.biases[1]
@@ -82,7 +84,7 @@ class TestForward:
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        net = init_mlp([3, 2], ["identity"], np.random.default_rng(0))
+        net = init_mlp([3, 2], np.random.default_rng(0))
         with pytest.raises(ConfigError):
             forward(net, np.zeros(4))
 
@@ -90,48 +92,48 @@ class TestForward:
 class TestBackward:
     def test_linear_squared_loss_closed_form(self):
         # d/dW of (w.x - y)^2 is 2 (w.x - y) x.
-        net = Mlp(sizes=[3, 1], activations=["identity"])
+        net = Mlp(sizes=[3, 1])
         net.weights[0][...] = [[0.5], [-1.0], [2.0]]
         net.biases[0][...] = 0.1
         x = np.array([1.0, 2.0, 3.0])
         y = 1.5
-        out, cache = forward(net, x)
-        resid = out[0] - y
-        grad, _ = backward(net, cache, np.array([2.0 * resid]))
+        out, cache = forward(net, x[None, :])
+        resid = out[0, 0] - y
+        grad, _ = backward(net, cache, np.array([[2.0 * resid]]))
         grad_w, grad_b = net.views(grad)
         assert np.allclose(grad_w[0], (2.0 * resid * x)[:, None])
         assert np.allclose(grad_b[0], [2.0 * resid])
 
     def test_finite_difference_parity(self):
         rng = np.random.default_rng(7)
-        net = init_mlp([4, 8, 3], ["relu", "identity"], rng)
+        net = init_mlp([4, 8, 3], rng)
         x = rng.normal(size=(5, 4))
         report = grad_check(net, x, quadratic_loss(rng.normal(size=(5, 3))))
         assert report.passed, report
 
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(3)
-        net = init_mlp([3, 4, 2], ["relu", "identity"], rng)
-        out, cache = forward(net, rng.normal(size=3))
-        grad, _ = backward(net, cache, np.zeros(2))
-        _, input_grad = backward(net, cache, np.zeros(2), param_grads=False)
+        net = init_mlp([3, 4, 2], rng)
+        out, cache = forward(net, rng.normal(size=(1, 3)))
+        grad, _ = backward(net, cache, np.zeros((1, 2)))
+        _, input_grad = backward(net, cache, np.zeros((1, 2)), param_grads=False)
         assert np.allclose(grad, 0.0)
         assert np.allclose(input_grad, 0.0)
 
     def test_missing_cache_rejected(self):
-        net = init_mlp([2, 1], ["identity"], np.random.default_rng(0))
+        net = init_mlp([2, 1], np.random.default_rng(0))
         with pytest.raises(ConfigError):
             backward(net, None, np.ones(1))
 
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
-        net = init_mlp([3, 6, 1], ["relu", "identity"], rng)
+        net = init_mlp([3, 6, 1], rng)
         x = rng.normal(size=3)
         # Away from the ReLU kink, a central difference sees one linear piece.
         pre = x @ net.weights[0] + net.biases[0]
         assert np.min(np.abs(pre)) > 1e-3 and np.count_nonzero(pre > 0) >= 2
-        out, cache = forward(net, x)
-        _, input_grad = backward(net, cache, np.ones(1), param_grads=False)
+        out, cache = forward(net, x[None, :])
+        _, (input_grad,) = backward(net, cache, np.ones((1, 1)), param_grads=False)
         h = 1e-6
         for i in range(3):
             xp, xm = x.copy(), x.copy()
@@ -174,11 +176,11 @@ class TestAdam:
             adam_step(state, params, np.zeros(4))
 
 
-class TestGradCheckAcrossActivations:
-    @pytest.mark.parametrize("act", ["relu", "identity"])
-    def test_parity_per_activation(self, act):
+class TestGradCheckAcrossDepths:
+    @pytest.mark.parametrize("sizes", [[3, 2], [3, 5, 2], [3, 5, 4, 2]])
+    def test_parity_per_depth(self, sizes):
         rng = np.random.default_rng(13)
-        net = init_mlp([3, 5, 2], [act, "identity"], rng)
+        net = init_mlp(sizes, rng)
         x = rng.normal(size=(4, 3))
         report = grad_check(net, x, quadratic_loss(rng.normal(size=(4, 2))))
         assert report.passed and report.worst_rel_error < 1e-4
@@ -255,12 +257,22 @@ class TestScaler:
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(21)
-        net = init_mlp([3, 4, 2], ["relu", "identity"], rng)
+        net = init_mlp([3, 4, 2], rng)
         path = tmp_path / "net.json"
         save_mlp(net, str(path))
         again = load_mlp(str(path))
         x = rng.normal(size=(6, 3))
         assert np.array_equal(forward(net, x)[0], forward(again, x)[0])
+
+    def test_header_names_relu_hidden_layers_and_a_linear_output(self, tmp_path):
+        path = tmp_path / "net.json"
+        save_mlp(init_mlp([4, 9, 9, 1], np.random.default_rng(2)), str(path))
+        payload = json.loads(path.read_text())
+        assert payload["activations"] == ["relu", "relu", "identity"]
+        for other in (["relu", "relu", "relu"], ["relu", "identity"], ["relu", "tanh", "identity"]):
+            path.write_text(json.dumps({**payload, "activations": other}))
+            with pytest.raises(DataError, match=str(path)):
+                load_mlp(str(path))
 
 
 class TestFlatLayout:
@@ -272,7 +284,7 @@ class TestFlatLayout:
 
     def test_views_share_flat_memory(self, tmp_path):
         rng = np.random.default_rng(2)
-        net = init_mlp([4, 6, 2], ["relu", "identity"], rng)
+        net = init_mlp([4, 6, 2], rng)
         self.assert_views(net)
         twin = net.copy()
         self.assert_views(twin)
@@ -288,13 +300,13 @@ class TestFlatLayout:
         assert net.flat[4 * 6 + 6 + 1] == 7.5 and net.biases[1][-1] == -2.0
 
     def test_layout_is_w1_b1_w2_b2(self):
-        net = init_mlp([3, 2, 1], ["relu", "identity"], np.random.default_rng(0))
+        net = init_mlp([3, 2, 1], np.random.default_rng(0))
         parts = (net.weights[0], net.biases[0], net.weights[1], net.biases[1])
         expected = np.concatenate([a.ravel() for a in parts])
         assert np.array_equal(net.flat, expected)
 
     def test_copy_is_independent(self):
-        net = init_mlp([3, 4, 1], ["relu", "identity"], np.random.default_rng(5))
+        net = init_mlp([3, 4, 1], np.random.default_rng(5))
         before = net.flat.copy()
         twin = net.copy()
         twin.flat += 1.0
@@ -303,34 +315,33 @@ class TestFlatLayout:
 
     def test_wrong_flat_length_rejected(self):
         with pytest.raises(ConfigError):
-            Mlp(sizes=[3, 2], activations=["identity"], flat=np.zeros(7))
+            Mlp(sizes=[3, 2], flat=np.zeros(7))
 
     def test_save_load_save_same_bytes(self, tmp_path):
-        net = init_mlp([5, 7, 3], ["relu", "identity"], np.random.default_rng(8))
+        net = init_mlp([5, 7, 3], np.random.default_rng(8))
         net.biases[0][...] = np.random.default_rng(9).normal(size=7)
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         save_mlp(net, str(first))
         save_mlp(load_mlp(str(first)), str(second))
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize("act", ["relu", "identity"])
-    def test_input_only_backward_matches_a_reference_loop(self, act):
+    def test_input_only_backward_matches_a_reference_loop(self):
         rng = np.random.default_rng(17)
-        net = init_mlp([4, 9, 9, 1], [act, act, "identity"], rng)
-        slope = {"relu": lambda a: a > 0.0, "identity": lambda a: 1.0}
-        for x in (rng.normal(size=(32, 4)), rng.normal(size=4)):
+        net = init_mlp([4, 9, 9, 1], rng)
+        for x in (rng.normal(size=(32, 4)), rng.normal(size=(1, 4))):
             out, cache = forward(net, x)
             upstream = rng.normal(size=out.shape)
             grad, none = backward(net, cache, upstream)
             assert grad is not None and none is None
             empty, only = backward(net, cache, upstream, param_grads=False)
             assert empty is None
-            # Reference: the chain rule written out layer by layer.
-            g = np.atleast_2d(upstream)
+            # Reference: the chain rule written out layer by layer, ReLU but the last.
+            g = upstream
             for layer in reversed(range(net.n_layers)):
-                post = np.atleast_2d(cache["inputs"][layer + 1])
-                g = (g * slope[net.activations[layer]](post)) @ net.weights[layer].T
-            assert np.array_equal(only, g[0] if x.ndim == 1 else g)
+                post = cache["inputs"][layer + 1]
+                slope = post > 0.0 if layer < net.n_layers - 1 else 1.0
+                g = (g * slope) @ net.weights[layer].T
+            assert np.array_equal(only, g)
 
 
 class TestDropout:
@@ -339,7 +350,7 @@ class TestDropout:
         # inputs away from the ReLU kink. Kept units with a positive input
         # must pass gradient, so the slope cannot come from dropped units.
         rng = np.random.default_rng(4)
-        net = init_mlp([3, 5, 1], ["relu", "identity"], rng)
+        net = init_mlp([3, 5, 1], rng)
         x = rng.normal(size=(6, 3))
         target = rng.normal(size=(6, 1))
         pre = x @ net.weights[0] + net.biases[0]
@@ -375,15 +386,13 @@ def reference_backward(net, cache, upstream, param_grads=True):
     The ReLU slope comes from each layer's output recomputed before dropout.
     """
     g = np.asarray(upstream, dtype=np.float64)
-    if cache["squeeze"] and g.ndim == 1:
-        g = g.reshape(1, -1)
     if param_grads:
         grad = np.empty_like(net.flat)
         grad_w, grad_b = net.views(grad)
     for layer in reversed(range(net.n_layers)):
         if cache["masks"][layer] is not None:
             g = g * cache["masks"][layer]
-        if net.activations[layer] == "relu":
+        if layer < net.n_layers - 1:
             unmasked = cache["inputs"][layer] @ net.weights[layer] + net.biases[layer]
             g = g * (unmasked > 0.0)
         if param_grads:
@@ -392,7 +401,7 @@ def reference_backward(net, cache, upstream, param_grads=True):
             if layer == 0:
                 return grad, None
         g = g @ net.weights[layer].T
-    return None, g[0] if cache["squeeze"] else g
+    return None, g
 
 
 def reference_adam_step(state, params, grads):
@@ -420,13 +429,12 @@ def cache_arrays(cache):
 
 class TestStepOracles:
     @pytest.mark.parametrize("width", [1, 2])
-    @pytest.mark.parametrize("act", ["relu", "identity"])
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     @pytest.mark.parametrize("param_grads", [True, False])
-    def test_backward_matches_the_reference(self, width, act, dropout, param_grads):
+    def test_backward_matches_the_reference(self, width, dropout, param_grads):
         rng = np.random.default_rng(31)
-        net = init_mlp([5, 7, 6, width], [act, act, act], rng)
-        for x in (rng.normal(size=(16, 5)), rng.normal(size=5)):
+        net = init_mlp([5, 7, 6, width], rng)
+        for x in (rng.normal(size=(16, 5)), rng.normal(size=(1, 5))):
             out, cache = forward(net, x, dropout=dropout, rng=np.random.default_rng(2))
             upstream = rng.normal(size=out.shape)
             before = [a.copy() for a in [x, upstream] + cache_arrays(cache)]
@@ -443,7 +451,7 @@ class TestStepOracles:
         # the sign of a zero product, where the matrix product added it to +0.0, so
         # zeros may differ in sign and every value is equal.
         rng = np.random.default_rng(5)
-        net = init_mlp([5, 8, 8, 1], ["relu", "relu", "identity"], rng)
+        net = init_mlp([5, 8, 8, 1], rng)
         out, cache = forward(net, rng.normal(size=(32, 5)))
         upstream = rng.normal(size=out.shape)
         upstream[::3] = 0.0
@@ -474,7 +482,7 @@ class TestStepOracles:
     def test_training_steps_match_the_reference(self):
         # 50 FNN-shaped steps, forward, backward and Adam, on the two implementations.
         rng = np.random.default_rng(12)
-        net = init_mlp([13, 64, 64, 1], ["relu", "relu", "identity"], rng)
+        net = init_mlp([13, 64, 64, 1], rng)
         ref = net.copy()
         opt, ref_opt = AdamState.for_params(net.flat, 1e-3), AdamState.for_params(ref.flat, 1e-3)
         for _ in range(50):

@@ -25,7 +25,7 @@ LN2 = math.log(2.0)
 
 
 def constant_actor(mean: float, log_std: float, dim: int = 3) -> Mlp:
-    net = Mlp(sizes=[dim, 2], activations=["identity"])
+    net = Mlp(sizes=[dim, 2])
     net.biases[0][...] = [mean, log_std]
     return net
 
@@ -424,7 +424,7 @@ class TestLearnerOracles:
         # 50 steps on SAC-shaped nets: an actor and a critic over 21 inputs.
         rng = np.random.default_rng(9)
         for sizes, lr in (([21, 64, 64, 2], 3e-4), ([22, 64, 64, 1], 1e-3)):
-            net = init_mlp(sizes, ["relu", "relu", "identity"], rng)
+            net = init_mlp(sizes, rng)
             ref = [a.copy() for a in arrays(net)]
             m = [np.zeros_like(a) for a in ref]
             v = [np.zeros_like(a) for a in ref]

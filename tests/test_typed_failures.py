@@ -4,8 +4,10 @@ One rule (``errors.check_number``) decides what a config number may be, so
 each numeric field of the four config classes is probed the same way: the
 constructor raises ``ConfigError`` or builds the object, never anything
 else, and a run config holding a rejected value exits 1 before any data is
-acquired. A tiny run's checkpoints, damaged one way at a time, make
-``evaluate`` exit 2 before it acquires data.
+acquired. So does a switch that is not a bool, a path that is not a
+string, and a config file that cannot be read or holds no JSON object. A
+tiny run's checkpoints, damaged one way at a time, make ``evaluate`` exit 2
+before it acquires data.
 """
 
 import dataclasses
@@ -49,7 +51,7 @@ def builds_or_config_error(cls, name, value) -> bool:
 
 class TestConstructors:
     def test_every_numeric_field_is_probed(self):
-        assert len(NUMERIC) == 50
+        assert len(NUMERIC) == 49
         assert (SacConfig, "auto_temp") not in NUMERIC  # a bool field, probed below
 
     @pytest.mark.parametrize("cls, name", NUMERIC, ids=[f"{c.__name__}.{n}" for c, n in NUMERIC])
@@ -80,7 +82,7 @@ class TestConstructors:
 
     def test_values_the_package_passes_stay_valid(self):
         EnvConfig(k=2, s_scale=np.float64(3.5), n_past=np.int64(5))
-        FnnConfig(s_scale=np.float32(2.0), max_epochs=np.int32(4))
+        FnnConfig(alpha_w=np.float32(2.0), max_epochs=np.int32(4))
         SimConfig(mean_claims_per_period=3, seed=np.uint64(2**40), structural_break_period=None)
         SacConfig(replay_capacity=None, auto_temp=False, entropy_target=-3)
 
@@ -157,6 +159,50 @@ class TestCli:
         ):
             cfg = {"data": {"claims_per_period": 3}, **extra, "output_dir": str(tmp_path)}
             assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("tuning.enabled", "false"),  # a non-empty string is true
+            ("data.write_transactions", "no"),
+            ("output_dir", 5),
+            ("data.path", 7),  # open(7) would read file descriptor 7
+            ("data.path", 0),  # and 0 would read stdin
+        ],
+    )
+    def test_non_number_values_exit_one_before_acquisition(
+        self, tmp_path, monkeypatch, capsys, name, value
+    ):
+        monkeypatch.setattr(cli, "acquire_dataset", no_acquisition)
+        cfg = {**TINY, "output_dir": str(tmp_path / "out")}
+        if name == "data.path":
+            cfg["data"] = {**CAS_INGEST, "path": value}
+        section, _, key = name.rpartition(".")
+        if section:
+            cfg[section] = {**cfg.get(section, {}), key: value}
+        else:
+            cfg[key] = value
+        assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and name in err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_directory_as_the_config_file_is_a_config_error(self, tmp_path, capsys):
+        assert cli.main(["run", "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(tmp_path) in err
+
+    def test_a_config_file_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'\xff\xfe{"seeds": [1]}')
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("payload", [[], ["seeds", 1], "run", 3, None])
+    def test_a_config_that_is_no_json_object_is_a_config_error(self, tmp_path, capsys, payload):
+        path = write_config(tmp_path / "c.json", payload)
+        assert cli.main(["run", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 # -- damaged checkpoints ------------------------------------------------------------
@@ -237,7 +283,7 @@ def section_keys(model):
         return [("env", f.name) for f in dataclasses.fields(EnvConfig)] + [
             ("sac", f.name) for f in dataclasses.fields(SacConfig)
         ]
-    return [("cfg", f.name) for f in dataclasses.fields(FnnConfig)] + [("s_scale",)]
+    return [("cfg", f.name) for f in dataclasses.fields(FnnConfig)]
 
 
 NET = {"rl": "actor.json", "fnn": "net.json"}
@@ -287,7 +333,7 @@ def damages(model):
             ("config_bool_temp", edit_json("config.json", put("yes", "sac", "auto_temp"))),
         ]
     else:
-        found += [("config_text_s_scale", edit_json("config.json", put("1", "s_scale")))]
+        found += [("config_old_s_scale", edit_json("config.json", put(57.5, "s_scale")))]
     for name in ("shift", "scale", "currency"):
         found.append((f"scaler_drops_{name}", edit_npz(drop(name))))
     return found
