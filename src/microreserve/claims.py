@@ -27,7 +27,9 @@ a dict lookup built at construction: the claim list is treated as immutable.
 ``__dict__``), and ``Claim`` is a slotted dataclass. Records with equal
 transaction-type sets share one frozenset (``type_set``), quiet periods the
 empty one. The loader reads rows with ``csv.reader``, with column positions
-resolved once from the header.
+resolved once from the header. Every CSV the package reads is opened by
+``open_csv``, so a path that is a directory or a file that is not UTF-8 is a
+DataError naming it, as a missing file is a FileNotFoundError.
 
 Every CSV the package writes goes through ``write_table``: a float cell is
 written as ``format_number``'s shortest round-trip text and any other cell
@@ -36,6 +38,7 @@ as ``csv.writer`` writes it. Each writer only names its header and rows.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import operator
@@ -336,7 +339,7 @@ def load_transactions(path: str, schema: str = "splice") -> Dataset:
     expected = SPLICE_COLUMNS if schema == "splice" else CAS_COLUMNS
 
     groups: dict[str, list[Transaction]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -534,6 +537,16 @@ def censor(dataset: Dataset, boundary: int) -> Dataset:
         schema=dataset.schema,
         max_calendar_period=horizon,
     )
+
+
+@contextlib.contextmanager
+def open_csv(path: str):
+    """``path`` opened as UTF-8 text for ``csv``; unreadable text is a DataError naming it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
 
 
 def write_table(path: str, header: list[str], rows) -> None:

@@ -51,6 +51,7 @@ from .claims import (
     Dataset,
     discretize,
     load_transactions,
+    open_csv,
     write_dev_records,
     write_table,
     write_transactions,
@@ -126,7 +127,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         _check_keys("config", user, cfg)
         for key, value in user.items():
-            if isinstance(cfg[key], dict) and isinstance(value, dict):
+            if isinstance(cfg[key], dict):
+                if not isinstance(value, dict):  # checked before a flag writes into it
+                    raise ConfigError(f"{key} must be a JSON object")
                 cfg[key].update(value)
             else:
                 cfg[key] = value
@@ -481,7 +484,7 @@ def run_verify(
         g = json.load(fh)
 
     data = discretize(load_transactions(txns_path, "splice"))
-    with open(expected_path, newline="", encoding="utf-8") as fh:
+    with open_csv(expected_path) as fh:
         rows = list(csv.DictReader(fh))
     claim_no = data.claims[0].claim_no
     env_cfg = EnvConfig(**{f.name: g[f.name] for f in dataclasses.fields(EnvConfig)})
@@ -630,7 +633,7 @@ def _read_actions(path: str) -> list[SimpleNamespace]:
     A log without those columns, or a row whose cells do not parse, is a
     ``ParseError`` naming the row (the header is row 1).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_csv(path) as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in ("action", "tau") if c not in (reader.fieldnames or [])]
         if reader.fieldnames and missing:

@@ -50,8 +50,6 @@ from .nets import (
     hidden_sizes,
     init_mlp,
     load_config_json,
-    load_mlp,
-    save_mlp,
 )
 
 
@@ -140,13 +138,9 @@ class FnnModel:
     epochs_run: int = 0
     history: list[tuple[int, float]] = field(default_factory=list)
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Outstanding-amount predictions, floored at zero."""
-        return self.predict_scaled(self.scaler.transform(features))
-
     def predict_scaled(self, z: np.ndarray) -> np.ndarray:
-        """``predict`` on features the model's scaler has already transformed."""
-        out, _ = forward(self.net, z if z.ndim == 2 else z.reshape(1, -1))
+        """Outstanding-amount predictions, floored at zero, for rows of scaled features."""
+        out, _ = forward(self.net, z)
         return np.maximum(np.expm1(np.clip(out[:, 0], None, 40.0)), 0.0)
 
 
@@ -237,9 +231,9 @@ def train_fnn(rows: FnnRows, cfg: FnnConfig) -> FnnModel:
 
 
 def save_fnn(model: FnnModel, directory: str) -> None:
+    """Checkpoint the config, and the scaler with the network's parameters in ``model.npz``."""
     os.makedirs(directory, exist_ok=True)
-    save_mlp(model.net, os.path.join(directory, "net.json"))
-    model.scaler.save(os.path.join(directory, "scaler.npz"))
+    model.scaler.save(os.path.join(directory, "model.npz"), net=model.net.flat)
     with open(os.path.join(directory, "config.json"), "w", encoding="utf-8") as fh:
         json.dump({"cfg": asdict(model.cfg)}, fh, indent=1)
 
@@ -248,11 +242,12 @@ def load_fnn(directory: str) -> FnnModel:
     """The model ``save_fnn`` wrote; a damaged file is a DataError naming it."""
     cfg = load_config_json(os.path.join(directory, "config.json"), cfg=FnnConfig)["cfg"]
     _, sizes = _layout(cfg)
-    return FnnModel(
-        net=load_mlp(os.path.join(directory, "net.json"), like=Mlp(sizes)),
-        scaler=FeatureScaler.load(os.path.join(directory, "scaler.npz"), sizes[0])[0],
-        cfg=cfg,
+    net = Mlp(sizes)
+    scaler, extra = FeatureScaler.load(
+        os.path.join(directory, "model.npz"), sizes[0], net=net.flat.shape
     )
+    net.flat[...] = extra["net"]
+    return FnnModel(net=net, scaler=scaler, cfg=cfg)
 
 
 def predict_ocl_fnn(model: FnnModel, view: Dataset, at: int) -> dict[str, float]:

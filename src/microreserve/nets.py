@@ -10,14 +10,13 @@ averaging and snapshots each work on the whole vector at once.
 ``fit_transform`` fits and standardises that one copy, so a large training
 matrix is copied once. ``FeatureScaler.save`` and ``load`` hold the one
 checkpoint array layout, a ``.npz`` of shift, scale and currency followed by
-any extra named arrays; the FNN and the SAC agent checkpoint through them.
-Every checkpoint reader (``FeatureScaler.load``, ``load_mlp`` and
-``load_config_json``) checks what it reads against the model it is for and
-raises a DataError naming the file for any damage.
+any extra named arrays: the FNN and the SAC agent each keep every array of a
+checkpoint, their networks' ``Mlp.flat`` vectors included, in one such file.
+Both checkpoint readers (``FeatureScaler.load`` and ``load_config_json``)
+check what they read against the model it is for and raise a DataError
+naming the file for any damage.
 
 Every network has one shape: ReLU hidden layers and a linear output layer.
-``save_mlp`` still writes that activation list into the JSON header, and
-``load_mlp`` rejects a file whose list is not it.
 
 Everything runs in 64-bit floats with explicit numpy generators, so a
 seeded run is bit-reproducible. Gradients are hand-derived; the tests
@@ -299,53 +298,6 @@ def _log_currency(x: np.ndarray, currency: np.ndarray) -> np.ndarray:
     currency = np.asarray(currency, dtype=bool)
     z[:, currency] = np.log1p(np.maximum(z[:, currency], 0.0))
     return z
-
-
-def _activations(sizes: list[int]) -> list[str]:
-    """The activation list a network file's header holds: ReLU, then a linear output."""
-    return ["relu"] * (len(sizes) - 2) + ["identity"]
-
-
-def save_mlp(net: Mlp, path: str) -> None:
-    """Flat JSON layout: sizes + activations header, row-major parameters."""
-    payload = {
-        "sizes": net.sizes,
-        "activations": _activations(net.sizes),
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_mlp(path: str, like: Mlp | None = None) -> Mlp:
-    """The network ``save_mlp`` wrote, whose parameters must be finite numbers.
-
-    The header's activations must be the ones its sizes give, and given
-    ``like``, its layer sizes must be like's. Any damage is a DataError
-    naming the file.
-    """
-    with _reading(path):
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        sizes = payload["sizes"]
-        if payload["activations"] != _activations(sizes):
-            raise ValueError(f"activations {payload['activations']} are not {_activations(sizes)}")
-        if like is not None and sizes != like.sizes:
-            raise ValueError(f"layer sizes {sizes} are not the model's")
-        net = Mlp(sizes)
-        saved = payload["weights"] + payload["biases"]
-        views = net.weights + net.biases
-        if len(saved) != len(views):
-            raise ValueError(f"{len(saved)} parameter arrays for {len(views)} slots")
-        for view, arr in zip(views, saved):
-            arr = np.asarray(arr)
-            if arr.dtype.kind not in "if" or arr.shape != view.shape:
-                raise ValueError(f"parameter array of {arr.dtype} {arr.shape}, not {view.shape}")
-            view[...] = arr
-        if not np.isfinite(net.flat).all():
-            raise ValueError("non-finite parameters")
-    return net
 
 
 def load_config_json(path: str, **sections) -> dict:

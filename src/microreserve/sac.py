@@ -8,9 +8,9 @@ buffer and followed by a fixed number of gradient updates, so the agent
 learns while claims are still developing.
 
 Acting, the Bellman targets and the actor step each draw the pre-squash
-sample through ``squashed_draw``. ``save_agent`` checkpoints the networks as
-JSON, the configs, and the scaler with the log temperature as an extra
-array; ``load_agent`` rebuilds the agent around the loaded scaler.
+sample through ``squashed_draw``. ``save_agent`` checkpoints the configs as
+JSON and every array in one ``model.npz``: the scaler, with the log
+temperature and each network's flat parameters as extra arrays.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ from .nets import (
     hidden_sizes,
     init_mlp,
     load_config_json,
-    load_mlp,
-    save_mlp,
 )
 
 LOG_STD_MIN = -20.0
@@ -82,8 +80,7 @@ class ReplayBuffer:
     The rows live in preallocated float64 arrays, one per field. They start
     at ``FIRST_ROWS`` rows and double whenever they fill, up to
     ``capacity``; once that many rows are held, each new row overwrites the
-    oldest (a ring). ``capacity=None`` keeps every row. ``states``,
-    ``actions`` and ``rewards`` are views trimmed to the rows held.
+    oldest (a ring). ``capacity=None`` keeps every row.
     """
 
     FIRST_ROWS = 64
@@ -97,18 +94,6 @@ class ReplayBuffer:
 
     def __len__(self) -> int:
         return self.cursor if self.capacity is None else min(self.cursor, self.capacity)
-
-    @property
-    def states(self) -> np.ndarray:
-        return self._fields[0][: len(self)]
-
-    @property
-    def actions(self) -> np.ndarray:
-        return self._fields[1][: len(self)]
-
-    @property
-    def rewards(self) -> np.ndarray:
-        return self._fields[2][: len(self)]
 
     def add(self, s, a, r, s_next, done) -> None:
         i = self.cursor if self.capacity is None else self.cursor % self.capacity
@@ -160,20 +145,17 @@ def sample_action(
     rng: np.random.Generator | None = None,
     deterministic: bool = False,
 ):
-    """Draw an action from the squashed-Gaussian head.
+    """Draw an action for one 1-D state from the squashed-Gaussian head.
 
     Deterministic mode returns ln_k * tanh(mean). The density of a drawn
     action is ``gaussian_tanh_log_prob``; the updates compute it themselves.
     """
-    out, _ = forward(actor, state_scaled)
-    single = out.ndim == 1
-    out2 = out.reshape(1, -1) if single else out
-    mean = out2[:, 0]
+    out, _ = forward(actor, state_scaled.reshape(1, -1))
+    mean = out[:, 0]
     if not np.all(np.isfinite(mean)):
         raise NumericFault("actor produced non-finite mean")
-    u = mean if deterministic else squashed_draw(mean, out2[:, 1], rng)[3]
-    a = ln_k * np.tanh(u)
-    return float(a[0]) if single else a
+    u = mean if deterministic else squashed_draw(mean, out[:, 1], rng)[3]
+    return float((ln_k * np.tanh(u))[0])
 
 
 class SacAgent:
@@ -219,9 +201,11 @@ class SacAgent:
         return sample_action(self.actor, scaled, self.env_cfg.ln_k, deterministic=True)
 
     def observe(self, txn: Transition) -> None:
-        """Buffer a finished transition, then run the scheduled updates."""
-        if txn.next_state is None and not txn.done:
-            return
+        """Buffer a finished transition, then run the scheduled updates.
+
+        The rollout emits a step only with its successor state set or with
+        ``done`` true.
+        """
         self.buffer.add(
             self.scaler.transform(txn.state),
             txn.action / self.env_cfg.ln_k,
@@ -334,11 +318,10 @@ CHECKPOINT_NETS = ("actor", "critic1", "critic2")
 
 
 def save_agent(agent: SacAgent, directory: str) -> None:
-    """Checkpoint networks, scaler (with the log temperature) and both configs for scoring."""
+    """Checkpoint both configs, and in ``model.npz`` the scaler, log temperature and networks."""
     os.makedirs(directory, exist_ok=True)
-    for name in CHECKPOINT_NETS:
-        save_mlp(getattr(agent, name), os.path.join(directory, f"{name}.json"))
-    agent.scaler.save(os.path.join(directory, "scaler.npz"), log_temp=agent._log_temp_arr)
+    nets = {name: getattr(agent, name).flat for name in CHECKPOINT_NETS}
+    agent.scaler.save(os.path.join(directory, "model.npz"), log_temp=agent._log_temp_arr, **nets)
     with open(os.path.join(directory, "config.json"), "w", encoding="utf-8") as fh:
         json.dump({"env": asdict(agent.env_cfg), "sac": asdict(agent.cfg)}, fh, indent=1)
 
@@ -346,16 +329,18 @@ def save_agent(agent: SacAgent, directory: str) -> None:
 def load_agent(directory: str) -> SacAgent:
     """The agent ``save_agent`` wrote; its target critics are copies of the loaded critics.
 
-    The scaler and each network must fit the saved configs' state layout and
-    layer sizes; a damaged file is a DataError naming it.
+    ``model.npz`` must hold the scaler of the saved configs' state layout,
+    the log temperature and each network's parameters at its layer sizes;
+    a damaged file is a DataError naming it.
     """
     cfgs = load_config_json(os.path.join(directory, "config.json"), env=EnvConfig, sac=SacConfig)
-    width = state_dim(cfgs["env"].state_profile, cfgs["env"].n_past)
-    scaler, extra = FeatureScaler.load(os.path.join(directory, "scaler.npz"), width, log_temp=(1,))
-    agent = SacAgent(cfgs["env"], cfgs["sac"], scaler)
+    agent = SacAgent(cfgs["env"], cfgs["sac"], scaler=None)  # the scaler is in model.npz
+    shapes = {name: getattr(agent, name).flat.shape for name in CHECKPOINT_NETS}
+    agent.scaler, extra = FeatureScaler.load(
+        os.path.join(directory, "model.npz"), agent.dim, log_temp=(1,), **shapes
+    )
     for name in CHECKPOINT_NETS:
-        path = os.path.join(directory, f"{name}.json")
-        setattr(agent, name, load_mlp(path, like=getattr(agent, name)))
+        getattr(agent, name).flat[...] = extra[name]
     agent.target1 = agent.critic1.copy()
     agent.target2 = agent.critic2.copy()
     agent._log_temp_arr[...] = extra["log_temp"]

@@ -459,6 +459,27 @@ class TestRollout:
                     n_open += len(result.reserves) - len(settled)
         assert n_open > 100 and n_settled > 100
 
+    def test_every_emitted_step_has_a_successor_or_is_done(self):
+        # SacAgent.observe buffers each step it receives with no check of its
+        # own, so a step with neither a next state nor done would be learned
+        # from as an absorbing one. The view is censored while claims are open.
+        sim = dataclasses.replace(
+            with_seed(preset("complexity1"), 2), n_accident_periods=10, mean_claims_per_period=12.0
+        )
+        view = censor(discretize(simulate_portfolio(sim)), 7)
+        init = {c.claim_no: 50.0 + c.dev_records[0].cum_paid for c in view.claims}
+        received = []
+        result = rollout_calendar(
+            view, RecordingPolicy(seed=5), init, EnvConfig(s_scale=50.0), boundary=7,
+            explore=True, on_transition=received.append,
+        )
+        assert received == result.transitions
+        open_at_boundary = [no for no in result.reserves if not view.by_no(no).settled_by(7)]
+        assert len(open_at_boundary) > 20 and len(received) > 100
+        for txn in received:
+            assert txn.next_state is not None or txn.done, (txn.claim_no, txn.tau)
+            assert txn.next_state is None or len(txn.next_state) == len(txn.state)
+
     def test_mean_training_ocl(self, three_period_claim):
         # Claim pays 40 at tau=2 out of 100: OCL path is 100, 60.
         assert mean_training_ocl(three_period_claim, 4) == pytest.approx(80.0)

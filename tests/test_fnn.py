@@ -198,6 +198,11 @@ class TestWeightedMse:
             weighted_mse([1.0], [0.0], [0.0])
 
 
+def predict(model, features: np.ndarray) -> np.ndarray:
+    """The model's predictions for rows of unscaled features."""
+    return model.predict_scaled(model.scaler.transform(features))
+
+
 def linear_rows(n=400, seed=0) -> FnnRows:
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 4.0, size=n)
@@ -222,7 +227,7 @@ class TestTrain:
         )
         model = train_fnn(rows, cfg)
         assert model.history[0][1] > model.history[-1][1]
-        preds = model.predict(rows.features)
+        preds = predict(model, rows.features)
         rel = np.abs(preds - rows.targets) / rows.targets
         assert float(np.median(rel)) < 0.1
 
@@ -348,11 +353,11 @@ class TestWeightScale:
         rows = build_training_rows(data, data.max_calendar_period, cfg)
         assert (rows.weights == 0.0).any() and len(set(rows.weights)) > 10
         base = train_fnn(rows, cfg)
-        want = base.predict(rows.features)
+        want = predict(base, rows.features)
         for c in (1e-3, 7.3, 1e4):
             model = train_fnn(dataclasses.replace(rows, weights=rows.weights * c), cfg)
             assert model.epochs_run == base.epochs_run
-            np.testing.assert_allclose(model.predict(rows.features), want, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(predict(model, rows.features), want, rtol=1e-12, atol=0.0)
 
 
 class TestPredict:
@@ -363,7 +368,7 @@ class TestPredict:
         # Force a strongly negative output head.
         model.net.biases[-1][...] = -50.0
         model.net.weights[-1][...] = 0.0
-        assert np.all(model.predict(rows.features[:5]) == 0.0)
+        assert np.all(predict(model, rows.features[:5]) == 0.0)
 
     def test_open_claims_scored_at_valuation(self):
         claims = [
@@ -395,7 +400,7 @@ class TestPredict:
         assert len(preds) == len(open_claims) > 20
         for claim in open_claims:
             row = np.array([row_features(claim, 8, "minimal")], dtype=np.float64)
-            assert preds[claim.claim_no] == float(model.predict(row)[0]), claim.claim_no
+            assert preds[claim.claim_no] == float(predict(model, row)[0]), claim.claim_no
 
     def test_no_open_claims_no_predictions(self):
         data = settled_fixture()
@@ -412,4 +417,4 @@ class TestPersistence:
         save_fnn(model, str(tmp_path / "fnn"))
         again = load_fnn(str(tmp_path / "fnn"))
         x = rows.features[:7]
-        assert np.array_equal(model.predict(x), again.predict(x))
+        assert np.array_equal(predict(model, x), predict(again, x))

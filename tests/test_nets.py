@@ -1,4 +1,3 @@
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,8 +12,6 @@ from microreserve.nets import (
     backward,
     forward,
     init_mlp,
-    load_mlp,
-    save_mlp,
 )
 
 
@@ -255,24 +252,21 @@ class TestScaler:
 
 
 class TestPersistence:
-    def test_save_load_round_trip(self, tmp_path):
+    def test_flat_parameters_round_trip_exactly_through_the_scaler_file(self, tmp_path):
         rng = np.random.default_rng(21)
         net = init_mlp([3, 4, 2], rng)
-        path = tmp_path / "net.json"
-        save_mlp(net, str(path))
-        again = load_mlp(str(path))
+        scaler = FeatureScaler.fit(rng.normal(size=(10, 3)), np.array([True, False, False]))
+        path = str(tmp_path / "model.npz")
+        scaler.save(path, net=net.flat)
+        loaded, extra = FeatureScaler.load(path, 3, net=net.flat.shape)
+        again = Mlp([3, 4, 2])
+        again.flat[...] = extra["net"]
+        assert again.flat.tobytes() == net.flat.tobytes()
         x = rng.normal(size=(6, 3))
-        assert np.array_equal(forward(net, x)[0], forward(again, x)[0])
-
-    def test_header_names_relu_hidden_layers_and_a_linear_output(self, tmp_path):
-        path = tmp_path / "net.json"
-        save_mlp(init_mlp([4, 9, 9, 1], np.random.default_rng(2)), str(path))
-        payload = json.loads(path.read_text())
-        assert payload["activations"] == ["relu", "relu", "identity"]
-        for other in (["relu", "relu", "relu"], ["relu", "identity"], ["relu", "tanh", "identity"]):
-            path.write_text(json.dumps({**payload, "activations": other}))
-            with pytest.raises(DataError, match=str(path)):
-                load_mlp(str(path))
+        assert forward(net, x)[0].tobytes() == forward(again, x)[0].tobytes()
+        # Saving what was loaded writes the same bytes.
+        loaded.save(str(tmp_path / "again.npz"), net=again.flat)
+        assert (tmp_path / "again.npz").read_bytes() == (tmp_path / "model.npz").read_bytes()
 
 
 class TestFlatLayout:
@@ -282,15 +276,12 @@ class TestFlatLayout:
             assert np.shares_memory(arr, net.flat)
         assert sum(a.size for a in net.weights + net.biases) == net.flat.size
 
-    def test_views_share_flat_memory(self, tmp_path):
+    def test_views_share_flat_memory(self):
         rng = np.random.default_rng(2)
         net = init_mlp([4, 6, 2], rng)
         self.assert_views(net)
         twin = net.copy()
         self.assert_views(twin)
-        save_mlp(net, str(tmp_path / "net.json"))
-        loaded = load_mlp(str(tmp_path / "net.json"))
-        self.assert_views(loaded)
         opt = AdamState.for_params(net.flat, lr=0.1)
         adam_step(opt, net.flat, rng.normal(size=net.flat.size))
         self.assert_views(net)
@@ -316,14 +307,6 @@ class TestFlatLayout:
     def test_wrong_flat_length_rejected(self):
         with pytest.raises(ConfigError):
             Mlp(sizes=[3, 2], flat=np.zeros(7))
-
-    def test_save_load_save_same_bytes(self, tmp_path):
-        net = init_mlp([5, 7, 3], np.random.default_rng(8))
-        net.biases[0][...] = np.random.default_rng(9).normal(size=7)
-        first, second = tmp_path / "a.json", tmp_path / "b.json"
-        save_mlp(net, str(first))
-        save_mlp(load_mlp(str(first)), str(second))
-        assert first.read_bytes() == second.read_bytes()
 
     def test_input_only_backward_matches_a_reference_loop(self):
         rng = np.random.default_rng(17)

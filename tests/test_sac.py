@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from microreserve.claims import censor
-from microreserve.env import EnvConfig, Transition
+from microreserve.env import EnvConfig
 from microreserve.errors import ConfigError
 from microreserve.nets import AdamState, FeatureScaler, Mlp, adam_step, forward, init_mlp
 from microreserve.sac import (
@@ -62,17 +62,21 @@ class TestSampleAction:
 
     def test_stochastic_symmetry(self):
         # Oracle: Monte Carlo symmetry of the squashed Gaussian.
-        rng = np.random.default_rng(0)
-        actor = constant_actor(0.0, 0.0)
-        states = np.zeros((100_000, 3))
-        a = sample_action(actor, states, LN2, rng=rng)
+        zeros = np.zeros(100_000)
+        _, _, eps, u = squashed_draw(zeros, zeros, np.random.default_rng(0))
+        a = LN2 * np.tanh(u)
         assert abs(float(np.mean(a))) < 0.01
         assert np.all(np.abs(a) <= LN2)
-        # The same draws, as pre-squash values: their log-density is finite.
-        u = np.random.default_rng(0).standard_normal(a.shape)
-        assert a.tobytes() == (LN2 * np.tanh(u)).tobytes()
-        logp = gaussian_tanh_log_prob(np.zeros_like(u), np.zeros_like(u), u, LN2)
+        # The draws are standard normal pre-squash values with a finite log-density.
+        want = np.random.default_rng(0).standard_normal(u.shape)
+        assert u.tobytes() == eps.tobytes() == want.tobytes()
+        logp = gaussian_tanh_log_prob(zeros, zeros, u, LN2)
         assert np.all(np.isfinite(logp))
+
+    def test_a_drawn_action_is_the_squashed_first_draw(self):
+        a = sample_action(constant_actor(0.0, 0.0), np.zeros(3), LN2, rng=np.random.default_rng(0))
+        u = np.random.default_rng(0).standard_normal(1)
+        assert a == float((LN2 * np.tanh(u))[0])
 
     def test_log_prob_integrates_to_one(self):
         # Numeric integration in the pre-squash variable.
@@ -209,7 +213,8 @@ class TestUpdate:
     def test_buffer_actions_within_bounds(self):
         agent = make_agent()
         fill_buffer(agent)
-        assert all(abs(a) <= 1.0 for a in agent.buffer.actions)  # normalized by ln K
+        actions = agent.buffer._fields[1][: len(agent.buffer)]
+        assert np.all(np.abs(actions) <= 1.0)  # normalized by ln K
 
 
 class TestReplayBuffer:
@@ -218,7 +223,8 @@ class TestReplayBuffer:
         for i in range(10):
             buf.add(np.full(2, i), 0.0, float(i), None, True)
         assert len(buf) == 4
-        assert sorted(r for r in buf.rewards) == [6.0, 7.0, 8.0, 9.0]
+        _, _, rewards, _, _ = buf.sample(4, np.random.default_rng(0))
+        assert sorted(rewards.tolist()) == [6.0, 7.0, 8.0, 9.0]
 
     def test_sample_without_replacement(self):
         buf = ReplayBuffer(capacity=None, dim=2)
@@ -266,17 +272,7 @@ class TestTrain:
         init = {c.claim_no: 80.0 for c in data.claims}
         agent, _ = train_sac(data, init, env_cfg, cfg)
         assert len(agent.buffer) > 0
-        assert agent.buffer.cursor == len(agent.buffer.states)
-
-    def test_observe_skips_truncated_transitions(self):
-        agent = make_agent()
-        txn = Transition(
-            claim_no="x", accident_period=1, dev_period=2, tau=3,
-            state=np.zeros(4), action=0.0, reward=0.0,
-            next_state=None, done=False, pred_ocl=1.0,
-        )
-        agent.observe(txn)
-        assert len(agent.buffer) == 0
+        assert agent.buffer.cursor == len(agent.buffer)
 
 
 class TestPersistence:
@@ -416,9 +412,10 @@ class TestLearnerOracles:
             assert len(buf) == len(ref.rows)
             if len(buf) >= batch:
                 self.assert_same_sample(buf, ref, batch, seed=k)
-        assert np.array_equal(buf.states, np.stack([r[0] for r in ref.rows]))
-        assert np.array_equal(buf.actions, [r[1] for r in ref.rows])
-        assert np.array_equal(buf.rewards, [r[2] for r in ref.rows])
+        states, actions, rewards = (f[: len(buf)] for f in buf._fields[:3])
+        assert np.array_equal(states, np.stack([r[0] for r in ref.rows]))
+        assert np.array_equal(actions, [r[1] for r in ref.rows])
+        assert np.array_equal(rewards, [r[2] for r in ref.rows])
 
     def test_adam_matches_per_array_loop(self):
         # 50 steps on SAC-shaped nets: an actor and a critic over 21 inputs.

@@ -1,15 +1,23 @@
 """Each on-disk format has one writer in the package source.
 
 Every CSV goes through ``claims.write_table``, the only place that builds a
-``csv.writer`` and calls ``format_number``, and every checkpoint scaler
-through ``FeatureScaler.save``, the only ``np.savez``. A new writer that
-opens its own file in either format fails here.
+``csv.writer`` and calls ``format_number``. Every checkpoint array goes
+through ``FeatureScaler.save``, the only ``np.savez``, and is read back by
+``FeatureScaler.load``, the only ``np.load``: each checkpoint is its
+``config.json`` and one ``model.npz`` holding the scaler and every network.
+A new writer that opens its own file in either format fails here.
 """
 
 import ast
 from pathlib import Path
 
-from microreserve.sac import SacAgent
+import numpy as np
+
+from microreserve.fnn import FnnConfig, save_fnn, train_fnn
+from microreserve.sac import CHECKPOINT_NETS, SacAgent, save_agent
+
+from test_fnn import linear_rows
+from test_sac import make_agent
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "microreserve"
 
@@ -52,9 +60,32 @@ def test_one_savez():
     assert sites_of("np.savez") == [("nets", "FeatureScaler.save")]
 
 
+def test_one_npz_reader():
+    assert sites_of("np.load") == [("nets", "FeatureScaler.load")]
+
+
 def test_format_number_only_in_write_table():
     assert sites_of("format_number") == [("claims", "write_table")]
 
 
 def test_the_agent_has_no_checkpoint_methods_of_its_own():
     assert not hasattr(SacAgent, "save") and not hasattr(SacAgent, "load")
+
+
+def saved_files(directory) -> list[str]:
+    return sorted(p.name for p in directory.iterdir())
+
+
+def test_an_agent_checkpoint_is_a_config_and_one_npz(tmp_path):
+    save_agent(make_agent(), str(tmp_path / "rl"))
+    assert saved_files(tmp_path / "rl") == ["config.json", "model.npz"]
+    with np.load(tmp_path / "rl" / "model.npz") as data:
+        assert data.files == ["shift", "scale", "currency", "log_temp", *CHECKPOINT_NETS]
+
+
+def test_an_fnn_checkpoint_is_a_config_and_one_npz(tmp_path):
+    cfg = FnnConfig(state_profile="minimal", max_epochs=1, patience=1, seed=0)
+    save_fnn(train_fnn(linear_rows(n=40), cfg), str(tmp_path / "fnn"))
+    assert saved_files(tmp_path / "fnn") == ["config.json", "model.npz"]
+    with np.load(tmp_path / "fnn" / "model.npz") as data:
+        assert data.files == ["shift", "scale", "currency", "net"]

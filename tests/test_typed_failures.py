@@ -5,9 +5,12 @@ each numeric field of the four config classes is probed the same way: the
 constructor raises ``ConfigError`` or builds the object, never anything
 else, and a run config holding a rejected value exits 1 before any data is
 acquired. So does a switch that is not a bool, a path that is not a
-string, and a config file that cannot be read or holds no JSON object. A
-tiny run's checkpoints, damaged one way at a time, make ``evaluate`` exit 2
-before it acquires data.
+string, a config file that cannot be read or holds no JSON object, and a
+config section that is no JSON object, with or without a flag for that
+section. A tiny run's checkpoints, damaged one way at a time (the arrays of
+``model.npz`` included), make ``evaluate`` exit 2 before it acquires data,
+and so does a checkpoint in the earlier layout. A data file that is a
+directory or not UTF-8 makes ``ingest``, ``run`` and ``report`` exit 2.
 """
 
 import dataclasses
@@ -192,6 +195,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(tmp_path) in err
 
+    @pytest.mark.parametrize(
+        "section, value, flags",
+        [
+            ("data", 5, ["run", "--preset", "complexity1"]),
+            ("data", [], ["run", "--claims-per-period", "3"]),
+            ("data", "x", ["run", "--path", "t.csv"]),
+            ("data", None, ["evaluate", "--schema", "cas", "--fnn-model", "m"]),
+            ("split", [1], ["chain-ladder", "--boundary", "5", "--out", "cl.csv"]),
+            ("split", 7, ["tune", "--boundary", "5"]),
+        ],
+    )
+    def test_a_section_that_is_no_object_is_a_config_error_under_its_flags(
+        self, tmp_path, monkeypatch, capsys, section, value, flags
+    ):
+        monkeypatch.setattr(cli, "acquire_dataset", no_acquisition)
+        path = write_config(tmp_path / "c.json", {section: value})
+        assert cli.main([*flags[:1], "--config", path, *flags[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{section} must be a JSON object" in err
+
     def test_a_config_file_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_bytes(b'\xff\xfe{"seeds": [1]}')
@@ -229,7 +252,7 @@ def edit_json(name, change):
 
 def edit_npz(change):
     def damage(directory):
-        path = directory / "scaler.npz"
+        path = directory / "model.npz"
         with np.load(path) as data:
             arrays = dict(data)
         change(arrays)
@@ -286,7 +309,23 @@ def section_keys(model):
     return [("cfg", f.name) for f in dataclasses.fields(FnnConfig)]
 
 
-NET = {"rl": "actor.json", "fnn": "net.json"}
+def to_old_layout(directory):
+    """Rewrite a checkpoint with the file names of the earlier layout.
+
+    That layout kept the scaler (with the log temperature) in ``scaler.npz``
+    and each network in a JSON file of its own.
+    """
+    path = directory / "model.npz"
+    with np.load(path) as data:
+        arrays = dict(data)
+    path.unlink()
+    for name in ("actor", "critic1", "critic2", "net"):
+        if name in arrays:
+            (directory / f"{name}.json").write_text(json.dumps(arrays.pop(name).tolist()))
+    np.savez(directory / "scaler.npz", **arrays)
+
+
+NET = {"rl": "actor", "fnn": "net"}  # a network's array in model.npz
 SECTION = {"rl": "env", "fnn": "cfg"}
 
 
@@ -294,8 +333,8 @@ def damages(model):
     net, section = NET[model], SECTION[model]
     rejects_two = "dropout" if model == "fnn" else "gamma"  # both lie below 1
     found = [
-        ("scaler_not_npz", overwrite("scaler.npz", "not an archive\n")),
-        ("scaler_empty", overwrite("scaler.npz", "")),
+        ("model_not_npz", overwrite("model.npz", "not an archive\n")),
+        ("model_empty", overwrite("model.npz", "")),
         ("scaler_reshape_shift", edit_npz(reshape("shift", (1, -1)))),
         ("scaler_reshape_currency", edit_npz(reshape("currency", (-1, 1)))),
         ("scaler_short_scale", edit_npz(lambda a: a.update(scale=a["scale"][:-1]))),
@@ -303,16 +342,13 @@ def damages(model):
         ("scaler_float_currency", edit_npz(lambda a: a.update(currency=a["currency"] * 1.0))),
         ("scaler_nan_shift", edit_npz(lambda a: a["shift"].__setitem__(0, np.nan))),
         ("scaler_zero_scale", edit_npz(lambda a: a["scale"].__setitem__(0, 0.0))),
-        ("scaler_extra_array", edit_npz(lambda a: a.update(bogus=np.zeros(1)))),
-        ("net_truncated", truncate(net)),
-        ("net_not_utf8", lambda d: (d / net).write_bytes(b"\xff\xfe")),
-        ("net_list", overwrite(net, "[]")),
-        ("net_unknown_activation", edit_json(net, put("swish", "activations", 0))),
-        ("net_wider_input", edit_json(net, lambda p: p["sizes"].insert(0, p["sizes"].pop(0) + 1))),
-        ("net_text_weight", edit_json(net, lambda p: p["weights"][0][0].__setitem__(0, "1"))),
-        ("net_nan_weight", edit_json(net, lambda p: p["weights"][0][0].__setitem__(0, math.nan))),
-        ("net_missing_biases", edit_json(net, drop("biases"))),
-        ("net_short_biases", edit_json(net, lambda p: p["biases"].pop())),
+        ("extra_array", edit_npz(lambda a: a.update(bogus=np.zeros(1)))),
+        ("net_missing", edit_npz(drop(net))),
+        ("net_short", edit_npz(lambda a: a.update({net: a[net][:-1]}))),
+        ("net_two_d", edit_npz(lambda a: a.update({net: a[net].reshape(1, -1)}))),
+        ("net_text", edit_npz(lambda a: a.update({net: a[net].astype(str)}))),
+        ("net_float32", edit_npz(lambda a: a.update({net: a[net].astype(np.float32)}))),
+        ("net_nan_weight", edit_npz(lambda a: a[net].__setitem__(0, np.nan))),
         ("config_truncated", truncate("config.json")),
         ("config_missing", lambda d: (d / "config.json").unlink()),
         ("config_section_dropped", edit_json("config.json", drop(section))),
@@ -329,7 +365,7 @@ def damages(model):
         found += [
             ("scaler_no_log_temp", edit_npz(drop("log_temp"))),
             ("scaler_log_temp_pair", edit_npz(lambda a: a.update(log_temp=np.zeros(2)))),
-            ("critic_truncated", truncate("critic2.json")),
+            ("critic_missing", edit_npz(drop("critic2"))),
             ("config_bool_temp", edit_json("config.json", put("yes", "sac", "auto_temp"))),
         ]
     else:
@@ -358,6 +394,24 @@ class TestCheckpoints:
         assert cli.main(["evaluate", "--config", config, flag, str(copy)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(copy) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("model", ["rl", "fnn"])
+    def test_a_checkpoint_in_the_old_layout_exits_two_naming_model_npz(
+        self, checkpoints, tmp_path, monkeypatch, capsys, model
+    ):
+        config, dirs = checkpoints
+        copy = tmp_path / model
+        shutil.copytree(dirs[model], copy)
+        to_old_layout(copy)
+        nets = ["actor", "critic1", "critic2"] if model == "rl" else ["net"]
+        assert sorted(p.name for p in copy.iterdir()) == sorted(
+            ["config.json", "scaler.npz"] + [f"{name}.json" for name in nets]
+        )
+        monkeypatch.setattr(cli, "acquire_dataset", no_acquisition)
+        flag = "--rl-checkpoint" if model == "rl" else "--fnn-model"
+        assert cli.main(["evaluate", "--config", config, flag, str(copy)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(copy / "model.npz") in err
 
     @pytest.mark.parametrize("model", ["rl", "fnn"])
     def test_splice_full_checkpoint_on_cas_data_exits_one_before_acquisition(
@@ -391,3 +445,38 @@ class TestCheckpoints:
 
         monkeypatch.setattr(cli, "acquire_dataset", acquire)
         assert cli.main(["evaluate", "--config", config, "--fnn-model", str(dirs["fnn"])]) == 1
+
+
+# -- unreadable data files ----------------------------------------------------------
+
+
+def unreadable(tmp_path, kind) -> str:
+    """A directory, or a CSV holding byte 0xff, which is no UTF-8 text."""
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"claim_no,accident_period\n\xff,1\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+class TestDataFiles:
+    def assert_data_error(self, capsys, argv, path):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and path in err and "Traceback" not in err
+
+    def test_ingest(self, tmp_path, capsys, kind):
+        path = unreadable(tmp_path, kind)
+        self.assert_data_error(capsys, ["ingest", "--path", path], path)
+
+    def test_run_on_ingested_data(self, tmp_path, capsys, kind):
+        path = unreadable(tmp_path, kind)
+        cfg = {**TINY, "data": {**CAS_INGEST, "path": path}, "output_dir": str(tmp_path / "out")}
+        config = write_config(tmp_path.parent / f"{kind}.json", cfg)
+        self.assert_data_error(capsys, ["run", "--config", config, "--models", "cl"], path)
+
+    def test_report(self, tmp_path, capsys, kind):
+        path = unreadable(tmp_path, kind)
+        argv = ["report", "--transitions", path, "--out", str(tmp_path.parent / "h.csv")]
+        self.assert_data_error(capsys, argv, path)
