@@ -115,16 +115,21 @@ def default_config() -> dict:
     }
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in a config file; an unreadable or malformed file is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 def load_config(path: str | None, overrides: dict) -> dict:
     cfg = default_config()
     if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                user = json.load(fh)
-        except (FileNotFoundError, IsADirectoryError) as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
+        user = _read_json(path, "config file")
         _check_keys("config", user, cfg)
         for key, value in user.items():
             if isinstance(cfg[key], dict):
@@ -480,14 +485,21 @@ def run_verify(
     config_path = config_path or _fixture_path("golden_claim_config.json")
     if not (os.path.exists(txns_path) and os.path.exists(expected_path)):
         raise DataError("golden fixture files missing")
-    with open(config_path, encoding="utf-8") as fh:
-        g = json.load(fh)
+    g = _read_json(config_path, "fixture config")
+    env_fields = [f.name for f in dataclasses.fields(EnvConfig)]
+    if not isinstance(g, dict):
+        raise ConfigError(f"fixture config {config_path} must be a JSON object")
+    missing = sorted(set(env_fields + ["ocl0", "racc_weighted"]) - set(g))
+    if missing:
+        raise ConfigError(f"fixture config {config_path} lacks {missing}")
+    env_cfg = EnvConfig(**{name: g[name] for name in env_fields})
+    check_number("ocl0", g["ocl0"], "float", "(0, inf)")
+    check_number("racc_weighted", g["racc_weighted"], "float")
 
     data = discretize(load_transactions(txns_path, "splice"))
     with open_csv(expected_path) as fh:
         rows = list(csv.DictReader(fh))
     claim_no = data.claims[0].claim_no
-    env_cfg = EnvConfig(**{f.name: g[f.name] for f in dataclasses.fields(EnvConfig)})
     policy = ScriptedPolicy({(claim_no, int(r["tau"])): float(r["action"]) for r in rows})
     result = rollout_calendar(data, policy, {claim_no: g["ocl0"]}, env_cfg)
 

@@ -227,6 +227,7 @@ def train_fnn(rows: FnnRows, cfg: FnnConfig) -> FnnModel:
             break
     if has_val:
         net.flat[...] = best_params
+    net.workspaces.clear()  # the validation forward's buffers would outlive the fit
     return model
 
 

@@ -11,6 +11,14 @@ Acting, the Bellman targets and the actor step each draw the pre-squash
 sample through ``squashed_draw``. ``save_agent`` checkpoints the configs as
 JSON and every array in one ``model.npz``: the scaler, with the log
 temperature and each network's flat parameters as extra arrays.
+
+An update allocates nothing large once it is warm. The two critics are
+views into one parameter vector, ``SacAgent.critics``, and the two target
+critics into another, ``SacAgent.targets``: one Adam step moves both
+critics, and one in-place Polyak pair moves both targets. The replay buffer
+keeps every transition as one row of one array and gathers a batch with one
+``take``; the critic, target and actor inputs are column views of that
+batch, and the networks compute into their own workspaces (see ``nets``).
 """
 
 from __future__ import annotations
@@ -75,12 +83,17 @@ class SacConfig:
 
 
 class ReplayBuffer:
-    """Uniform replay over (state, action, reward, next_state, done) rows.
+    """Uniform replay over rows ``[s, a, s', slot, r, done]`` of one float64 array.
 
-    The rows live in preallocated float64 arrays, one per field. They start
-    at ``FIRST_ROWS`` rows and double whenever they fill, up to
-    ``capacity``; once that many rows are held, each new row overwrites the
-    oldest (a ring). ``capacity=None`` keeps every row.
+    The array starts at ``FIRST_ROWS`` rows and doubles whenever it fills,
+    up to ``capacity``; once that many rows are held, each new row
+    overwrites the oldest (a ring). ``capacity=None`` keeps every row.
+
+    ``sample`` gathers a batch's rows with one ``take`` into an array that
+    it reuses, so a batch stays valid until the next sample. The learner
+    reads the batch by column blocks: ``critic_in`` is (s, a) and
+    ``target_in`` is (s', slot), where the slot, zero in the stored rows,
+    takes the next action that the target critics score.
     """
 
     FIRST_ROWS = 64
@@ -88,30 +101,48 @@ class ReplayBuffer:
     def __init__(self, capacity: int | None, dim: int):
         self.capacity = capacity
         self.cursor = 0
+        self.state = slice(0, dim)
+        self.action = dim
+        self.critic_in = slice(0, dim + 1)
+        self.next_state = slice(dim + 1, 2 * dim + 1)
+        self.slot = 2 * dim + 1
+        self.target_in = slice(dim + 1, 2 * dim + 2)
+        self.reward = 2 * dim + 2
+        self.done = 2 * dim + 3
         rows = self.FIRST_ROWS if capacity is None else min(capacity, self.FIRST_ROWS)
-        self._fields = [np.zeros((rows, dim)), np.zeros(rows), np.zeros(rows),
-                        np.zeros((rows, dim)), np.zeros(rows)]
+        self.rows = np.zeros((rows, 2 * dim + 4))
+        self._batch: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.cursor if self.capacity is None else min(self.cursor, self.capacity)
 
     def add(self, s, a, r, s_next, done) -> None:
         i = self.cursor if self.capacity is None else self.cursor % self.capacity
-        allocated = len(self._fields[0])
+        allocated = len(self.rows)
         if i == allocated:  # every row is full and capacity allows more
-            rows = 2 * allocated if self.capacity is None else min(2 * allocated, self.capacity)
-            self._fields = [
-                np.concatenate([f, np.zeros((rows - allocated,) + f.shape[1:])])
-                for f in self._fields
-            ]
-        row = (s, a, r, 0.0 if s_next is None else s_next, 1.0 if done else 0.0)
-        for f, value in zip(self._fields, row):
-            f[i] = value
+            n = 2 * allocated if self.capacity is None else min(2 * allocated, self.capacity)
+            grown = np.zeros((n, self.rows.shape[1]))
+            grown[:allocated] = self.rows
+            self.rows = grown
+        row = self.rows[i]
+        row[self.state] = s
+        row[self.action] = a
+        row[self.next_state] = 0.0 if s_next is None else s_next
+        row[self.reward] = r
+        row[self.done] = 1.0 if done else 0.0
         self.cursor += 1
 
-    def sample(self, batch_size: int, rng: np.random.Generator):
+    def sample(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.choice(len(self), size=batch_size, replace=False)
-        return tuple(f[idx] for f in self._fields)
+        if self._batch is None or len(self._batch) != batch_size:
+            self._batch = np.empty((batch_size, self.rows.shape[1]))
+        # Every index is in range; "clip" takes no defensive copy, as "raise" does with out=.
+        return np.take(self.rows, idx, axis=0, out=self._batch, mode="clip")
+
+
+def _mean(x: np.ndarray) -> float:
+    """``float(np.mean(x))`` of a 1-D array, bit for bit, without its dispatch."""
+    return float(np.add.reduce(x)) / x.size
 
 
 def _log1m_tanh_sq(u: np.ndarray) -> np.ndarray:
@@ -126,16 +157,25 @@ def gaussian_tanh_log_prob(mean, log_std, u, ln_k: float):
     return base - _log1m_tanh_sq(u) - math.log(ln_k)
 
 
-def squashed_draw(mean: np.ndarray, raw_log_std: np.ndarray, rng: np.random.Generator):
+def squashed_draw(
+    mean: np.ndarray,
+    raw_log_std: np.ndarray,
+    rng: np.random.Generator,
+    out: np.ndarray | None = None,
+):
     """Reparameterised draw of the pre-squash ``u = mean + std * eps``.
 
     Clips the log-std to [LOG_STD_MIN, LOG_STD_MAX] and makes one
-    ``standard_normal`` call of ``mean``'s shape. Returns (log_std, std, eps, u).
+    ``standard_normal`` call of ``mean``'s shape. Returns (log_std, std, eps,
+    u), the four rows of ``out`` (shape ``(4,) + mean.shape``) if given.
     """
-    log_std = np.clip(raw_log_std, LOG_STD_MIN, LOG_STD_MAX)
-    std = np.exp(log_std)
-    eps = rng.standard_normal(mean.shape)
-    return log_std, std, eps, mean + std * eps
+    log_std, std, eps, u = np.empty((4,) + mean.shape) if out is None else out
+    np.minimum(np.maximum(raw_log_std, LOG_STD_MIN, out=log_std), LOG_STD_MAX, out=log_std)
+    np.exp(log_std, out=std)
+    rng.standard_normal(out=eps)
+    np.multiply(std, eps, out=u)
+    u += mean
+    return log_std, std, eps, u
 
 
 def sample_action(
@@ -152,8 +192,6 @@ def sample_action(
     """
     out, _ = forward(actor, state_scaled.reshape(1, -1))
     mean = out[:, 0]
-    if not np.all(np.isfinite(mean)):
-        raise NumericFault("actor produced non-finite mean")
     u = mean if deterministic else squashed_draw(mean, out[:, 1], rng)[3]
     return float((ln_k * np.tanh(u))[0])
 
@@ -171,19 +209,32 @@ class SacAgent:
         hid = list(cfg.hidden)
         init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
         self.actor = init_mlp([dim] + hid + [2], init_rng)
-        self.critic1 = init_mlp([dim + 1] + hid + [1], init_rng)
-        self.critic2 = init_mlp([dim + 1] + hid + [1], init_rng)
-        self.target1 = self.critic1.copy()
-        self.target2 = self.critic2.copy()
+        critic_sizes = [dim + 1] + hid + [1]
+        drawn = [init_mlp(critic_sizes, init_rng).flat for _ in range(2)]
+        # critic1 and critic2 are the halves of one vector, target1 and target2 of another.
+        self.critics = np.concatenate(drawn)
+        self.targets = self.critics.copy()
+        self.critic1, self.critic2 = (Mlp(list(critic_sizes), v) for v in np.split(self.critics, 2))
+        self.target1, self.target2 = (Mlp(list(critic_sizes), v) for v in np.split(self.targets, 2))
+        self._critic_grads = np.empty_like(self.critics)
+        self._critic_grad_halves = np.split(self._critic_grads, 2)
         self.actor_opt = AdamState.for_params(self.actor.flat, cfg.actor_lr)
-        self.critic1_opt = AdamState.for_params(self.critic1.flat, cfg.critic_lr)
-        self.critic2_opt = AdamState.for_params(self.critic2.flat, cfg.critic_lr)
+        self.critic_opt = AdamState.for_params(self.critics, cfg.critic_lr)
         self._log_temp_arr = np.array([math.log(cfg.init_temp)])
         self.temp_opt = AdamState.for_params(self._log_temp_arr, cfg.temp_lr)
         self.buffer = ReplayBuffer(cfg.replay_capacity, dim)
         self.env_steps = 0
         self.n_updates = 0
         self.training_log: list[dict] = []
+        # Update buffers: the draws, the critics' unit upstream, the actor's
+        # upstream and the temperature's gradient.
+        self._draw = np.empty((4, cfg.batch_size))
+        self._ones = np.ones((cfg.batch_size, 1))
+        self._actor_upstream = np.empty((cfg.batch_size, 2))
+        self._temp_grad = np.empty(1)
+        # Scaled copies of training-rollout states by id, each array scaled once:
+        # ``_scale`` keeps a copy until ``observe`` buffers the array's own transition.
+        self._scaled: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def temperature(self) -> float:
@@ -191,8 +242,21 @@ class SacAgent:
 
     # -- policy interface used by rollout_calendar ---------------------------
 
-    def act(self, state: np.ndarray, explore: bool = False, **_) -> float:
+    def _scale(self, state: np.ndarray, keep: bool) -> np.ndarray:
+        """The scaled copy of a state array; with ``keep``, remembered for its next use.
+
+        A remembered entry holds the array itself, so its id names no other array.
+        """
+        hit = self._scaled.get(id(state))
+        if hit is not None:
+            return hit[1]
         scaled = self.scaler.transform(state)
+        if keep:
+            self._scaled[id(state)] = (state, scaled)
+        return scaled
+
+    def act(self, state: np.ndarray, explore: bool = False, **_) -> float:
+        scaled = self._scale(state, keep=explore)
         if explore:
             self.env_steps += 1
             if self.env_steps <= self.cfg.warmup_steps:
@@ -204,13 +268,16 @@ class SacAgent:
         """Buffer a finished transition, then run the scheduled updates.
 
         The rollout emits a step only with its successor state set or with
-        ``done`` true.
+        ``done`` true, and then acts on that successor state. So each state
+        array is scaled once: by ``act`` or here as a successor, and its copy
+        is taken back when its own transition is buffered.
         """
+        acted = self._scaled.pop(id(txn.state), None)
         self.buffer.add(
-            self.scaler.transform(txn.state),
+            self.scaler.transform(txn.state) if acted is None else acted[1],
             txn.action / self.env_cfg.ln_k,
             txn.reward,
-            None if txn.next_state is None else self.scaler.transform(txn.next_state),
+            None if txn.next_state is None else self._scale(txn.next_state, keep=True),
             txn.done,
         )
         if len(self.buffer) < self.cfg.batch_size or self.env_steps <= self.cfg.warmup_steps:
@@ -220,85 +287,84 @@ class SacAgent:
 
     # -- learning steps -------------------------------------------------------
 
-    def critic_targets(self, rewards, next_states, dones, gamma: float):
-        """Bellman targets y = r + gamma (1-done)(min Q' - temp * log pi)."""
-        out, _ = forward(self.actor, next_states)
+    def critic_targets(self, batch: np.ndarray, gamma: float) -> np.ndarray:
+        """Bellman targets y = r + gamma (1-done)(min Q' - temp * log pi) of a sampled batch.
+
+        Each row's next action, drawn from the actor at its successor state,
+        goes into the batch's slot column, so ``target_in`` is the input of
+        both target critics.
+        """
+        buf = self.buffer
+        x = batch[:, buf.target_in]
+        out, _ = forward(self.actor, batch[:, buf.next_state])
         mean = out[:, 0]
-        log_std, _, _, u = squashed_draw(mean, out[:, 1], self.rng)
-        a_norm = np.tanh(u)
+        draw = self._draw if self._draw.shape[1] == len(batch) else None
+        log_std, _, _, u = squashed_draw(mean, out[:, 1], self.rng, out=draw)
+        np.tanh(u, out=batch[:, buf.slot])
         logp = gaussian_tanh_log_prob(mean, log_std, u, self.env_cfg.ln_k)
-        x = np.concatenate([next_states, a_norm[:, None]], axis=1)
         q1, _ = forward(self.target1, x)
         q2, _ = forward(self.target2, x)
         q_min = np.minimum(q1[:, 0], q2[:, 0])
-        return rewards + gamma * (1.0 - dones) * (q_min - self.temperature * logp)
+        dones = batch[:, buf.done]
+        return batch[:, buf.reward] + gamma * (1.0 - dones) * (q_min - self.temperature * logp)
 
     def update(self) -> dict:
         if len(self.buffer) < self.cfg.batch_size:
             raise DataError("buffer smaller than one batch")
-        states, actions, rewards, next_states, dones = self.buffer.sample(
-            self.cfg.batch_size, self.rng
-        )
-        bsz = states.shape[0]
-        gamma = self.env_cfg.gamma
-        y = self.critic_targets(rewards, next_states, dones, gamma)
+        buf = self.buffer
+        batch = buf.sample(self.cfg.batch_size, self.rng)
+        bsz = batch.shape[0]
+        y = self.critic_targets(batch, self.env_cfg.gamma)
 
-        # Critic regression toward the Bellman targets.
-        x = np.concatenate([states, actions[:, None]], axis=1)
+        # Critic regression toward the Bellman targets: one Adam step moves both critics.
+        x = batch[:, buf.critic_in]
         critic_losses = []
-        for critic, opt in (
-            (self.critic1, self.critic1_opt),
-            (self.critic2, self.critic2_opt),
-        ):
+        for critic, grad in zip((self.critic1, self.critic2), self._critic_grad_halves):
             q, cache = forward(critic, x)
             err = q[:, 0] - y
-            critic_losses.append(float(np.mean(err**2)))
+            critic_losses.append(_mean(err**2))
             upstream = (2.0 * err / bsz)[:, None]
-            grad, _ = backward(critic, cache, upstream)
-            adam_step(opt, critic.flat, grad)
+            backward(critic, cache, upstream, out=grad)
+        adam_step(self.critic_opt, self.critics, self._critic_grads)
 
         # Actor: maximise min-Q of a reparameterised sample minus entropy cost.
-        out, actor_cache = forward(self.actor, states)
+        out, actor_cache = forward(self.actor, batch[:, buf.state])
         mean = out[:, 0]
         log_std_raw = out[:, 1]
-        log_std, std, eps, u = squashed_draw(mean, log_std_raw, self.rng)
-        tanh_u = np.tanh(u)
+        log_std, std, eps, u = squashed_draw(mean, log_std_raw, self.rng, out=self._draw)
+        # The action column takes the sample, so critic_in becomes (s, tanh u).
+        tanh_u = np.tanh(u, out=batch[:, buf.action])
         logp = gaussian_tanh_log_prob(mean, log_std, u, self.env_cfg.ln_k)
 
-        xa = np.concatenate([states, tanh_u[:, None]], axis=1)
-        q1, cache1 = forward(self.critic1, xa)
-        q2, cache2 = forward(self.critic2, xa)
+        q1, cache1 = forward(self.critic1, x)
+        q2, cache2 = forward(self.critic2, x)
         use1 = q1[:, 0] <= q2[:, 0]
         q_min = np.where(use1, q1[:, 0], q2[:, 0])
 
-        ones = np.ones((bsz, 1))
-        _, in_grad1 = backward(self.critic1, cache1, ones, param_grads=False)
-        _, in_grad2 = backward(self.critic2, cache2, ones, param_grads=False)
+        _, in_grad1 = backward(self.critic1, cache1, self._ones, param_grads=False)
+        _, in_grad2 = backward(self.critic2, cache2, self._ones, param_grads=False)
         dq_da = np.where(use1, in_grad1[:, -1], in_grad2[:, -1])
 
         temp = self.temperature
         sech2 = 1.0 - tanh_u**2
         dlogp_du = 2.0 * tanh_u
-        dl_dmean = (temp * dlogp_du - dq_da * sech2) / bsz
+        upstream = self._actor_upstream
+        dl_dmean = np.divide(temp * dlogp_du - dq_da * sech2, bsz, out=upstream[:, 0])
         dl_du = dl_dmean  # same path via u for the chain below
         dl_dlogstd = dl_du * std * eps + temp * (-1.0) / bsz
         clip_mask = (log_std_raw > LOG_STD_MIN) & (log_std_raw < LOG_STD_MAX)
-        dl_dlogstd = np.where(clip_mask, dl_dlogstd, 0.0)
-        upstream = np.stack([dl_dmean, dl_dlogstd], axis=1)
+        upstream[:, 1] = np.where(clip_mask, dl_dlogstd, 0.0)
         actor_grad, _ = backward(self.actor, actor_cache, upstream)
         adam_step(self.actor_opt, self.actor.flat, actor_grad)
-        actor_loss = float(np.mean(temp * logp - q_min))
+        actor_loss = _mean(temp * logp - q_min)
 
         if self.cfg.auto_temp:
-            grad = np.array([-(float(np.mean(logp)) + self.cfg.entropy_target) * 1.0])
-            adam_step(self.temp_opt, self._log_temp_arr, grad)
+            self._temp_grad[0] = -(_mean(logp) + self.cfg.entropy_target) * 1.0
+            adam_step(self.temp_opt, self._log_temp_arr, self._temp_grad)
 
-        for critic, target in (
-            (self.critic1, self.target1),
-            (self.critic2, self.target2),
-        ):
-            target.flat *= self.cfg.rho
-            target.flat += (1.0 - self.cfg.rho) * critic.flat
+        # Both targets in one Polyak pair; the spent critic gradient takes the product.
+        self.targets *= self.cfg.rho
+        self.targets += np.multiply(1.0 - self.cfg.rho, self.critics, out=self._critic_grads)
 
         self.n_updates += 1
         diag = {
@@ -341,8 +407,7 @@ def load_agent(directory: str) -> SacAgent:
     )
     for name in CHECKPOINT_NETS:
         getattr(agent, name).flat[...] = extra[name]
-    agent.target1 = agent.critic1.copy()
-    agent.target2 = agent.critic2.copy()
+    agent.targets[...] = agent.critics
     agent._log_temp_arr[...] = extra["log_temp"]
     return agent
 
@@ -388,6 +453,11 @@ def train_sac(
         boundary=boundary,
         on_transition=agent.observe,
     )
+    # The copies of states whose transitions never finished, and the update's
+    # network buffers, would outlive training.
+    agent._scaled.clear()
+    for net in (agent.actor, agent.critic1, agent.critic2, agent.target1, agent.target2):
+        net.workspaces.clear()
     return agent, agent.training_log
 
 

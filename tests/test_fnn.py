@@ -260,6 +260,8 @@ class TestTrain:
         m1 = train_fnn(rows, cfg)
         m2 = train_fnn(rows, cfg)
         assert np.array_equal(m1.net.flat, m2.net.flat)
+        # The fit's buffers, the validation rows' among them, go with the fit.
+        assert m1.net.workspaces == {}
 
     def test_split_is_by_claim(self):
         # Rows sharing a claim_no never straddle the early-stop split.

@@ -280,7 +280,7 @@ class TestFlatLayout:
         rng = np.random.default_rng(2)
         net = init_mlp([4, 6, 2], rng)
         self.assert_views(net)
-        twin = net.copy()
+        twin = Mlp(list(net.sizes), net.flat.copy())
         self.assert_views(twin)
         opt = AdamState.for_params(net.flat, lr=0.1)
         adam_step(opt, net.flat, rng.normal(size=net.flat.size))
@@ -296,13 +296,18 @@ class TestFlatLayout:
         expected = np.concatenate([a.ravel() for a in parts])
         assert np.array_equal(net.flat, expected)
 
-    def test_copy_is_independent(self):
-        net = init_mlp([3, 4, 1], np.random.default_rng(5))
-        before = net.flat.copy()
-        twin = net.copy()
-        twin.flat += 1.0
-        twin.weights[0][0, 0] = 99.0
-        assert np.array_equal(net.flat, before)
+    def test_nets_on_the_halves_of_one_vector_share_it(self):
+        # As SAC's twin critics do: one Adam step on the vector moves both nets.
+        pair = np.zeros(2 * 11)
+        first, second = (Mlp([3, 2, 1], half) for half in np.split(pair, 2))
+        first.weights[0][...] = 1.0
+        second.biases[1][...] = -4.0
+        assert pair[:6].tolist() == [1.0] * 6 and pair[:11].sum() == 6.0
+        assert pair[-1] == -4.0 and pair[11:].sum() == -4.0
+        before = pair.copy()
+        adam_step(AdamState.for_params(pair, lr=0.5), pair, np.ones_like(pair))
+        assert (first.flat < before[:11]).all() and (second.flat < before[11:]).all()
+        assert np.shares_memory(second.weights[0], pair)
 
     def test_wrong_flat_length_rejected(self):
         with pytest.raises(ConfigError):
@@ -363,6 +368,28 @@ class TestDropout:
 # -- the training step against the plain numpy one -----------------------------------
 
 
+def reference_forward(net, x, dropout=0.0, rng=None):
+    """forward with a fresh array for every layer product and a fresh cache."""
+    x = np.asarray(x, dtype=np.float64)
+    squeeze = x.ndim == 1
+    h = x.reshape(1, -1) if squeeze else x
+    cache = {"inputs": [h], "masks": []}
+    last = net.n_layers - 1
+    for layer in range(last + 1):
+        a = h @ net.weights[layer]
+        a += net.biases[layer]
+        mask = None
+        if layer < last:
+            np.maximum(a, 0.0, out=a)
+            if dropout:
+                mask = (rng.uniform(size=a.shape) >= dropout) / (1.0 - dropout)
+                a = a * mask
+        cache["masks"].append(mask)
+        cache["inputs"].append(a)
+        h = a
+    return (h[0] if squeeze else h), cache
+
+
 def reference_backward(net, cache, upstream, param_grads=True):
     """backward written with fresh arrays for every product and ``@`` for every layer.
 
@@ -411,6 +438,18 @@ def cache_arrays(cache):
 
 
 class TestStepOracles:
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_forward_matches_the_reference(self, dropout):
+        rng = np.random.default_rng(30)
+        net = init_mlp([5, 7, 6, 2], rng)
+        wide = rng.normal(size=(16, 9))
+        for x in (rng.normal(size=(16, 5)), wide[:, 2:7], rng.normal(size=(1, 5)), wide[3, :5]):
+            got, got_cache = forward(net, x, dropout=dropout, rng=np.random.default_rng(2))
+            want, want_cache = reference_forward(net, x, dropout=dropout, rng=np.random.default_rng(2))
+            assert same_bits(got, want)
+            for a, b in zip(cache_arrays(got_cache), cache_arrays(want_cache)):
+                assert same_bits(a, b)
+
     @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     @pytest.mark.parametrize("param_grads", [True, False])
@@ -430,9 +469,8 @@ class TestStepOracles:
             assert all(same_bits(a, b) for a, b in zip(before, after))
 
     def test_zero_upstream_rows_match_the_reference_in_value(self):
-        # Zero-weight FNN rows give zero upstream rows. The width-1 broadcast keeps
-        # the sign of a zero product, where the matrix product added it to +0.0, so
-        # zeros may differ in sign and every value is equal.
+        # Zero-weight FNN rows give zero upstream rows: every value, and the sign of
+        # every zero, equals the matrix product's, which adds each product to +0.0.
         rng = np.random.default_rng(5)
         net = init_mlp([5, 8, 8, 1], rng)
         out, cache = forward(net, rng.normal(size=(32, 5)))
@@ -443,7 +481,7 @@ class TestStepOracles:
             got = backward(net, cache, upstream, param_grads=param_grads)
             want = reference_backward(net, cache, upstream, param_grads=param_grads)
             for g, w in zip(got, want):
-                assert (g is None and w is None) or np.array_equal(g, w)
+                assert (g is None and w is None) or same_bits(g, w)
 
     @pytest.mark.parametrize("n", [1, 5121])  # SAC's temperature; a 13-64-64-1 FNN
     def test_adam_trajectory_matches_the_reference(self, n):
@@ -466,7 +504,7 @@ class TestStepOracles:
         # 50 FNN-shaped steps, forward, backward and Adam, on the two implementations.
         rng = np.random.default_rng(12)
         net = init_mlp([13, 64, 64, 1], rng)
-        ref = net.copy()
+        ref = Mlp(list(net.sizes), net.flat.copy())
         opt, ref_opt = AdamState.for_params(net.flat, 1e-3), AdamState.for_params(ref.flat, 1e-3)
         for _ in range(50):
             x = rng.normal(size=(128, 13))
@@ -481,3 +519,60 @@ class TestStepOracles:
                 grad, _ = back(model, cache, upstream)
                 step(state, model.flat, grad)
             assert same_bits(net.flat, ref.flat)
+
+
+class TestWorkspaces:
+    """A returned output, cache or gradient stays valid until the next call of
+    the same kind on the same net at the same row count."""
+
+    @staticmethod
+    def snapshot(*arrays):
+        return [a.copy() for a in arrays]
+
+    def test_a_cache_survives_other_row_counts_and_other_nets(self):
+        rng = np.random.default_rng(40)
+        net, other = init_mlp([4, 8, 8, 1], rng), init_mlp([4, 8, 8, 1], rng)
+        x = rng.normal(size=(32, 4))
+        out, cache = forward(net, x)
+        kept = self.snapshot(out, *cache_arrays(cache))
+        forward(net, rng.normal(size=(5, 4)))  # another row count
+        forward(net, rng.normal(size=4))  # a 1-D row: row count one
+        forward(other, rng.normal(size=(32, 4)))  # another net
+        backward(other, forward(other, x)[1], rng.normal(size=(32, 1)))
+        assert all(same_bits(a, b) for a, b in zip(kept, [out, *cache_arrays(cache)]))
+        upstream = rng.normal(size=(32, 1))
+        want = reference_backward(net, reference_forward(net, x)[1], upstream)[0]
+        assert same_bits(backward(net, cache, upstream)[0], want)
+
+    def test_the_same_row_count_reuses_the_buffers(self):
+        rng = np.random.default_rng(41)
+        net = init_mlp([3, 6, 2], rng)
+        out, cache = forward(net, rng.normal(size=(10, 3)))
+        again, cache_again = forward(net, rng.normal(size=(10, 3)))
+        assert again is out and cache_again is cache
+        grad, _ = backward(net, cache, np.ones((10, 2)))
+        assert backward(net, cache, np.ones((10, 2)))[0] is grad
+        assert list(net.workspaces) == [10]
+
+    def test_gradients_land_in_out_and_leave_the_caller_alone(self):
+        rng = np.random.default_rng(42)
+        net = init_mlp([4, 5, 5, 1], rng)
+        x = rng.normal(size=(12, 4))
+        out, cache = forward(net, x)
+        upstream = rng.normal(size=(12, 1))
+        before = self.snapshot(x, upstream, *cache_arrays(cache))
+        pair = np.full(2 * net.flat.size, np.nan)
+        grad, _ = backward(net, cache, upstream, out=pair[net.flat.size :])
+        assert grad.base is pair and np.isnan(pair[: net.flat.size]).all()
+        assert same_bits(grad, reference_backward(net, cache, upstream)[0])
+        assert all(same_bits(a, b) for a, b in zip(before, [x, upstream, *cache_arrays(cache)]))
+        _, input_grad = backward(net, cache, upstream, param_grads=False)
+        assert same_bits(input_grad, reference_backward(net, cache, upstream, False)[1])
+        assert all(same_bits(a, b) for a, b in zip(before, [x, upstream, *cache_arrays(cache)]))
+
+    def test_a_forward_only_net_holds_no_backward_buffers(self):
+        net = init_mlp([3, 4, 1], np.random.default_rng(43))
+        forward(net, np.ones((7, 3)))
+        work = net.workspaces[7]
+        assert work.grad is None and work.slopes == {}
+        assert work.input_grads == [None, None]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from microreserve.sac import (
 )
 
 from conftest import build_claim, build_dataset
+from test_nets import reference_adam_step, reference_backward, reference_forward
 
 LN2 = math.log(2.0)
 
@@ -123,20 +125,25 @@ def fill_buffer(agent: SacAgent, n=32, reward=1.0, done_every=4, rng_seed=0):
         )
 
 
+def batch_of(agent: SacAgent, rows) -> np.ndarray:
+    """Replay rows (s, a, r, s_next, done) laid out as the agent's buffer samples them."""
+    buf = ReplayBuffer(None, agent.dim)
+    for row in rows:
+        buf.add(*row)
+    return buf.rows[: len(rows)].copy()
+
+
 class TestCriticTargets:
     def test_done_transition_is_reward_only(self):
         agent = make_agent()
-        y = agent.critic_targets(
-            np.array([3.5]), np.zeros((1, 4)), np.array([1.0]), gamma=0.99
-        )
+        y = agent.critic_targets(batch_of(agent, [(np.zeros(4), 0.0, 3.5, None, True)]), gamma=0.99)
         assert y[0] == pytest.approx(3.5)
 
     def test_gamma_zero_is_reward(self):
         agent = make_agent()
-        y = agent.critic_targets(
-            np.array([2.0, -1.0]), np.random.default_rng(0).normal(size=(2, 4)),
-            np.zeros(2), gamma=0.0,
-        )
+        s_next = np.random.default_rng(0).normal(size=(2, 4))
+        rows = [(np.zeros(4), 0.0, r, s, False) for r, s in zip([2.0, -1.0], s_next)]
+        y = agent.critic_targets(batch_of(agent, rows), gamma=0.0)
         assert np.allclose(y, [2.0, -1.0])
 
     def test_hand_built_single_transition(self):
@@ -147,14 +154,18 @@ class TestCriticTargets:
         agent.target1.biases[-1][...] = 2.0
         agent.target2.biases[-1][...] = 5.0
         agent.actor.biases[-1][...] = np.array([0.4, -40.0])  # tight std
-        s_next = np.ones((1, 4))
+        batch = batch_of(agent, [(np.zeros(4), 0.0, 1.0, np.ones(4), False)])
         agent.rng = np.random.default_rng(123)
-        y = agent.critic_targets(np.array([1.0]), s_next, np.array([0.0]), gamma=0.5)
+        y = agent.critic_targets(batch, gamma=0.5)
         eps = np.random.default_rng(123).standard_normal(1)[0]
         u = 0.4 + math.exp(-20.0) * eps
         logp = gaussian_tanh_log_prob(0.4, -20.0, u, agent.env_cfg.ln_k)
         expected = 1.0 + 0.5 * (2.0 - agent.temperature * logp)
         assert y[0] == pytest.approx(expected, rel=1e-6)
+        # The next action fills the slot after the next state: the target critics' input.
+        buf = agent.buffer
+        assert batch[0, buf.slot] == np.tanh(u)
+        assert np.array_equal(batch[:, buf.target_in], [[1.0, 1.0, 1.0, 1.0, np.tanh(u)]])
 
 
 class TestUpdate:
@@ -213,7 +224,7 @@ class TestUpdate:
     def test_buffer_actions_within_bounds(self):
         agent = make_agent()
         fill_buffer(agent)
-        actions = agent.buffer._fields[1][: len(agent.buffer)]
+        actions = agent.buffer.rows[: len(agent.buffer), agent.buffer.action]
         assert np.all(np.abs(actions) <= 1.0)  # normalized by ln K
 
 
@@ -223,15 +234,39 @@ class TestReplayBuffer:
         for i in range(10):
             buf.add(np.full(2, i), 0.0, float(i), None, True)
         assert len(buf) == 4
-        _, _, rewards, _, _ = buf.sample(4, np.random.default_rng(0))
+        rewards = buf.sample(4, np.random.default_rng(0))[:, buf.reward]
         assert sorted(rewards.tolist()) == [6.0, 7.0, 8.0, 9.0]
 
     def test_sample_without_replacement(self):
         buf = ReplayBuffer(capacity=None, dim=2)
         for i in range(8):
             buf.add(np.full(2, i), 0.0, float(i), None, True)
-        _, _, rewards, _, _ = buf.sample(8, np.random.default_rng(0))
+        rewards = buf.sample(8, np.random.default_rng(0))[:, buf.reward]
         assert sorted(rewards.tolist()) == [float(i) for i in range(8)]
+
+    def test_row_layout_and_column_blocks(self):
+        buf = ReplayBuffer(capacity=None, dim=3)
+        buf.add(np.array([1.0, 2.0, 3.0]), 0.5, -7.0, np.array([4.0, 5.0, 6.0]), False)
+        buf.add(np.array([9.0, 9.0, 9.0]), -0.25, 1.5, None, True)
+        assert buf.rows[:2].tolist() == [
+            [1.0, 2.0, 3.0, 0.5, 4.0, 5.0, 6.0, 0.0, -7.0, 0.0],
+            [9.0, 9.0, 9.0, -0.25, 0.0, 0.0, 0.0, 0.0, 1.5, 1.0],
+        ]
+        row = buf.rows[0]
+        assert row[buf.critic_in].tolist() == [1.0, 2.0, 3.0, 0.5]
+        assert row[buf.target_in].tolist() == [4.0, 5.0, 6.0, 0.0]
+        assert row[buf.state].tolist() == [1.0, 2.0, 3.0]
+        assert row[buf.next_state].tolist() == [4.0, 5.0, 6.0]
+
+    def test_a_batch_is_one_reused_gather(self):
+        buf = ReplayBuffer(capacity=None, dim=2)
+        for i in range(10):
+            buf.add(np.full(2, i), 0.0, float(i), None, True)
+        first = buf.sample(4, np.random.default_rng(0))
+        want = buf.rows[np.random.default_rng(0).choice(10, size=4, replace=False)]
+        assert first.tobytes() == want.tobytes()
+        assert buf.sample(4, np.random.default_rng(1)) is first  # valid until the next sample
+        assert not np.shares_memory(first, buf.rows)
 
 
 class TestTrain:
@@ -273,6 +308,9 @@ class TestTrain:
         agent, _ = train_sac(data, init, env_cfg, cfg)
         assert len(agent.buffer) > 0
         assert agent.buffer.cursor == len(agent.buffer)
+        # The update's network buffers go with the training pass.
+        for net in (agent.actor, agent.critic1, agent.critic2, agent.target1, agent.target2):
+            assert net.workspaces == {}
 
 
 class TestPersistence:
@@ -299,6 +337,11 @@ class TestPersistence:
             assert np.array_equal(target.flat, critic.flat)
             assert not np.shares_memory(target.flat, critic.flat)
         assert np.array_equal(again.critic1.flat, agent.critic1.flat)
+        # The targets are a vector of their own, so writing one leaves its critic alone.
+        before = again.critics.copy()
+        again.target1.flat[...] += 1.0
+        again.target2.weights[0][0, 0] = 99.0
+        assert again.critics.tobytes() == before.tobytes()
 
     def test_loaded_temperature_and_scaler_are_bitwise_equal(self, tmp_path):
         agent = make_agent(seed=4)
@@ -381,6 +424,11 @@ def adam_layout(net, grads):
     return net.parameters(), grads
 
 
+def columns(buf, rows):
+    """A batch's (states, actions, rewards, next_states, dones), as the field buffers gave them."""
+    return tuple(rows[:, c] for c in (buf.state, buf.action, buf.reward, buf.next_state, buf.done))
+
+
 def replay_rows(rng, n, dim):
     for i in range(n):
         done = i % 3 == 0
@@ -395,7 +443,7 @@ def replay_rows(rng, n, dim):
 
 class TestLearnerOracles:
     def assert_same_sample(self, buf, ref, batch, seed):
-        got = buf.sample(batch, np.random.default_rng(seed))
+        got = columns(buf, buf.sample(batch, np.random.default_rng(seed)))
         want = ref.sample(batch, np.random.default_rng(seed))
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -412,7 +460,7 @@ class TestLearnerOracles:
             assert len(buf) == len(ref.rows)
             if len(buf) >= batch:
                 self.assert_same_sample(buf, ref, batch, seed=k)
-        states, actions, rewards = (f[: len(buf)] for f in buf._fields[:3])
+        states, actions, rewards = columns(buf, buf.rows[: len(buf)])[:3]
         assert np.array_equal(states, np.stack([r[0] for r in ref.rows]))
         assert np.array_equal(actions, [r[1] for r in ref.rows])
         assert np.array_equal(rewards, [r[2] for r in ref.rows])
@@ -449,3 +497,252 @@ class TestLearnerOracles:
                     p_t += (1.0 - 0.95) * p_c
                 for got, want in zip(arrays(target), ref):
                     assert np.array_equal(got, want)
+
+
+# -- the learner before the shared critic vector, the row buffer and the workspaces --
+
+
+class FieldReplayBuffer:
+    """The replay buffer with one preallocated array per field."""
+
+    FIRST_ROWS = 64
+
+    def __init__(self, capacity, dim):
+        self.capacity = capacity
+        self.cursor = 0
+        rows = self.FIRST_ROWS if capacity is None else min(capacity, self.FIRST_ROWS)
+        self._fields = [np.zeros((rows, dim)), np.zeros(rows), np.zeros(rows),
+                        np.zeros((rows, dim)), np.zeros(rows)]
+
+    def __len__(self):
+        return self.cursor if self.capacity is None else min(self.cursor, self.capacity)
+
+    def add(self, s, a, r, s_next, done):
+        i = self.cursor if self.capacity is None else self.cursor % self.capacity
+        allocated = len(self._fields[0])
+        if i == allocated:
+            rows = 2 * allocated if self.capacity is None else min(2 * allocated, self.capacity)
+            self._fields = [
+                np.concatenate([f, np.zeros((rows - allocated,) + f.shape[1:])])
+                for f in self._fields
+            ]
+        row = (s, a, r, 0.0 if s_next is None else s_next, 1.0 if done else 0.0)
+        for f, value in zip(self._fields, row):
+            f[i] = value
+        self.cursor += 1
+
+    def sample(self, batch_size, rng):
+        idx = rng.choice(len(self), size=batch_size, replace=False)
+        return tuple(f[idx] for f in self._fields)
+
+
+class ReferenceLearner:
+    """``SacAgent``'s update as it was: a net, an Adam step and a Polyak step per
+    critic, concatenated inputs, and networks that allocate every array."""
+
+    def __init__(self, agent: SacAgent):
+        cfg = self.cfg = agent.cfg
+        self.env_cfg = agent.env_cfg
+        self.rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 77]))
+        for name in ("actor", "critic1", "critic2", "target1", "target2"):
+            net = getattr(agent, name)
+            setattr(self, name, Mlp(list(net.sizes), net.flat.copy()))
+        self.actor_opt = AdamState.for_params(self.actor.flat, cfg.actor_lr)
+        self.critic1_opt = AdamState.for_params(self.critic1.flat, cfg.critic_lr)
+        self.critic2_opt = AdamState.for_params(self.critic2.flat, cfg.critic_lr)
+        self._log_temp_arr = agent._log_temp_arr.copy()
+        self.temp_opt = AdamState.for_params(self._log_temp_arr, cfg.temp_lr)
+        self.buffer = FieldReplayBuffer(cfg.replay_capacity, agent.dim)
+        self.n_updates = 0
+        self.training_log = []
+
+    @property
+    def temperature(self):
+        return float(np.exp(self._log_temp_arr[0]))
+
+    def critic_targets(self, rewards, next_states, dones, gamma):
+        out, _ = reference_forward(self.actor, next_states)
+        mean = out[:, 0]
+        log_std = np.clip(out[:, 1], -20.0, 2.0)
+        u = mean + np.exp(log_std) * self.rng.standard_normal(mean.shape)
+        a_norm = np.tanh(u)
+        logp = gaussian_tanh_log_prob(mean, log_std, u, self.env_cfg.ln_k)
+        x = np.concatenate([next_states, a_norm[:, None]], axis=1)
+        q1, _ = reference_forward(self.target1, x)
+        q2, _ = reference_forward(self.target2, x)
+        q_min = np.minimum(q1[:, 0], q2[:, 0])
+        return rewards + gamma * (1.0 - dones) * (q_min - self.temperature * logp)
+
+    def update(self):
+        states, actions, rewards, next_states, dones = self.buffer.sample(
+            self.cfg.batch_size, self.rng
+        )
+        bsz = states.shape[0]
+        y = self.critic_targets(rewards, next_states, dones, self.env_cfg.gamma)
+
+        x = np.concatenate([states, actions[:, None]], axis=1)
+        critic_losses = []
+        for critic, opt in ((self.critic1, self.critic1_opt), (self.critic2, self.critic2_opt)):
+            q, cache = reference_forward(critic, x)
+            err = q[:, 0] - y
+            critic_losses.append(float(np.mean(err**2)))
+            grad, _ = reference_backward(critic, cache, (2.0 * err / bsz)[:, None])
+            reference_adam_step(opt, critic.flat, grad)
+
+        out, actor_cache = reference_forward(self.actor, states)
+        mean = out[:, 0]
+        log_std_raw = out[:, 1]
+        log_std = np.clip(log_std_raw, -20.0, 2.0)
+        std = np.exp(log_std)
+        eps = self.rng.standard_normal(mean.shape)
+        u = mean + std * eps
+        tanh_u = np.tanh(u)
+        logp = gaussian_tanh_log_prob(mean, log_std, u, self.env_cfg.ln_k)
+
+        xa = np.concatenate([states, tanh_u[:, None]], axis=1)
+        q1, cache1 = reference_forward(self.critic1, xa)
+        q2, cache2 = reference_forward(self.critic2, xa)
+        use1 = q1[:, 0] <= q2[:, 0]
+        q_min = np.where(use1, q1[:, 0], q2[:, 0])
+        ones = np.ones((bsz, 1))
+        _, in_grad1 = reference_backward(self.critic1, cache1, ones, param_grads=False)
+        _, in_grad2 = reference_backward(self.critic2, cache2, ones, param_grads=False)
+        dq_da = np.where(use1, in_grad1[:, -1], in_grad2[:, -1])
+
+        temp = self.temperature
+        sech2 = 1.0 - tanh_u**2
+        dlogp_du = 2.0 * tanh_u
+        dl_dmean = (temp * dlogp_du - dq_da * sech2) / bsz
+        dl_dlogstd = dl_dmean * std * eps + temp * (-1.0) / bsz
+        clip_mask = (log_std_raw > -20.0) & (log_std_raw < 2.0)
+        dl_dlogstd = np.where(clip_mask, dl_dlogstd, 0.0)
+        upstream = np.stack([dl_dmean, dl_dlogstd], axis=1)
+        actor_grad, _ = reference_backward(self.actor, actor_cache, upstream)
+        reference_adam_step(self.actor_opt, self.actor.flat, actor_grad)
+        actor_loss = float(np.mean(temp * logp - q_min))
+
+        if self.cfg.auto_temp:
+            grad = np.array([-(float(np.mean(logp)) + self.cfg.entropy_target) * 1.0])
+            reference_adam_step(self.temp_opt, self._log_temp_arr, grad)
+
+        for critic, target in ((self.critic1, self.target1), (self.critic2, self.target2)):
+            target.flat *= self.cfg.rho
+            target.flat += (1.0 - self.cfg.rho) * critic.flat
+
+        self.n_updates += 1
+        diag = {
+            "update": self.n_updates,
+            "critic_loss": 0.5 * (critic_losses[0] + critic_losses[1]),
+            "actor_loss": actor_loss,
+            "temperature": self.temperature,
+            "buffer": len(self.buffer),
+        }
+        self.training_log.append(diag)
+        return diag
+
+
+def sac_shaped_agent(seed=0, **cfg_kwargs) -> SacAgent:
+    """An agent of the default run's shape: the full splice state, 64x64 nets, batch 128."""
+    env_cfg = EnvConfig(s_scale=50.0)
+    cfg = SacConfig(seed=seed, warmup_steps=0, **cfg_kwargs)
+    agent = SacAgent(env_cfg, cfg, None)
+    agent.scaler = unit_scaler(agent.dim)
+    return agent
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestUpdateOracle:
+    @pytest.mark.parametrize("capacity", [None, 200])
+    def test_200_updates_match_the_reference_bit_for_bit(self, capacity):
+        # The buffer grows (None) or wraps (200) while it trains, as in a rollout.
+        agent = sac_shaped_agent(seed=6, replay_capacity=capacity, rho=0.95)
+        ref = ReferenceLearner(agent)
+        rows = replay_rows(np.random.default_rng(8), 128 + 200, agent.dim)
+        for k, row in enumerate(rows):
+            agent.buffer.add(*row)
+            ref.buffer.add(*row)
+            if k >= 128:
+                agent.update()
+                ref.update()
+        assert agent.n_updates == ref.n_updates == 200
+        for name in ("actor", "critic1", "critic2", "target1", "target2"):
+            assert bits(getattr(agent, name).flat) == bits(getattr(ref, name).flat), name
+        for got, want in (
+            (agent.actor_opt, [ref.actor_opt]),
+            (agent.critic_opt, [ref.critic1_opt, ref.critic2_opt]),
+            (agent.temp_opt, [ref.temp_opt]),
+        ):
+            assert got.step == want[0].step == 200
+            assert bits(got.m) == bits(np.concatenate([w.m for w in want]))
+            assert bits(got.v) == bits(np.concatenate([w.v for w in want]))
+        assert bits(agent._log_temp_arr) == bits(ref._log_temp_arr)
+        assert agent.rng.bit_generator.state == ref.rng.bit_generator.state
+        assert [list(row) for row in agent.training_log] == [list(row) for row in ref.training_log]
+        for got, want in zip(agent.training_log, ref.training_log):
+            assert [bits(v) for v in got.values()] == [bits(v) for v in want.values()]
+
+    def test_warm_updates_allocate_little(self):
+        agent = sac_shaped_agent(seed=2)
+        for row in replay_rows(np.random.default_rng(3), 300, agent.dim):
+            agent.buffer.add(*row)
+        for _ in range(5):
+            agent.update()
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                agent.update()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The allocating update peaked near 900 KB: its products, inputs and Polyak step.
+        # What is left is mostly the 64 KB buffer numpy makes for a broadcast bias add;
+        # a fresh 89 KB Polyak product on top of it would cross the bound.
+        assert peak < 100 * 1024, peak
+
+    def test_the_critics_share_one_vector_and_one_adam_step(self):
+        agent = sac_shaped_agent()
+        half = agent.critics.size // 2
+        for k, (critic, target) in enumerate(
+            ((agent.critic1, agent.target1), (agent.critic2, agent.target2))
+        ):
+            assert critic.flat.base is agent.critics and target.flat.base is agent.targets
+            assert np.shares_memory(critic.flat, agent.critics[k * half : (k + 1) * half])
+        assert not np.shares_memory(agent.critics, agent.targets)
+        assert agent.critic_opt.m.shape == agent.critics.shape
+
+
+class TestStateScaling:
+    def test_each_rollout_state_is_scaled_once(self, monkeypatch):
+        data = tiny_env_dataset()
+        env_cfg = EnvConfig(state_profile="minimal", s_scale=50.0)
+        cfg = SacConfig(seed=11, batch_size=4, warmup_steps=2, hidden=(8, 8))
+        init = {c.claim_no: 80.0 for c in data.claims}
+        scaled, observed = [], []
+        transform, observe = FeatureScaler.transform, SacAgent.observe
+
+        def counted(self, x):
+            scaled.append(x)  # held, so no two live arrays share an id
+            return transform(self, x)
+
+        def recorded(self, txn):
+            observed.append(txn)
+            return observe(self, txn)
+
+        monkeypatch.setattr(FeatureScaler, "transform", counted)
+        monkeypatch.setattr(SacAgent, "observe", recorded)
+        agent, _ = train_sac(data, init, env_cfg, cfg)
+        # Every claim here settles, so each state is the state of one transition.
+        assert len(scaled) == len(observed) > 0
+        assert len({id(x) for x in scaled}) == len(scaled)
+        assert agent._scaled == {}
+        # Each buffered row holds its states as a fresh transform gives them.
+        buf = agent.buffer
+        for row, txn in zip(buf.rows, observed):
+            assert row[buf.state].tobytes() == transform(agent.scaler, txn.state).tobytes()
+            want = np.zeros(agent.dim) if txn.next_state is None else transform(
+                agent.scaler, txn.next_state
+            )
+            assert row[buf.next_state].tobytes() == want.tobytes()

@@ -7,7 +7,8 @@ else, and a run config holding a rejected value exits 1 before any data is
 acquired. So does a switch that is not a bool, a path that is not a
 string, a config file that cannot be read or holds no JSON object, and a
 config section that is no JSON object, with or without a flag for that
-section. A tiny run's checkpoints, damaged one way at a time (the arrays of
+section. So does a ``verify`` fixture config that cannot be read, holds no
+JSON object, or lacks or mistypes a field. A tiny run's checkpoints, damaged one way at a time (the arrays of
 ``model.npz`` included), make ``evaluate`` exit 2 before it acquires data,
 and so does a checkpoint in the earlier layout. A data file that is a
 directory or not UTF-8 makes ``ingest``, ``run`` and ``report`` exit 2.
@@ -194,6 +195,40 @@ class TestCli:
         assert cli.main(["run", "--config", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(tmp_path) in err
+
+    @pytest.mark.parametrize(
+        "kind", ["directory", "not_json", "not_utf8", "no_object", "no_k", "no_ocl0", "bad_ocl0",
+                 "bad_racc", "bad_gamma"],
+    )
+    def test_a_bad_fixture_config_is_a_config_error(self, tmp_path, capsys, kind):
+        with open(cli._fixture_path("golden_claim_config.json"), encoding="utf-8") as fh:
+            good = json.load(fh)
+        path = tmp_path / "fixture_config.json"
+        edits = {
+            "no_k": {"k": None}, "no_ocl0": {"ocl0": None}, "bad_ocl0": {"ocl0": -5.0},
+            "bad_racc": {"racc_weighted": "3.75"}, "bad_gamma": {"gamma": 1.5},
+        }
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_json":
+            path.write_text("{not json", encoding="utf-8")
+        elif kind == "not_utf8":
+            path.write_bytes(b'{"k": "\xff"}')
+        elif kind == "no_object":
+            path.write_text("[2.0]", encoding="utf-8")
+        else:
+            cfg = {**good, **edits[kind]}
+            path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
+        assert cli.main(["verify", "--fixture-config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:"), err
+        assert str(path) in err or kind.startswith("bad_"), err
+
+    def test_the_reproduced_fixture_config_crash_names_the_field(self, tmp_path, capsys):
+        path = tmp_path / "fixture_config.json"
+        path.write_text(json.dumps({"ocl0": 5}), encoding="utf-8")
+        assert cli.main(["verify", "--fixture-config", str(path)]) == 1
+        assert "'k'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section, value, flags",
