@@ -16,12 +16,13 @@ the same row count. A call at another row count, or on another net, leaves
 it alone. Neither call writes its caller's arrays: ``forward`` keeps a
 reference to its input in the cache, and ``backward`` reads ``upstream``.
 
-``FeatureScaler`` standardises with one copy of its input per call, and
-``fit_transform`` fits and standardises that one copy, so a large training
-matrix is copied once. ``FeatureScaler.save`` and ``load`` hold the one
-checkpoint array layout, a ``.npz`` of shift, scale and currency followed by
-any extra named arrays: the FNN and the SAC agent each keep every array of a
-checkpoint, their networks' ``Mlp.flat`` vectors included, in one such file.
+``FeatureScaler.fit_in_place`` fits to its caller's fresh matrix and scales
+that matrix in place, so a training matrix is never copied; ``transform``
+standardises one copy of its input per call. ``FeatureScaler.save`` and
+``load`` hold the one checkpoint array layout, a ``.npz`` of shift, scale
+and currency followed by any extra named arrays: the FNN and the SAC agent
+each keep every array of a checkpoint, their networks' ``Mlp.flat`` vectors
+included, in one such file.
 Both checkpoint readers (``FeatureScaler.load`` and ``load_config_json``)
 check what they read against the model it is for and raise a DataError
 naming the file for any damage.
@@ -300,9 +301,12 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray):
 class FeatureScaler:
     """Standardisation with log1p applied to currency-valued slots.
 
-    Each call makes one copy of its input: ``_log_currency`` copies it and
-    takes the currency columns' logs, and the standardisation then runs on
-    that copy in place, with the operations of ``(z - shift) / scale``.
+    ``fit_in_place`` fits to the rows of its caller's fresh float64 matrix
+    and scales that matrix in place, so a fit copies nothing the size of its
+    input. ``transform`` leaves its input alone: ``_log_currency`` copies it
+    and takes the currency columns' logs, and the standardisation then runs
+    on that copy in place, with the operations of ``(z - shift) / scale``.
+    Either way a matrix comes out in the same bits.
     """
 
     shift: np.ndarray
@@ -310,19 +314,28 @@ class FeatureScaler:
     currency: np.ndarray
 
     @classmethod
-    def fit(cls, x: np.ndarray, currency: np.ndarray) -> "FeatureScaler":
-        return cls.fit_transform(x, currency)[0]
+    def fit_in_place(cls, z: np.ndarray, currency: np.ndarray) -> "FeatureScaler":
+        """The scaler fitted to the rows of ``z``, which it overwrites with their transform.
 
-    @classmethod
-    def fit_transform(cls, x: np.ndarray, currency: np.ndarray):
-        """The scaler fitted to ``x`` and its transform of ``x``, from one copy."""
+        Shift and scale are bit for bit the ``mean`` and ``std`` over axis 0
+        of the rows with their currency columns log-scaled, and ``z`` ends
+        as ``transform`` of the rows it held. The temporaries are one column
+        and one block of squares (see ``_column_sums_of_squares``).
+        """
+        if not (z.ndim == 2 and z.dtype == np.float64 and z.flags.c_contiguous
+                and z.flags.writeable):
+            raise ConfigError("a scaler fits in place to a writable C-ordered 2-D float64 matrix")
         currency = np.asarray(currency, dtype=bool)
-        z = _log_currency(x, currency)
+        column = np.empty(z.shape[0])
+        for j in np.flatnonzero(currency):
+            np.maximum(z[:, j], 0.0, out=column)
+            z[:, j] = np.log1p(column, out=column)
         shift = z.mean(axis=0)
-        scale = z.std(axis=0)
+        z -= shift
+        scale = np.sqrt(_column_sums_of_squares(z) / z.shape[0])
         scale[scale < 1e-12] = 1.0
-        scaler = cls(shift=shift, scale=scale, currency=currency)
-        return scaler, scaler._standardise(z)
+        z /= scale
+        return cls(shift=shift, scale=scale, currency=currency)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         z = self._standardise(_log_currency(x, self.currency))
@@ -359,6 +372,25 @@ class FeatureScaler:
                 raise ValueError("its arrays do not form the model's scaler")
             scaler = cls(*(arrays.pop(name) for name in ("shift", "scale", "currency")))
         return scaler, arrays
+
+
+def _column_sums_of_squares(z: np.ndarray, block: int = 1024) -> np.ndarray:
+    """``np.square(z).sum(axis=0)`` bit for bit, squaring ``block`` rows at a time.
+
+    numpy reduces a C-ordered matrix of width 2 or more over axis 0 one row
+    at a time, in row order, so each block's squares are reduced behind the
+    running sums, which start at zero. A single column it sums pairwise,
+    in one block.
+    """
+    n, d = z.shape
+    if d == 1:
+        return np.square(z).sum(axis=0)
+    squares = np.zeros((min(n, block) + 1, d))  # row 0: the running sums
+    for start in range(0, n, block):
+        rows = min(block, n - start)
+        np.square(z[start : start + rows], out=squares[1 : rows + 1])
+        squares[0] = squares[: rows + 1].sum(axis=0)
+    return squares[0]
 
 
 def _log_currency(x: np.ndarray, currency: np.ndarray) -> np.ndarray:

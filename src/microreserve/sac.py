@@ -426,7 +426,7 @@ def fit_state_scaler(view: Dataset, init, env_cfg: EnvConfig, boundary: int) -> 
     if not rows:
         raise DataError("no states available to fit the scaler")
     mask = currency_mask(env_cfg.state_profile, env_cfg.n_past)
-    return FeatureScaler.fit(np.stack(rows), mask)
+    return FeatureScaler.fit_in_place(np.stack(rows), mask)
 
 
 def train_sac(

@@ -183,10 +183,19 @@ class TestGradCheckAcrossDepths:
         assert report.passed and report.worst_rel_error < 1e-4
 
 
+def reference_fit(x: np.ndarray, currency: np.ndarray):
+    """``np.mean`` and ``np.std`` of a log-scaled copy of ``x``, and the copy scaled by them."""
+    z = np.array(x, dtype=np.float64)
+    z[:, currency] = np.log1p(np.maximum(z[:, currency], 0.0))
+    shift, scale = np.mean(z, axis=0), np.std(z, axis=0)
+    scale[scale < 1e-12] = 1.0
+    return shift, scale, (z - shift) / scale
+
+
 class TestScaler:
     def test_constant_feature_scale_is_one(self):
         x = np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
-        scaler = FeatureScaler.fit(x, np.array([False, False]))
+        scaler = FeatureScaler.fit_in_place(x.copy(), np.array([False, False]))
         assert scaler.scale[0] == 1.0
         z = scaler.transform(x)
         assert np.allclose(z[:, 0], 0.0)
@@ -209,18 +218,51 @@ class TestScaler:
         z = (z - scaler.shift) / scaler.scale
         return z[0] if squeeze else z
 
-    def test_fit_transform_equals_fit_then_transform(self):
+    def assert_fit_in_place_matches(self, x: np.ndarray, currency: np.ndarray) -> FeatureScaler:
+        shift, scale, want = reference_fit(x, currency)
+        z = x.copy()
+        scaler = FeatureScaler.fit_in_place(z, currency)
+        assert scaler.shift.tobytes() == shift.tobytes()
+        assert scaler.scale.tobytes() == scale.tobytes()
+        assert scaler.currency.tolist() == list(currency)
+        assert z.tobytes() == want.tobytes() == scaler.transform(x).tobytes()
+        return scaler
+
+    def test_fit_in_place_matches_mean_and_std_of_the_log_scaled_copy(self):
         x, currency = self.features()
         assert (x[:, currency] < 0).any()
-        fitted = FeatureScaler.fit(x, currency)
-        scaler, z = FeatureScaler.fit_transform(x, currency)
-        for name in ("shift", "scale", "currency"):
-            assert getattr(scaler, name).tobytes() == getattr(fitted, name).tobytes()
-        assert z.tobytes() == fitted.transform(x).tobytes()
+        x[:, 4] = 2.5  # a constant column
+        scaler = self.assert_fit_in_place_matches(x, currency)
+        assert scaler.scale[4] == 1.0
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 4095, 4096, 4097, 9000])
+    @pytest.mark.parametrize("width", [2, 3, 6, 17])
+    def test_fit_in_place_across_the_square_blocks(self, n, width):
+        # One to nine 1,024-row blocks of squares, whole or with a partial
+        # last block, and a lone row; currency columns with negative values
+        # and heavy tails.
+        rng = np.random.default_rng(n * 31 + width)
+        x = rng.normal(0.0, 1.0, size=(n, width)) * rng.lognormal(0.0, 3.0, size=(n, width))
+        currency = np.arange(width) % 2 == 1
+        self.assert_fit_in_place_matches(x, currency)
+
+    @pytest.mark.parametrize("currency", [False, True])
+    def test_fit_in_place_at_width_one(self, currency):
+        # numpy sums a single column pairwise, not row by row.
+        rng = np.random.default_rng(8)
+        x = rng.lognormal(2.0, 2.5, size=(50_000, 1)) - 3.0
+        self.assert_fit_in_place_matches(x, np.array([currency]))
+
+    def test_fit_in_place_refuses_a_matrix_it_cannot_scale(self):
+        x, currency = self.features()
+        x.flags.writeable = False
+        for bad in (x, np.asfortranarray(x), x[0], x.astype(np.float32)):
+            with pytest.raises(ConfigError):
+                FeatureScaler.fit_in_place(bad, currency)
 
     def test_in_place_transform_equals_the_old_expression(self):
         x, currency = self.features()
-        scaler = FeatureScaler.fit(x[:100], currency)
+        scaler = FeatureScaler.fit_in_place(x[:100].copy(), currency)
         for rows in (x, x[17], x[40:41], x[::-3]):
             want = self.old_transform(scaler, rows)
             got = scaler.transform(rows)
@@ -228,7 +270,7 @@ class TestScaler:
 
     def test_save_load_round_trip_with_extra_arrays(self, tmp_path):
         x, currency = self.features()
-        scaler = FeatureScaler.fit(x, currency)
+        scaler = FeatureScaler.fit_in_place(x, currency)
         path = str(tmp_path / "scaler.npz")
         scaler.save(path, log_temp=np.array([-1.25]))
         with np.load(path) as data:
@@ -245,7 +287,7 @@ class TestScaler:
     def test_transform_leaves_its_input_alone(self):
         x, currency = self.features()
         before = x.copy()
-        scaler, _ = FeatureScaler.fit_transform(x, currency)
+        scaler = FeatureScaler.fit_in_place(x.copy(), currency)
         scaler.transform(x)
         scaler.transform(x[0])
         assert x.tobytes() == before.tobytes()
@@ -255,7 +297,8 @@ class TestPersistence:
     def test_flat_parameters_round_trip_exactly_through_the_scaler_file(self, tmp_path):
         rng = np.random.default_rng(21)
         net = init_mlp([3, 4, 2], rng)
-        scaler = FeatureScaler.fit(rng.normal(size=(10, 3)), np.array([True, False, False]))
+        currency = np.array([True, False, False])
+        scaler = FeatureScaler.fit_in_place(rng.normal(size=(10, 3)), currency)
         path = str(tmp_path / "model.npz")
         scaler.save(path, net=net.flat)
         loaded, extra = FeatureScaler.load(path, 3, net=net.flat.shape)
