@@ -20,7 +20,10 @@ per claim and period, so it and the per-claim records are slotted
 dataclasses, without a ``__dict__`` each. A transition's importance weight
 is set when its step is built, so a learner consuming the stream sees the
 transition the log records. The rollout returns each claim's last estimate
-as ``RolloutResult.reserves``.
+as ``RolloutResult.reserves``. Given a ``scaler`` (a ``FeatureScaler``), it
+scales each state once, where it builds it: the policy acts on that array,
+and the step's ``Transition`` holds it as ``state`` and its predecessor as
+``next_state``. Without one, every state stays raw.
 """
 
 from __future__ import annotations
@@ -329,6 +332,7 @@ def rollout_calendar(
     explore: bool = False,
     boundary: int | None = None,
     on_transition=None,
+    scaler=None,
 ) -> RolloutResult:
     """Advance every claim in calendar order, producing transitions.
 
@@ -400,6 +404,8 @@ def rollout_calendar(
                 state_features(claim, t, tracker.ocl, tracker.preds, cfg.state_profile, cfg.n_past),
                 dtype=np.float64,
             )
+            if scaler is not None:
+                state = scaler.transform(state)
             if tracker.pending is not None:
                 tracker.pending.next_state = state
                 emit(tracker.pending)

@@ -18,11 +18,12 @@ reference to its input in the cache, and ``backward`` reads ``upstream``.
 
 ``FeatureScaler.fit_in_place`` fits to its caller's fresh matrix and scales
 that matrix in place, so a training matrix is never copied; ``transform``
-standardises one copy of its input per call. ``FeatureScaler.save`` and
-``load`` hold the one checkpoint array layout, a ``.npz`` of shift, scale
-and currency followed by any extra named arrays: the FNN and the SAC agent
-each keep every array of a checkpoint, their networks' ``Mlp.flat`` vectors
-included, in one such file.
+standardises one copy of its input per call, at the input's own rank, so a
+1-D state comes back 1-D in an array that owns its data.
+``FeatureScaler.save`` and ``load`` hold the one checkpoint array layout, a
+``.npz`` of shift, scale and currency followed by any extra named arrays:
+the FNN and the SAC agent each keep every array of a checkpoint, their
+networks' ``Mlp.flat`` vectors included, in one such file.
 Both checkpoint readers (``FeatureScaler.load`` and ``load_config_json``)
 check what they read against the model it is for and raise a DataError
 naming the file for any damage.
@@ -338,10 +339,7 @@ class FeatureScaler:
         return cls(shift=shift, scale=scale, currency=currency)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        z = self._standardise(_log_currency(x, self.currency))
-        return z[0] if np.ndim(x) == 1 else z
-
-    def _standardise(self, z: np.ndarray) -> np.ndarray:
+        z = _log_currency(x, self.currency)
         z -= self.shift
         z /= self.scale
         return z
@@ -351,18 +349,18 @@ class FeatureScaler:
         np.savez(path, shift=self.shift, scale=self.scale, currency=self.currency, **extra)
 
     @classmethod
-    def load(cls, path: str, width: int | None = None, **extra_shapes: tuple[int, ...]):
+    def load(cls, path: str, width: int, **extra_shapes: tuple[int, ...]):
         """The scaler ``save`` wrote to ``path``, and its extra arrays by name.
 
-        Given the model's feature ``width``, the file must hold exactly
-        shift, scale and currency of that width and the ``extra_shapes``
-        arrays; currency is bool and the rest finite float64, scale positive.
-        Any damage is a DataError naming the file.
+        The file must hold exactly shift, scale and currency of the model's
+        feature ``width`` and the ``extra_shapes`` arrays; currency is bool
+        and the rest finite float64, scale positive. Any damage is a
+        DataError naming the file.
         """
         with _reading(path), np.load(path) as data:
             arrays = {name: data[name] for name in data.files}
             shapes = {"shift": (width,), "scale": (width,), "currency": (width,), **extra_shapes}
-            if width is not None and not (
+            if not (
                 {name: a.shape for name, a in arrays.items()} == shapes
                 and arrays["currency"].dtype == bool
                 and all(a.dtype == np.float64 and np.isfinite(a).all()
@@ -394,10 +392,9 @@ def _column_sums_of_squares(z: np.ndarray, block: int = 1024) -> np.ndarray:
 
 
 def _log_currency(x: np.ndarray, currency: np.ndarray) -> np.ndarray:
-    """A 2-D float64 copy of ``x`` with log1p(max(v, 0)) in the currency columns."""
-    z = np.array(x, dtype=np.float64, ndmin=2)
-    currency = np.asarray(currency, dtype=bool)
-    z[:, currency] = np.log1p(np.maximum(z[:, currency], 0.0))
+    """A float64 copy of ``x`` at its own rank, with log1p(max(v, 0)) in the currency columns."""
+    z = np.array(x, dtype=np.float64)
+    z[..., currency] = np.log1p(np.maximum(z[..., currency], 0.0))
     return z
 
 

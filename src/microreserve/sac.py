@@ -7,6 +7,11 @@ the calendar rollout: every environment transition is appended to the
 buffer and followed by a fixed number of gradient updates, so the agent
 learns while claims are still developing.
 
+``train_sac`` and ``predict_ocl_sac`` pass the agent's scaler to
+``rollout_calendar``, which scales each state once where it builds it, so
+``act`` and ``observe`` take scaled states and the buffer stores them as
+they come. Only the zero-action probe that fits the scaler sees raw states.
+
 Acting, the Bellman targets and the actor step each draw the pre-squash
 sample through ``squashed_draw``. ``save_agent`` checkpoints the configs as
 JSON and every array in one ``model.npz``: the scaler, with the log
@@ -232,9 +237,6 @@ class SacAgent:
         self._ones = np.ones((cfg.batch_size, 1))
         self._actor_upstream = np.empty((cfg.batch_size, 2))
         self._temp_grad = np.empty(1)
-        # Scaled copies of training-rollout states by id, each array scaled once:
-        # ``_scale`` keeps a copy until ``observe`` buffers the array's own transition.
-        self._scaled: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def temperature(self) -> float:
@@ -242,43 +244,19 @@ class SacAgent:
 
     # -- policy interface used by rollout_calendar ---------------------------
 
-    def _scale(self, state: np.ndarray, keep: bool) -> np.ndarray:
-        """The scaled copy of a state array; with ``keep``, remembered for its next use.
-
-        A remembered entry holds the array itself, so its id names no other array.
-        """
-        hit = self._scaled.get(id(state))
-        if hit is not None:
-            return hit[1]
-        scaled = self.scaler.transform(state)
-        if keep:
-            self._scaled[id(state)] = (state, scaled)
-        return scaled
-
     def act(self, state: np.ndarray, explore: bool = False, **_) -> float:
-        scaled = self._scale(state, keep=explore)
+        """The action at one scaled state; while exploring, uniform until the warmup ends."""
         if explore:
             self.env_steps += 1
             if self.env_steps <= self.cfg.warmup_steps:
                 return float(self.rng.uniform(-self.env_cfg.ln_k, self.env_cfg.ln_k))
-            return sample_action(self.actor, scaled, self.env_cfg.ln_k, rng=self.rng)
-        return sample_action(self.actor, scaled, self.env_cfg.ln_k, deterministic=True)
+            return sample_action(self.actor, state, self.env_cfg.ln_k, rng=self.rng)
+        return sample_action(self.actor, state, self.env_cfg.ln_k, deterministic=True)
 
     def observe(self, txn: Transition) -> None:
-        """Buffer a finished transition, then run the scheduled updates.
-
-        The rollout emits a step only with its successor state set or with
-        ``done`` true, and then acts on that successor state. So each state
-        array is scaled once: by ``act`` or here as a successor, and its copy
-        is taken back when its own transition is buffered.
-        """
-        acted = self._scaled.pop(id(txn.state), None)
+        """Buffer a finished transition of scaled states, then run the scheduled updates."""
         self.buffer.add(
-            self.scaler.transform(txn.state) if acted is None else acted[1],
-            txn.action / self.env_cfg.ln_k,
-            txn.reward,
-            None if txn.next_state is None else self._scale(txn.next_state, keep=True),
-            txn.done,
+            txn.state, txn.action / self.env_cfg.ln_k, txn.reward, txn.next_state, txn.done
         )
         if len(self.buffer) < self.cfg.batch_size or self.env_steps <= self.cfg.warmup_steps:
             return
@@ -298,8 +276,7 @@ class SacAgent:
         x = batch[:, buf.target_in]
         out, _ = forward(self.actor, batch[:, buf.next_state])
         mean = out[:, 0]
-        draw = self._draw if self._draw.shape[1] == len(batch) else None
-        log_std, _, _, u = squashed_draw(mean, out[:, 1], self.rng, out=draw)
+        log_std, _, _, u = squashed_draw(mean, out[:, 1], self.rng, out=self._draw[:, : len(batch)])
         np.tanh(u, out=batch[:, buf.slot])
         logp = gaussian_tanh_log_prob(mean, log_std, u, self.env_cfg.ln_k)
         q1, _ = forward(self.target1, x)
@@ -452,10 +429,9 @@ def train_sac(
         explore=True,
         boundary=boundary,
         on_transition=agent.observe,
+        scaler=agent.scaler,
     )
-    # The copies of states whose transitions never finished, and the update's
-    # network buffers, would outlive training.
-    agent._scaled.clear()
+    # The update's network buffers would outlive training.
     for net in (agent.actor, agent.critic1, agent.critic2, agent.target1, agent.target2):
         net.workspaces.clear()
     return agent, agent.training_log
@@ -473,7 +449,7 @@ def predict_ocl_sac(
     boundary.
     """
     return rollout_calendar(
-        view, agent, init, agent.env_cfg, explore=False, boundary=boundary
+        view, agent, init, agent.env_cfg, explore=False, boundary=boundary, scaler=agent.scaler
     )
 
 

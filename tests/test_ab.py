@@ -2,7 +2,6 @@
 
 import importlib.util
 import json
-import random
 import statistics
 from pathlib import Path
 
@@ -56,10 +55,7 @@ def test_pairs_alternate_in_a_seeded_order_and_read_wait4(tmp_path):
     )
     lines = []
     pairs = ab.run_pairs(configs, 3, seed=5, child=child, echo=lines.append)
-    rng = random.Random(5)
-    for pair in pairs:
-        order = list(ab.SIDES)
-        rng.shuffle(order)
+    for pair, order in zip(pairs, ab.pair_orders(3, seed=5)):
         assert pair["order"] == order
         assert set(pair) == {"order", *ab.SIDES}
         for side in ab.SIDES:
@@ -76,6 +72,20 @@ def test_pairs_alternate_in_a_seeded_order_and_read_wait4(tmp_path):
     low, high = user["interval"]
     assert low <= user["median_ratio"] <= high < 1.0
     assert summary["pairs"] == 3
+
+
+@pytest.mark.parametrize("n, counts", [(10, [5, 5]), (3, [1, 2])])
+def test_each_side_goes_first_in_half_the_pairs(tmp_path, n, counts):
+    child, configs = toy_trees(tmp_path, {"cpu_s": 0.0, "pages": 1}, {"cpu_s": 0.0, "pages": 1})
+    orders = []
+    for seed in range(3):
+        pairs = ab.run_pairs(configs, n, seed=seed, child=child, echo=lambda _: None)
+        firsts = [pair["order"][0] for pair in pairs]
+        assert sorted(firsts.count(side) for side in ab.SIDES) == counts
+        assert all(sorted(pair["order"]) == sorted(ab.SIDES) for pair in pairs)
+        orders.append(firsts)
+    # The seed shuffles the order.
+    assert len({tuple(firsts) for firsts in orders}) > 1
 
 
 def test_a_failing_child_stops_the_run(tmp_path):

@@ -275,14 +275,32 @@ class TestScaler:
         scaler.save(path, log_temp=np.array([-1.25]))
         with np.load(path) as data:
             assert data.files == ["shift", "scale", "currency", "log_temp"]
-        again, extra = FeatureScaler.load(path)
+        again, extra = FeatureScaler.load(path, 6, log_temp=(1,))
         for name in ("shift", "scale", "currency"):
             got, want = getattr(again, name), getattr(scaler, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert list(extra) == ["log_temp"] and extra["log_temp"].tolist() == [-1.25]
         bare = str(tmp_path / "bare.npz")
         scaler.save(bare)
-        assert FeatureScaler.load(bare)[1] == {}
+        assert FeatureScaler.load(bare, 6)[1] == {}
+
+    def test_load_refuses_a_scaler_of_another_width(self, tmp_path):
+        x, currency = self.features()
+        path = str(tmp_path / "scaler.npz")
+        FeatureScaler.fit_in_place(x, currency).save(path)
+        for width in (5, 7):
+            with pytest.raises(DataError, match="scaler.npz"):
+                FeatureScaler.load(path, width)
+
+    def test_a_row_transforms_as_row_0_of_its_matrix(self):
+        x, currency = self.features()
+        scaler = FeatureScaler.fit_in_place(x[:100].copy(), currency)
+        for row in (x[17], x[200], x[5]):
+            got = scaler.transform(row)
+            want = scaler.transform(row.reshape(1, -1))[0]
+            assert got.shape == row.shape and got.tobytes() == want.tobytes()
+            # A 1-D result owns its data, so it keeps no (1, d) array alive.
+            assert got.base is None and got.flags.c_contiguous
 
     def test_transform_leaves_its_input_alone(self):
         x, currency = self.features()

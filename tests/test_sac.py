@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from microreserve.claims import censor
-from microreserve.env import EnvConfig
+from microreserve.env import EnvConfig, ZeroPolicy, rollout_calendar
 from microreserve.errors import ConfigError
 from microreserve.nets import AdamState, FeatureScaler, Mlp, adam_step, forward, init_mlp
 from microreserve.sac import (
     ReplayBuffer,
     SacAgent,
     SacConfig,
+    fit_state_scaler,
     gaussian_tanh_log_prob,
     load_agent,
     sample_action,
@@ -715,34 +716,76 @@ class TestUpdateOracle:
 
 
 class TestStateScaling:
-    def test_each_rollout_state_is_scaled_once(self, monkeypatch):
+    @staticmethod
+    def setting():
         data = tiny_env_dataset()
         env_cfg = EnvConfig(state_profile="minimal", s_scale=50.0)
-        cfg = SacConfig(seed=11, batch_size=4, warmup_steps=2, hidden=(8, 8))
         init = {c.claim_no: 80.0 for c in data.claims}
-        scaled, observed = [], []
-        transform, observe = FeatureScaler.transform, SacAgent.observe
+        return data, env_cfg, init
+
+    def test_a_rollout_with_a_scaler_holds_the_transforms_of_its_raw_states(self):
+        data, env_cfg, init = self.setting()
+        scaler = fit_state_scaler(data, init, env_cfg, data.max_calendar_period)
+        assert not np.array_equal(scaler.shift, 0.0) and not np.array_equal(scaler.scale, 1.0)
+        raw = rollout_calendar(data, ZeroPolicy(), init, env_cfg)
+        scaled = rollout_calendar(data, ZeroPolicy(), init, env_cfg, scaler=scaler)
+        assert len(scaled.transitions) == len(raw.transitions) > 0
+        for got, want in zip(scaled.transitions, raw.transitions):
+            assert got.state.tobytes() == scaler.transform(want.state).tobytes()
+            assert (got.next_state is None) == (want.next_state is None)
+            if want.next_state is not None:
+                assert got.next_state.tobytes() == scaler.transform(want.next_state).tobytes()
+        assert scaled.reserves == raw.reserves
+
+    def test_training_scales_each_state_once_and_buffers_it_as_it_is(self, monkeypatch):
+        data, env_cfg, init = self.setting()
+        cfg = SacConfig(seed=11, batch_size=4, warmup_steps=2, hidden=(8, 8))
+        scaled, acted, observed = [], [], []
+        transform, act, observe = FeatureScaler.transform, SacAgent.act, SacAgent.observe
 
         def counted(self, x):
-            scaled.append(x)  # held, so no two live arrays share an id
-            return transform(self, x)
+            scaled.append(transform(self, x))
+            return scaled[-1]
+
+        def acting(self, state, **kwargs):
+            acted.append(state)
+            return act(self, state, **kwargs)
 
         def recorded(self, txn):
             observed.append(txn)
             return observe(self, txn)
 
         monkeypatch.setattr(FeatureScaler, "transform", counted)
+        monkeypatch.setattr(SacAgent, "act", acting)
         monkeypatch.setattr(SacAgent, "observe", recorded)
         agent, _ = train_sac(data, init, env_cfg, cfg)
+        # One transform per state the rollout builds, and the policy acts on that array.
+        assert len(scaled) == len(acted) == agent.env_steps > 0
+        assert all(s is a for s, a in zip(scaled, acted))
         # Every claim here settles, so each state is the state of one transition.
-        assert len(scaled) == len(observed) > 0
-        assert len({id(x) for x in scaled}) == len(scaled)
-        assert agent._scaled == {}
-        # Each buffered row holds its states as a fresh transform gives them.
+        assert [id(txn.state) for txn in observed] == [id(s) for s in scaled]
         buf = agent.buffer
+        assert len(buf) == len(observed)
         for row, txn in zip(buf.rows, observed):
-            assert row[buf.state].tobytes() == transform(agent.scaler, txn.state).tobytes()
-            want = np.zeros(agent.dim) if txn.next_state is None else transform(
-                agent.scaler, txn.next_state
-            )
+            assert row[buf.state].tobytes() == txn.state.tobytes()
+            want = np.zeros(agent.dim) if txn.next_state is None else txn.next_state
             assert row[buf.next_state].tobytes() == want.tobytes()
+
+    def test_targets_of_a_small_batch_after_an_update_match_a_fresh_agent(self):
+        agent = make_agent(seed=4)
+        fill_buffer(agent)
+        agent.update()
+        fresh = make_agent(seed=4)
+        for name in ("actor", "target1", "target2"):
+            getattr(fresh, name).flat[...] = getattr(agent, name).flat
+        fresh._log_temp_arr[...] = agent._log_temp_arr
+        fresh.rng.bit_generator.state = agent.rng.bit_generator.state
+        rng = np.random.default_rng(9)
+        rows = [(rng.normal(size=4), 0.5, 1.0, rng.normal(size=4), False) for _ in range(3)]
+        batches = [batch_of(agent, rows) for _ in range(2)]
+        y = agent.critic_targets(batches[0], gamma=0.9)
+        want = fresh.critic_targets(batches[1], gamma=0.9)
+        assert len(y) == 3 < agent.cfg.batch_size
+        assert y.tobytes() == want.tobytes()
+        assert batches[0].tobytes() == batches[1].tobytes()
+        assert agent.rng.bit_generator.state == fresh.rng.bit_generator.state

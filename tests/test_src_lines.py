@@ -44,3 +44,31 @@ def test_the_total_row_adds_the_modules(tmp_path, capsys):
         ["b", "2", "1", "0", "0", "1"],
         ["total", "15", "6", "3", "1", "5"],
     ]
+
+
+def test_against_a_revision_prints_both_trees_and_the_change(tmp_path, monkeypatch, capsys):
+    here = tmp_path / "here"
+    here.mkdir()
+    (here / "a.py").write_text(MODULE)
+    (here / "c.py").write_text("y = 2\n")
+    exported = []
+
+    def export(rev, dest):
+        exported.append(rev)
+        package = dest / "src" / "microreserve"
+        package.mkdir(parents=True)
+        (package / "a.py").write_text(MODULE + "\n\nz = 3\n")
+        (package / "b.py").write_text("x = 1\n\n")
+
+    monkeypatch.setattr(src_lines, "export_revision", export)
+    assert src_lines.main([str(here), "--against", "base"]) == 0
+    assert exported == ["base"]
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[0] == ["module", "lines@rev", "lines", "change", "code@rev", "code", "change"]
+    # a lost three lines, one of them code; b is gone and c is new.
+    assert rows[1:] == [
+        ["a", "16", "13", "-3", "6", "5", "-1"],
+        ["b", "2", "0", "-2", "1", "0", "-1"],
+        ["c", "0", "1", "+1", "0", "1", "+1"],
+        ["total", "18", "14", "-4", "7", "6", "-1"],
+    ]

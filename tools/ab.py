@@ -6,9 +6,11 @@ copies this tree's ``src`` beside it, so that both trees, their configs and
 their outputs sit at paths of one length on one file system. It then runs
 ``--pairs`` pairs of fresh ``perfbench/child.py`` processes on the
 workload's config for ``--seed``, one child per tree in each pair, BLAS
-pinned to one thread. A seeded generator draws the order within each pair,
-so a drift in the host's load falls on both trees alike (Kalibera and
-Jones, ISMM 2013, "Rigorous Benchmarking in Reasonable Time").
+pinned to one thread. Each tree goes first in half the pairs (one of them
+in one more, for an odd count), in an order that ``--order-seed``
+shuffles, so a drift in the host's load falls on both trees alike
+(Kalibera and Jones, ISMM 2013, "Rigorous Benchmarking in Reasonable
+Time").
 
 Each child's user time, minor page faults (``ru_minflt``), involuntary
 context switches (``ru_nivcsw``) and peak resident memory come from
@@ -79,6 +81,19 @@ def run_child(child: Path, src: Path, cfg_path: Path, env: dict) -> dict:
     }
 
 
+def pair_orders(pairs: int, seed: int) -> list[list[str]]:
+    """Each pair's order: every side first in ``pairs // 2`` pairs, shuffled.
+
+    For an odd count, the seed also picks the side that goes first once more.
+    """
+    rng = random.Random(seed)
+    firsts = [side for side in SIDES for _ in range(pairs // 2)]
+    if pairs % 2:
+        firsts.append(rng.choice(SIDES))
+    rng.shuffle(firsts)
+    return [[first, *(side for side in SIDES if side != first)] for first in firsts]
+
+
 def run_pairs(configs: dict[str, tuple[Path, Path]], pairs: int, seed: int,
               child: Path = CHILD, echo=print) -> list[dict]:
     """``pairs`` pairs of children, one per side of ``configs`` (side -> (src, config)).
@@ -87,11 +102,8 @@ def run_pairs(configs: dict[str, tuple[Path, Path]], pairs: int, seed: int,
     """
     env = {**os.environ, **BLAS_PINS}
     env.pop("PYTHONPATH", None)
-    order_rng = random.Random(seed)
     out = []
-    for n in range(pairs):
-        order = list(SIDES)
-        order_rng.shuffle(order)
+    for n, order in enumerate(pair_orders(pairs, seed)):
         pair = {"order": order}
         for side in order:
             src, cfg_path = configs[side]
