@@ -18,6 +18,9 @@ from .claims import Dataset, Triangle, build_triangle, write_table
 from .credibility import age_to_ultimate, link_ratios
 from .errors import DataError, FactorError
 
+# The smoothing penalties the delay scaling's cross-validation chooses among.
+PENALTIES = (0.1, 1.0, 10.0, 100.0)
+
 
 @dataclass
 class DelayScaling:
@@ -34,9 +37,7 @@ class DelayScaling:
 
 
 def fit_delay_scaling(
-    amounts: "np.ndarray | list[float]",
-    delays: "np.ndarray | list[int]",
-    penalties: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0),
+    amounts: "np.ndarray | list[float]", delays: "np.ndarray | list[int]"
 ) -> DelayScaling:
     """Smooth positive curve through mean claim size by reporting delay.
 
@@ -92,7 +93,7 @@ def fit_delay_scaling(
                 err += w[d] * (fit[d] - means[d]) ** 2
             return err / scale
 
-        best_lam = min(penalties, key=cv_err)
+        best_lam = min(PENALTIES, key=cv_err)
         fitted = solve(best_lam, w)
 
     fitted = np.maximum(fitted, 1e-12)

@@ -186,9 +186,8 @@ class Dataset:
     def by_no(self, claim_no: str) -> Claim:
         return self._index[claim_no]
 
-    def settled_claims(self, by: int | None = None) -> list[Claim]:
-        t = by if by is not None else self.max_calendar_period
-        return [c for c in self.claims if c.settled_by(t)]
+    def settled_claims(self, by: int) -> list[Claim]:
+        return [c for c in self.claims if c.settled_by(by)]
 
     def open_claims(self, at: int) -> list[Claim]:
         return [c for c in self.claims if c.open_at(at)]

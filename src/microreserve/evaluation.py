@@ -34,6 +34,8 @@ from .errors import ConfigError, DataError, LeakageError, NumericFault
 
 CAS_VALUATION = 15
 SPLICE_VALUATION = 40
+# The per-PSN action histogram has one facet per PSN from 1 to this.
+MAX_PSN = 10
 
 
 def split(dataset: Dataset, boundary: int) -> Dataset:
@@ -201,7 +203,6 @@ def action_histogram(
     k: float,
     bins: int = 40,
     by_psn: bool = False,
-    max_psn: int = 10,
 ):
     """Histogram of exp(action) over [1/k, k]; optional per-PSN facets."""
     edges = np.linspace(1.0 / k, k, bins + 1)
@@ -211,7 +212,7 @@ def action_histogram(
 
     if not by_psn:
         return counts(transitions), edges
-    return {p: counts([t for t in transitions if t.tau == p]) for p in range(1, max_psn + 1)}, edges
+    return {p: counts([t for t in transitions if t.tau == p]) for p in range(1, MAX_PSN + 1)}, edges
 
 
 def size_terciles(sizes: list[float]) -> list[str]:

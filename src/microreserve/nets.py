@@ -46,6 +46,9 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericFault
 
+# Rows squared at a time by ``_column_sums_of_squares``.
+SQUARES_BLOCK = 1024
+
 
 @dataclass
 class Mlp:
@@ -162,15 +165,13 @@ def forward(
 
     Every layer but the last applies ReLU. Dropout (inverted scaling)
     applies to those hidden activations only and requires a generator;
-    evaluation calls leave it at zero. A 1-D input gives a 1-D output, and
-    ``backward`` takes only the cache of a 2-D one. The output and the cache
-    live in the net's workspace for this row count (see the module docstring).
+    evaluation calls leave it at zero. The input is a 2-D matrix of rows. The
+    output and the cache live in the net's workspace for this row count (see
+    the module docstring).
     """
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    h = x.reshape(1, -1) if squeeze else x
-    if h.shape[1] != net.sizes[0]:
-        raise ConfigError(f"input width {h.shape[1]} != {net.sizes[0]}")
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != net.sizes[0]:
+        raise ConfigError(f"input shape {h.shape} is not (rows, {net.sizes[0]})")
     if dropout and rng is None:
         raise ConfigError("dropout needs a generator")
 
@@ -191,7 +192,7 @@ def forward(
         h = a
     if not np.isfinite(h).all():
         raise NumericFault("non-finite network output")
-    return (h[0] if squeeze else h), cache
+    return h, cache
 
 
 def backward(
@@ -372,8 +373,8 @@ class FeatureScaler:
         return scaler, arrays
 
 
-def _column_sums_of_squares(z: np.ndarray, block: int = 1024) -> np.ndarray:
-    """``np.square(z).sum(axis=0)`` bit for bit, squaring ``block`` rows at a time.
+def _column_sums_of_squares(z: np.ndarray) -> np.ndarray:
+    """``np.square(z).sum(axis=0)`` bit for bit, squaring ``SQUARES_BLOCK`` rows at a time.
 
     numpy reduces a C-ordered matrix of width 2 or more over axis 0 one row
     at a time, in row order, so each block's squares are reduced behind the
@@ -383,9 +384,9 @@ def _column_sums_of_squares(z: np.ndarray, block: int = 1024) -> np.ndarray:
     n, d = z.shape
     if d == 1:
         return np.square(z).sum(axis=0)
-    squares = np.zeros((min(n, block) + 1, d))  # row 0: the running sums
-    for start in range(0, n, block):
-        rows = min(block, n - start)
+    squares = np.zeros((min(n, SQUARES_BLOCK) + 1, d))  # row 0: the running sums
+    for start in range(0, n, SQUARES_BLOCK):
+        rows = min(SQUARES_BLOCK, n - start)
         np.square(z[start : start + rows], out=squares[1 : rows + 1])
         squares[0] = squares[: rows + 1].sum(axis=0)
     return squares[0]

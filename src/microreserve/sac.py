@@ -411,12 +411,11 @@ def train_sac(
     init,
     env_cfg: EnvConfig,
     cfg: SacConfig,
-    boundary: int | None = None,
+    boundary: int,
 ) -> tuple[SacAgent, list[dict]]:
     """One chronological training pass; returns the frozen agent and log."""
     if not view.claims:
         raise DataError("empty training data")
-    boundary = boundary if boundary is not None else view.max_calendar_period
     if env_cfg.s_scale is None:
         env_cfg = replace(env_cfg, s_scale=mean_training_ocl(view, boundary))
     scaler = fit_state_scaler(view, init, env_cfg, boundary)

@@ -60,15 +60,15 @@ class TestForward:
         net = Mlp(sizes=[3, 3])
         net.weights[0][...] = np.eye(3)
         x = np.array([1.0, -2.0, 0.5])
-        out, _ = forward(net, x)
-        assert np.allclose(out, x)
+        out, _ = forward(net, x[None, :])
+        assert np.allclose(out[0], x)
 
     def test_zero_weights_give_activation_of_bias(self):
         net = Mlp(sizes=[2, 2, 2])
         net.biases[0][...] = [0.3, -0.7]
         net.weights[1][...] = np.eye(2)
-        out, _ = forward(net, np.array([5.0, 5.0]))
-        assert np.array_equal(out, [0.3, 0.0])
+        out, _ = forward(net, np.array([[5.0, 5.0]]))
+        assert np.array_equal(out[0], [0.3, 0.0])
 
     def test_matches_hand_rolled_matrix_product(self):
         # Oracle: explicit matrix arithmetic.
@@ -77,13 +77,15 @@ class TestForward:
         x = rng.normal(size=2)
         hidden = np.maximum(x @ net.weights[0] + net.biases[0], 0.0)
         expected = hidden @ net.weights[1] + net.biases[1]
-        out, _ = forward(net, x)
-        assert np.allclose(out, expected, atol=1e-12)
+        out, _ = forward(net, x[None, :])
+        assert np.allclose(out[0], expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
         net = init_mlp([3, 2], np.random.default_rng(0))
         with pytest.raises(ConfigError):
             forward(net, np.zeros(4))
+        with pytest.raises(ConfigError):  # a row must come as a (1, width) matrix
+            forward(net, np.zeros(3))
 
 
 class TestBackward:
@@ -136,7 +138,7 @@ class TestBackward:
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
-            fd = (forward(net, xp)[0][0] - forward(net, xm)[0][0]) / (2 * h)
+            fd = (forward(net, xp[None, :])[0][0, 0] - forward(net, xm[None, :])[0][0, 0]) / (2 * h)
             assert input_grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
@@ -431,9 +433,7 @@ class TestDropout:
 
 def reference_forward(net, x, dropout=0.0, rng=None):
     """forward with a fresh array for every layer product and a fresh cache."""
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    h = x.reshape(1, -1) if squeeze else x
+    h = np.asarray(x, dtype=np.float64)
     cache = {"inputs": [h], "masks": []}
     last = net.n_layers - 1
     for layer in range(last + 1):
@@ -448,7 +448,7 @@ def reference_forward(net, x, dropout=0.0, rng=None):
         cache["masks"].append(mask)
         cache["inputs"].append(a)
         h = a
-    return (h[0] if squeeze else h), cache
+    return h, cache
 
 
 def reference_backward(net, cache, upstream, param_grads=True):
@@ -504,7 +504,7 @@ class TestStepOracles:
         rng = np.random.default_rng(30)
         net = init_mlp([5, 7, 6, 2], rng)
         wide = rng.normal(size=(16, 9))
-        for x in (rng.normal(size=(16, 5)), wide[:, 2:7], rng.normal(size=(1, 5)), wide[3, :5]):
+        for x in (rng.normal(size=(16, 5)), wide[:, 2:7], rng.normal(size=(1, 5))):
             got, got_cache = forward(net, x, dropout=dropout, rng=np.random.default_rng(2))
             want, want_cache = reference_forward(net, x, dropout=dropout, rng=np.random.default_rng(2))
             assert same_bits(got, want)
@@ -597,7 +597,6 @@ class TestWorkspaces:
         out, cache = forward(net, x)
         kept = self.snapshot(out, *cache_arrays(cache))
         forward(net, rng.normal(size=(5, 4)))  # another row count
-        forward(net, rng.normal(size=4))  # a 1-D row: row count one
         forward(other, rng.normal(size=(32, 4)))  # another net
         backward(other, forward(other, x)[1], rng.normal(size=(32, 1)))
         assert all(same_bits(a, b) for a, b in zip(kept, [out, *cache_arrays(cache)]))

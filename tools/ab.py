@@ -81,17 +81,28 @@ def run_child(child: Path, src: Path, cfg_path: Path, env: dict) -> dict:
     }
 
 
-def pair_orders(pairs: int, seed: int) -> list[list[str]]:
+def export_trees(rev: str, tmp: Path) -> tuple[Path, Path]:
+    """The revision exported to ``tmp/a`` and this tree's ``src`` copied to ``tmp/b``.
+
+    One-letter names keep every path the two trees use the same length.
+    """
+    against, this = tmp / "a", tmp / "b"
+    export_revision(rev, against)
+    shutil.copytree(ROOT / "src", this / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    return against, this
+
+
+def pair_orders(pairs: int, seed: int, sides: tuple[str, str] = SIDES) -> list[list[str]]:
     """Each pair's order: every side first in ``pairs // 2`` pairs, shuffled.
 
     For an odd count, the seed also picks the side that goes first once more.
     """
     rng = random.Random(seed)
-    firsts = [side for side in SIDES for _ in range(pairs // 2)]
+    firsts = [side for side in sides for _ in range(pairs // 2)]
     if pairs % 2:
-        firsts.append(rng.choice(SIDES))
+        firsts.append(rng.choice(sides))
     rng.shuffle(firsts)
-    return [[first, *(side for side in SIDES if side != first)] for first in firsts]
+    return [[first, *(side for side in sides if side != first)] for first in firsts]
 
 
 def run_pairs(configs: dict[str, tuple[Path, Path]], pairs: int, seed: int,
@@ -168,11 +179,7 @@ def main(argv: list[str] | None = None) -> int:
 
     tmp = Path(tempfile.mkdtemp(prefix="ab-"))
     try:
-        # One-letter names keep every path the two sides use the same length.
-        trees = {"against": tmp / "a", "this": tmp / "b"}
-        export_revision(args.against, trees["against"])
-        shutil.copytree(ROOT / "src", trees["this"] / "src",
-                        ignore=shutil.ignore_patterns("__pycache__"))
+        trees = dict(zip(SIDES, export_trees(args.against, tmp)))
         env = {**os.environ, **BLAS_PINS}
         csv_path = workloads.prepare_input(args.workload, args.seed, str(tmp), env,
                                            str(ROOT / "src"))

@@ -10,12 +10,19 @@ each file that differs and exits 1 on any difference.
 
     python tools/parity.py --against HEAD~1
 
-The matrix: the ``perfbench/workloads.py`` run configs (rl_train seeds
-1-3, portfolio_fit seed 1, ingest_tune seed 1), a tiny rl-family tuning
-run, a tiny fnn-family ``tune``, ``simulate`` in both schemas,
-``ingest --dev-out`` in both schemas, ``chain-ladder`` on ingested and on
-simulated data, ``evaluate`` on the saved rl checkpoint and fnn model,
-``report`` and ``verify``. It takes about a minute per tree on two cores.
+The matrix, ``inputs()`` and ``matrix()``, is the repository's one command
+list: ``tools/reach.py`` runs it in process, so each statement that reach
+counts as run is under this comparison. It runs the ``perfbench/workloads.py``
+configs (rl_train seeds 1-3, portfolio_fit and ingest_tune seed 1); on a tiny
+portfolio, with each config built from ``TINY``, a run with rl tuning, an
+rl-family ``tune`` on the ``minimal`` state profile, an fnn-family ``tune``, a
+complexity5 fnn+cl run with ``transactions.csv``, dropout, two seeds and fnn
+tuning, ``train-rl``, and ``train-fnn`` with ``--seeds`` and
+``--claims-per-period``; ``simulate`` and ``ingest --dev-out`` in both
+schemas; an fnn+cl run on the ``cas`` schema; ``chain-ladder`` on the cas
+config, the tiny config and simulated data; ``evaluate`` on each workload
+checkpoint and on both tiny ones in one call; ``report`` and ``verify``. It
+takes about 17 s per tree on two cores, 35 s in all.
 """
 
 from __future__ import annotations
@@ -39,30 +46,23 @@ import workloads  # noqa: E402
 BLAS_PINS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 RUNS = [("rl_train", 1), ("rl_train", 2), ("rl_train", 3), ("portfolio_fit", 1), ("ingest_tune", 1)]
 INGEST_CSV = "ingest_tune_input.csv"
-# Two grid points on a tiny portfolio, so rl tuning trains three agents in seconds.
-RL_TUNE = {
+# The base of every config but the workloads': a portfolio of 4 claims per
+# period, on which each command runs in a second or two.
+TINY = {
     "data": {"source": "simulate", "preset": "complexity1", "claims_per_period": 4},
     "sac": {"warmup_steps": 50, "hidden": [8], "batch_size": 16},
-    "models": ["rl"],
-    "seeds": [3],
-    "tuning": {
-        "enabled": True,
-        "family": "rl",
-        "grid": [
-            {"sac": {"actor_lr": 0.001}},
-            {"env": {"c_acc": 2.0}, "sac": {"critic_lr": 0.001}},
-        ],
-    },
-    "output_dir": "runs/rl_tune",
-}
-# The ``tune`` subcommand on the same tiny portfolio: two fnn grid points.
-FNN_TUNE = {
-    "data": RL_TUNE["data"],
     "fnn": {"max_epochs": 3, "hidden": [8]},
     "seeds": [3],
-    "tuning": {"family": "fnn", "grid": [{"lr": 0.001}, {"lr": 0.01}]},
-    "output_dir": "runs/fnn_tune",
+    "output_dir": "runs/tiny",
 }
+# Two grid points per family, so rl tuning trains three agents in seconds.
+RL_GRID = [{"sac": {"actor_lr": 0.001}}, {"env": {"c_acc": 2.0}, "sac": {"critic_lr": 0.001}}]
+FNN_GRID = [{"lr": 0.001}, {"lr": 0.01}]
+
+
+def tiny(name: str, **sections) -> dict:
+    """TINY with ``sections`` replaced, writing under ``runs/name``."""
+    return {**TINY, **sections, "output_dir": f"runs/{name}"}
 
 
 def inputs() -> dict[str, dict]:
@@ -73,10 +73,35 @@ def inputs() -> dict[str, dict]:
         files[f"{name}_{seed}.json"] = workloads.run_config(
             name, seed, f"runs/{name}_{seed}", csv_path
         )
-    files["rl_tune.json"] = RL_TUNE
-    files["fnn_tune.json"] = FNN_TUNE
-    files["cl_cas.json"] = {"data": {"source": "ingest", "path": "sim_cas.csv", "schema": "cas"}}
+    files["tiny.json"] = TINY
+    files["rl_tune.json"] = tiny(
+        "rl_tune", models=["rl"], tuning={"enabled": True, "family": "rl", "grid": RL_GRID}
+    )
+    files["rl_tune_minimal.json"] = tiny(
+        "rl_tune_minimal", env={"state_profile": "minimal"},
+        tuning={"family": "rl", "grid": RL_GRID},
+    )
+    files["fnn_tune.json"] = tiny("fnn_tune", tuning={"family": "fnn", "grid": FNN_GRID})
+    # Transaction output, dropout, two seeds and fnn tuning on complexity5 data.
+    files["fnn_complexity5.json"] = tiny(
+        "fnn_complexity5",
+        data={**TINY["data"], "preset": "complexity5", "write_transactions": True},
+        fnn={**TINY["fnn"], "dropout": 0.1},
+        models=["fnn", "cl"],
+        seeds=[3, 4],
+        tuning={"enabled": True, "family": "fnn", "grid": FNN_GRID},
+    )
+    files["cas.json"] = tiny(
+        "cas", data={"source": "ingest", "path": "sim_cas.csv", "schema": "cas"},
+        models=["fnn", "cl"],
+    )
     return files
+
+
+def write_inputs(run_dir: Path) -> None:
+    """Each config of ``inputs()`` as a JSON file under ``run_dir``."""
+    for rel, cfg in inputs().items():
+        (run_dir / rel).write_text(json.dumps(cfg, indent=1, sort_keys=True), encoding="utf-8")
 
 
 def matrix() -> list[tuple[str, list[str]]]:
@@ -89,11 +114,19 @@ def matrix() -> list[tuple[str, list[str]]]:
         ]),
     ]
     cmds += [(f"run_{name}_{seed}", ["run", "--config", f"{name}_{seed}.json"]) for name, seed in RUNS]
-    cmds.append(("run_rl_tune", ["run", "--config", "rl_tune.json"]))
-    cmds.append(("tune_fnn", ["tune", "--config", "fnn_tune.json"]))
     sim = ["simulate", "--preset", "complexity1", "--seed", "2", "--claims-per-period", "10"]
     seed_1 = "runs/{}_1/seed_1/{}"
+    rl_log = seed_1.format("rl_train", "rl_transitions.csv")
     cmds += [
+        ("run_rl_tune", ["run", "--config", "rl_tune.json"]),
+        ("tune_rl_minimal", ["tune", "--config", "rl_tune_minimal.json"]),
+        ("tune_fnn", ["tune", "--config", "fnn_tune.json"]),
+        ("run_fnn_complexity5", ["run", "--config", "fnn_complexity5.json"]),
+        ("train_rl", ["train-rl", "--config", "tiny.json", "--output-dir", "runs/train_rl"]),
+        ("train_fnn", [
+            "train-fnn", "--config", "tiny.json", "--output-dir", "runs/train_fnn",
+            "--seeds", "5", "--claims-per-period", "5",
+        ]),
         ("simulate_splice", sim + ["--out", "sim_splice.csv"]),
         ("simulate_cas", sim + ["--schema", "cas", "--out", "sim_cas.csv"]),
         ("ingest_splice", ["ingest", "--path", "sim_splice.csv", "--dev-out", "dev_splice.csv"]),
@@ -101,7 +134,9 @@ def matrix() -> list[tuple[str, list[str]]]:
             "ingest", "--path", "sim_cas.csv", "--schema", "cas", "--dev-out", "dev_cas.csv",
         ]),
         ("ingest_complexity5", ["ingest", "--path", INGEST_CSV, "--dev-out", "dev_complexity5.csv"]),
-        ("chain_ladder_cas", ["chain-ladder", "--config", "cl_cas.json", "--out", "cl_cas.csv"]),
+        ("run_cas", ["run", "--config", "cas.json"]),
+        ("chain_ladder_cas", ["chain-ladder", "--config", "cas.json", "--out", "cl_cas.csv"]),
+        ("chain_ladder_tiny", ["chain-ladder", "--config", "tiny.json", "--out", "cl_tiny.csv"]),
         ("chain_ladder_simulated", [
             "chain-ladder", "--preset", "complexity1", "--seeds", "2",
             "--claims-per-period", "40", "--out", "cl_simulated.csv",
@@ -114,14 +149,13 @@ def matrix() -> list[tuple[str, list[str]]]:
             "evaluate", "--config", "portfolio_fit_1.json", "--output-dir", "runs/evaluate_fnn",
             "--fnn-model", seed_1.format("portfolio_fit", "fnn_model"),
         ]),
-        ("report", [
-            "report", "--transitions", seed_1.format("rl_train", "rl_transitions.csv"),
-            "--out", "report_hist.csv",
+        ("evaluate_both", [
+            "evaluate", "--config", "tiny.json", "--output-dir", "runs/evaluate_both",
+            "--rl-checkpoint", "runs/train_rl/seed_3/rl_checkpoint",
+            "--fnn-model", "runs/train_fnn/seed_5/fnn_model",
         ]),
-        ("report_by_psn", [
-            "report", "--transitions", seed_1.format("rl_train", "rl_transitions.csv"),
-            "--by-psn", "--out", "report_hist_psn.csv",
-        ]),
+        ("report", ["report", "--transitions", rl_log, "--out", "report_hist.csv"]),
+        ("report_by_psn", ["report", "--transitions", rl_log, "--by-psn", "--out", "psn_hist.csv"]),
         ("verify", ["verify"]),
     ]
     return cmds
@@ -138,8 +172,7 @@ def export_revision(rev: str, dest: Path) -> None:
 def run_matrix(tree: Path, run_dir: Path) -> None:
     """Run every command on tree's sources; stdout and exit code land in run_dir/stdout."""
     run_dir.mkdir(parents=True)
-    for rel, cfg in inputs().items():
-        (run_dir / rel).write_text(json.dumps(cfg, indent=1, sort_keys=True), encoding="utf-8")
+    write_inputs(run_dir)
     env = {**os.environ, **BLAS_PINS, "PYTHONPATH": str(tree / "src"), "PYTHONHASHSEED": "0"}
     (run_dir / "stdout").mkdir()
     for n, (label, args) in enumerate(matrix()):

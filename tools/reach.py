@@ -1,26 +1,27 @@
 #!/usr/bin/env python3
 """Function statements in ``src/`` that no subcommand executes.
 
-Runs every ``microreserve`` subcommand in-process on tiny seeded configs
-inside a temporary directory, under ``sys.settrace``, and prints each
-statement inside a function of ``src/microreserve`` that none of them ran,
-as ``path:line function: source``. Module-level statements run at import
-and are not counted; neither are docstrings and ``global`` statements,
-which compile to no code. A multi-line statement counts as run if any of
-its lines ran; a compound statement (``if``, ``for``, ``with`` ...) counts
-by its header, and its body's statements count on their own. Each
-unreached ``raise`` is an error branch no command takes; any other
+Runs the command matrix of ``tools/parity.py`` (its ``inputs()`` and
+``matrix()``, every subcommand included) in-process inside a temporary
+directory, with BLAS pinned to one thread and under ``sys.settrace``, and
+prints each statement inside a function of ``src/microreserve`` that none of
+the commands ran, as ``path:line function: source``. Module-level statements
+run at import and are not counted; neither are docstrings and ``global``
+statements, which compile to no code. A multi-line statement counts as run
+if any of its lines ran; a compound statement (``if``, ``for``, ``with``
+...) counts by its header, and its body's statements count on their own.
+Each unreached ``raise`` is an error branch no command takes; any other
 unreached statement is code that only tests, or nothing, reach.
 
-    python tools/reach.py        # about half a minute on two cores
+    python tools/reach.py        # about 26 s on two cores
 
-Uses the standard library only. Exits 1 if a subcommand fails.
+Uses the standard library and the modules ``tools/parity.py`` imports.
+Exits 1 if a command fails, and names it by its matrix label.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import os
 import sys
 import tempfile
@@ -30,6 +31,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "microreserve"
+sys.path.insert(0, str(ROOT / "tools"))
+
+import parity  # noqa: E402
 
 
 class Statement(NamedTuple):
@@ -117,62 +121,8 @@ def unreached(paths: list[str], run) -> list[Statement]:
     ]
 
 
-# -- the commands --------------------------------------------------------------------
-
-SIM = {"source": "simulate", "preset": "complexity1", "claims_per_period": 4}
-TINY = {
-    "data": SIM,
-    "sac": {"warmup_steps": 50, "hidden": [8], "batch_size": 16},
-    "fnn": {"max_epochs": 3, "hidden": [8]},
-    "seeds": [3],
-}
-CONFIGS = {
-    "tiny.json": {**TINY, "output_dir": "run"},
-    "fnn_tuned.json": {
-        **TINY,
-        "data": {**SIM, "preset": "complexity5", "write_transactions": True},
-        "fnn": {**TINY["fnn"], "dropout": 0.1},
-        "models": ["fnn", "cl"],
-        "seeds": [3, 4],
-        "tuning": {"enabled": True, "family": "fnn", "grid": [{"lr": 0.001}, {"lr": 0.01}]},
-        "output_dir": "fnn_tuned",
-    },
-    "rl_tune.json": {
-        **TINY,
-        "env": {"state_profile": "minimal"},
-        "tuning": {"family": "rl", "grid": [{"sac": {"actor_lr": 0.001}}, {"env": {"c_acc": 2.0}}]},
-        "output_dir": "rl_tune",
-    },
-    "cas.json": {
-        **TINY,
-        "data": {"source": "ingest", "path": "sim_cas.csv", "schema": "cas"},
-        "models": ["fnn", "cl"],
-        "output_dir": "cas",
-    },
-}
-COMMANDS = [
-    ["simulate", "--seed", "3", "--claims-per-period", "4", "--out", "sim.csv"],
-    ["simulate", "--seed", "3", "--claims-per-period", "4", "--schema", "cas", "--out", "sim_cas.csv"],
-    ["ingest", "--path", "sim.csv", "--dev-out", "dev.csv"],
-    ["ingest", "--path", "sim_cas.csv", "--schema", "cas", "--dev-out", "dev_cas.csv"],
-    ["run", "--config", "tiny.json"],
-    ["run", "--config", "fnn_tuned.json"],
-    ["run", "--config", "cas.json"],
-    ["train-rl", "--config", "tiny.json", "--output-dir", "train_rl"],
-    ["train-fnn", "--config", "tiny.json", "--output-dir", "train_fnn", "--seeds", "5",
-     "--claims-per-period", "5"],
-    ["tune", "--config", "rl_tune.json"],
-    ["chain-ladder", "--config", "tiny.json", "--out", "cl.csv"],
-    ["chain-ladder", "--config", "cas.json", "--out", "cl_cas.csv"],
-    ["evaluate", "--config", "tiny.json", "--output-dir", "eval",
-     "--rl-checkpoint", "run/seed_3/rl_checkpoint", "--fnn-model", "run/seed_3/fnn_model"],
-    ["report", "--transitions", "run/seed_3/rl_transitions.csv", "--out", "hist.csv", "--by-psn"],
-    ["verify"],
-]
-
-
 def run_commands() -> list[str]:
-    """Run every command in a temporary directory; returns those that did not exit 0."""
+    """Run the parity matrix in a temporary directory; returns the labels that exit non-zero."""
     from microreserve import cli
 
     failed = []
@@ -180,17 +130,17 @@ def run_commands() -> list[str]:
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(sys.stderr):
         os.chdir(tmp)
         try:
-            for name, cfg in CONFIGS.items():
-                Path(name).write_text(json.dumps(cfg), encoding="utf-8")
-            for argv in COMMANDS:
+            parity.write_inputs(Path(tmp))
+            for label, argv in parity.matrix():
                 if cli.main(argv) != 0:
-                    failed.append(" ".join(argv))
+                    failed.append(label)
         finally:
             os.chdir(cwd)
     return failed
 
 
 def main() -> int:
+    os.environ.update(parity.BLAS_PINS)  # before numpy is first imported
     sys.path.insert(0, str(ROOT / "src"))
     paths = sorted(str(p) for p in SRC.glob("*.py"))
     failed: list[str] = []
@@ -200,8 +150,8 @@ def main() -> int:
     total = sum(len(function_statements(p)) for p in paths)
     raises = sum(s.source.startswith("raise") for s in missed)
     print(f"{len(missed)} of {total} function statements ran under no command ({raises} raise)")
-    for argv in failed:
-        print(f"command failed: {argv}", file=sys.stderr)
+    for label in failed:
+        print(f"command failed: {label}", file=sys.stderr)
     return 1 if failed else 0
 
 

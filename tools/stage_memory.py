@@ -22,10 +22,12 @@ Before and after, each run in a fresh process:
     python tools/stage_memory.py --compare BENCH_memory.json --against REV
         [--sizes 120,200,800] [--repeats 3]
 
-exports REV with ``git archive`` and runs the single-run mode above on it
-and on this tree for each portfolio size of the workload (``portfolio_fit``
-unless ``--workload`` names another simulated one), alternating which tree
-goes first, and writes every run and each side's median peak.
+sets up REV and this tree's ``src`` at paths of one length as
+``tools/ab.py`` does, and runs the single-run mode above on each tree for
+each portfolio size of the workload (``portfolio_fit`` unless
+``--workload`` names another simulated one). Each tree goes first in half
+the repeats (one of them in one more, for an odd count), in an order that
+``--seed`` shuffles. It writes every run and each side's median peak.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "tools"))
 
+import ab  # noqa: E402
 import workloads  # noqa: E402
-from parity import BLAS_PINS, export_revision  # noqa: E402
+from parity import BLAS_PINS  # noqa: E402
 
 MB = 1024.0 * 1024.0
 PAGE = os.sysconf("SC_PAGE_SIZE")
@@ -188,15 +191,14 @@ def child_run(src: Path, workload: str, seed: int, claims_per_period: float, out
 def compare(
     path: str, rev: str, workload: str, sizes: list[float], repeats: int, seed: int
 ) -> None:
-    """Both trees at each size, alternating order; writes every run and the medians."""
+    """Both trees at each size, in ``ab.pair_orders``; writes every run and the medians."""
     tmp = Path(tempfile.mkdtemp(prefix="stage-memory-"))
     try:
-        export_revision(rev, tmp / "tree")
-        trees = {"before": tmp / "tree" / "src", "after": ROOT / "src"}
+        before, after = ab.export_trees(rev, tmp)
+        trees = {"before": before / "src", "after": after / "src"}
         runs = {size: {side: [] for side in trees} for size in sizes}
-        for rep in range(repeats):
+        for order in ab.pair_orders(repeats, seed, tuple(trees)):
             for size in sizes:
-                order = list(trees) if rep % 2 == 0 else list(trees)[::-1]
                 for side in order:
                     result = child_run(trees[side], workload, seed, size, tmp / "run.json")
                     runs[size][side].append(result)
