@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -282,11 +283,29 @@ def resolve_boundary(cfg: dict, dataset: Dataset) -> int:
     return boundary
 
 
-def _acquire_view(cfg: dict, seed: int) -> tuple[Dataset, int, Dataset]:
-    """The seed's full data, its train/test boundary and the view censored there."""
-    dataset = acquire_dataset(cfg, seed)
-    boundary = resolve_boundary(cfg, dataset)
-    return dataset, boundary, split(dataset, boundary)
+def _acquire_view(cfg: dict, seed: int, freeze: bool = False) -> tuple[Dataset, int, Dataset]:
+    """The seed's full data, its train/test boundary and the view censored there.
+
+    The cyclic collector is paused while the records are built, and the
+    caller's setting comes back on every exit path. The records form no
+    cycles, so a collection finds nothing to free in them, yet each one
+    would rescan every record built so far: acquisition would grow faster
+    than the portfolio. With ``freeze``, what was built is frozen
+    (``gc.freeze``) before the collector resumes, so that later collections
+    skip it; the caller unfreezes it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        dataset = acquire_dataset(cfg, seed)
+        boundary = resolve_boundary(cfg, dataset)
+        view = split(dataset, boundary)
+        if freeze:
+            gc.freeze()
+    finally:
+        if enabled:
+            gc.enable()
+    return dataset, boundary, view
 
 
 def _profile(cfg: dict, dataset: Dataset) -> str:
@@ -398,16 +417,20 @@ def run_pipeline(cfg: dict) -> str:
     manifest_path = os.path.join(out_root, "manifest.json")
     summaries = []
     acquired = None  # seeds[0]'s data, once tuning has acquired it
+    # Each acquisition stays frozen until the run ends, unless the caller has
+    # frozen objects of its own, which the unfreeze would release too.
+    freeze = gc.get_freeze_count() == 0
     try:
         if cfg["tuning"].get("enabled") and cfg["tuning"].get("grid"):
             manifest["stage_reached"] = "tuning"
-            acquired = _acquire_view(cfg, cfg["seeds"][0])
+            acquired = _acquire_view(cfg, cfg["seeds"][0], freeze)
             best = tune_from_config(cfg, acquired)
             manifest["tuned_params"] = best
             for section, params in _grid_sections(cfg["tuning"]["family"], best).items():
                 cfg[section].update(params)
         for seed in cfg["seeds"]:
             manifest["stage_reached"] = f"seed {seed}"
+            acquired = acquired or _acquire_view(cfg, seed, freeze)
             summaries.append(run_seed(cfg, seed, os.path.join(out_root, f"seed_{seed}"), acquired))
             acquired = None
         manifest["stage_reached"] = "reports"
@@ -426,6 +449,8 @@ def run_pipeline(cfg: dict) -> str:
         manifest["summaries"] = summaries
         manifest["stage_reached"] = "done"
     finally:
+        if freeze:
+            gc.unfreeze()
         with open(manifest_path, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=1, sort_keys=True)
     return manifest_path

@@ -35,6 +35,13 @@ standard_exponential()`` for ``exponential(s)``; and one
 shape 1.0 is ``standard_exponential()``, the draw numpy makes for it.
 ``float(np.exp(x))`` must stay: ``math.exp`` differs from it in the last
 bit on some draws.
+
+The payments split the claim size in Python floats by the same rules: the
+weights' total is ``pairwise_sum``, numpy's pairwise order for
+``weights.sum()`` (left to right below 8 terms, eight accumulators up to
+128, halves above), and ``w / total * size`` is numpy's ``weights / total *
+size`` term by term. ``inflation_index`` is applied only when an inflation
+rate is set: without one the index is 1.0, and ``p * 1.0`` is ``p``.
 """
 
 from __future__ import annotations
@@ -91,7 +98,7 @@ class SimConfig:
         check_config(self, "[0, inf)", n_accident_periods="[1, inf)", max_claim_duration="(1, inf)",
                      final_payment_shape="(0, inf)", break_settlement_factor="(0, inf)",
                      size_log_mean=finite, settle_delay_log_mean=finite, settle_size_slope=finite,
-                     minor_at_payment_prob=finite, major_at_payment_prob=finite)
+                     minor_at_payment_prob="[0, 1]", major_at_payment_prob="[0, 1]")
         if self.structural_break_period is not None and not (
             1 <= self.structural_break_period <= self.n_accident_periods
         ):
@@ -198,6 +205,30 @@ def pcg64_states(seed: int, i: int, n: int) -> list[tuple[int, int]]:
     return states
 
 
+def pairwise_sum(values: list[float]) -> float:
+    """``np.add.reduce`` of float64 ``values``, bit for bit, in numpy's pairwise order.
+
+    Below 8 terms the sum runs left to right. Up to 128, eight accumulators
+    take every eighth term, join as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7))``, and the terms past the last multiple of 8 follow one by one.
+    Above 128, the halves (split at a multiple of 8) are summed apart and added.
+    """
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+    total = 0.0  # the reduction's start, so a sum of -0.0 terms is 0.0 as in numpy
+    stop = n - n % 8
+    if stop:
+        acc = values[:8]
+        for start in range(8, stop, 8):
+            acc = [a + b for a, b in zip(acc, values[start:start + 8])]
+        total += ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for v in values[stop:]:
+        total += v
+    return total
+
+
 def _simulate_claim(config: SimConfig, i: int, k: int, rng: np.random.Generator) -> Claim:
     """One claim from ``rng``, already loaded with the claim's own substream."""
     random = rng.random
@@ -244,11 +275,9 @@ def _simulate_claim(config: SimConfig, i: int, k: int, rng: np.random.Generator)
     scheduled = sorted([(first, 1.5)] + mids)
     pay_times = [t for t, _ in scheduled] + [settle]
     shapes = [sh for _, sh in scheduled] + [config.final_payment_shape]
-    weights = np.array(
-        [standard_exponential() if sh == 1.0 else standard_gamma(sh) for sh in shapes]
-    )
-    weights = weights / weights.sum()
-    real_payments = (weights * size).tolist()
+    weights = [standard_exponential() if sh == 1.0 else standard_gamma(sh) for sh in shapes]
+    total = pairwise_sum(weights)
+    real_payments = [w / total * size for w in weights]
     # Force exact conservation of the pre-inflation total.
     real_payments[-1] = size - sum(real_payments[:-1])
 
@@ -262,16 +291,19 @@ def _simulate_claim(config: SimConfig, i: int, k: int, rng: np.random.Generator)
         events += [(notify + span * u, kind) for u in random(n).tolist()]
     events.sort(key=itemgetter(0))
 
-    inflated = [p * inflation_index(t, config) for p, t in zip(real_payments, pay_times)]
+    inflated = real_payments  # inflation_index is 1.0 without inflation, and p * 1.0 is p
+    if config.base_inflation_rate or config.superimposed_inflation_rate:
+        inflated = [p * inflation_index(t, config) for p, t in zip(real_payments, pay_times)]
     ultimate = sum(inflated)
     n_payments = len(inflated)
 
+    make = Transaction._make
     txns: list[Transaction] = []
     cumpaid = 0.0
     pay_idx = 0
     # Notification transaction: first sight of the claim, opening estimate.
     case_ocl = max(ultimate, 0.0) * float(exp(config.case_initial_sigma * standard_normal()))
-    txns.append(Transaction(claim_no, notify, "Ma", 0.0, i, size, case_ocl, case_ocl))
+    txns.append(make((claim_no, notify, "Ma", 0.0, i, size, case_ocl, case_ocl)))
     for t, kind in events:
         if kind == "P":
             amount = inflated[pay_idx]
@@ -301,7 +333,7 @@ def _simulate_claim(config: SimConfig, i: int, k: int, rng: np.random.Generator)
                 exp(case_major_sigma * standard_normal())
             )
             typ = "Ma"
-        txns.append(Transaction(claim_no, t, typ, cumpaid, i, size, cumpaid + case_ocl, case_ocl))
+        txns.append(make((claim_no, t, typ, cumpaid, i, size, cumpaid + case_ocl, case_ocl)))
 
     notif_period = math.ceil(notify)
     return Claim(

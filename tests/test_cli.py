@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -346,6 +347,78 @@ class TestRun:
         assert len(builds) == 3 and len(per_fit_builds) == 5
         assert len(entries) == 2 and entries == per_fit_entries
         assert outputs == per_fit_outputs
+
+
+class TestCollector:
+    """Acquisition runs with the cyclic collector paused, and a run freezes what it built.
+
+    The caller's collector setting and freeze count are what they were on
+    entry once the run ends, whether it ends well or fails.
+    """
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def entry_state(self, request):
+        enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param, gc.get_freeze_count()
+        (gc.enable if enabled else gc.disable)()
+
+    def test_discretize_runs_paused_and_the_run_freezes_its_records(
+        self, tmp_path, monkeypatch, entry_state
+    ):
+        seen = {}
+        discretize, build_init_tables = cli.discretize, cli.build_init_tables
+
+        def watched_discretize(dataset):
+            seen["collector_on"] = gc.isenabled()
+            return discretize(dataset)
+
+        def watched_tables(view, boundary):
+            seen["frozen"] = gc.get_freeze_count()
+            return build_init_tables(view, boundary)
+
+        monkeypatch.setattr(cli, "discretize", watched_discretize)
+        monkeypatch.setattr(cli, "build_init_tables", watched_tables)
+        assert run_tiny(tmp_path / "run", models=["cl"])["stage_reached"] == "done"
+        assert seen["collector_on"] is False and seen["frozen"] > 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == entry_state
+
+    def test_a_failed_acquisition_restores_the_collector(self, tmp_path, capsys, entry_state):
+        path = tmp_path / "txns.csv"
+        assert cli.main(["simulate", "--claims-per-period", "2", "--out", str(path)]) == 0
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[3] = lines[3].replace(",", ",x", 1)  # a damaged cell in the third row
+        path.write_text("".join(lines), encoding="utf-8")
+        cfg = {**TINY, "data": {"source": "ingest", "path": str(path), "schema": "splice"},
+               "models": ["cl"], "output_dir": str(tmp_path / "out")}
+        assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
+        assert (gc.isenabled(), gc.get_freeze_count()) == entry_state
+
+    def test_a_caller_s_frozen_objects_stay_frozen(self, tmp_path, monkeypatch):
+        """The run freezes nothing of its own then, since its unfreeze would free the caller's.
+
+        The count can fall: frozen objects are still freed when nothing refers to them.
+        """
+        seen = []
+        build_init_tables = cli.build_init_tables
+        monkeypatch.setattr(
+            cli, "build_init_tables",
+            lambda *args: seen.append(gc.get_freeze_count()) or build_init_tables(*args),
+        )
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            run_tiny(tmp_path / "run", models=["cl"])
+            assert 0 < seen[0] <= frozen and 0 < gc.get_freeze_count() <= frozen
+        finally:
+            gc.unfreeze()
+
+    def test_a_direct_acquisition_freezes_nothing(self, entry_state):
+        cfg = cli.load_config(None, {"data.claims_per_period": 2})
+        dataset, boundary, view = cli._acquire_view(cfg, 1)
+        assert len(view) <= len(dataset) and boundary > 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == entry_state
 
 
 def test_package_runs_as_a_module(tmp_path):

@@ -16,6 +16,7 @@ from microreserve.errors import ConfigError
 from microreserve.simulator import (
     SimConfig,
     inflation_index,
+    pairwise_sum,
     pcg64_states,
     preset,
     simulate_portfolio,
@@ -371,6 +372,18 @@ def as_text(obj, names):
     return list(zip(names, as_cells(getattr(obj, name) for name in names)))
 
 
+def test_pairwise_sum_equals_numpy_bit_for_bit():
+    """Lengths on both sides of 8 and 128, terms of both signs and many magnitudes."""
+    rng = np.random.default_rng(5)
+    for n in range(1, 301):
+        for _ in range(4):
+            values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 12, size=n)
+            assert pairwise_sum(values.tolist()).hex() == np.add.reduce(values).hex(), n
+    for n in (1, 7, 8, 9, 128, 129, 300):
+        zeros = np.full(n, -0.0)
+        assert pairwise_sum(zeros.tolist()).hex() == np.add.reduce(zeros).hex(), n
+
+
 def test_unit_shape_gamma_is_the_standard_exponential():
     """The payment weights' shape-1.0 draw: same value, same stream position."""
     a = np.random.default_rng(17)
@@ -383,12 +396,23 @@ def test_unit_shape_gamma_is_the_standard_exponential():
     assert a.bit_generator.state == b.bit_generator.state
 
 
-@pytest.mark.parametrize("name", ["complexity1", "complexity5"])
-@pytest.mark.parametrize("seed", [1, 2, 9, 31])
-def test_every_claim_equals_the_reference_draws(name, seed):
-    cfg = with_seed(small(preset(name), aps=10, mean=12.0), seed)
+# Each preset at four seeds, and a case whose claims reach 8 payments and more,
+# where the payment weights are summed with eight accumulators.
+REFERENCE_CASES = [
+    pytest.param(name, seed, {}, id=f"{seed}-{name}")
+    for seed in (1, 2, 9, 31)
+    for name in ("complexity1", "complexity5")
+] + [pytest.param("complexity5", 4, {"payment_intensity": 3.0}, id="4-complexity5-intensity3")]
+
+
+@pytest.mark.parametrize("name, seed, changes", REFERENCE_CASES)
+def test_every_claim_equals_the_reference_draws(name, seed, changes):
+    cfg = with_seed(small(dataclasses.replace(preset(name), **changes), aps=10, mean=12.0), seed)
     data = simulate_portfolio(cfg)
     assert len(data) > 60
+    if changes:
+        payments = [sum(t.txn_type in PAYMENT_TYPES for t in c.transactions) for c in data.claims]
+        assert max(payments) >= 16 and sum(n >= 8 for n in payments) > 20
     if cfg.structural_break_period is not None:
         assert any(c.notification_period > cfg.structural_break_period for c in data.claims)
     for claim in data.claims:

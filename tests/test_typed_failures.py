@@ -21,7 +21,7 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from microreserve import cli
@@ -78,6 +78,18 @@ class TestConstructors:
     @settings(max_examples=300, deadline=None)
     def test_any_value_builds_or_is_a_config_error(self, field, value):
         builds_or_config_error(*field, value)
+
+    @given(
+        st.sampled_from(["minor_at_payment_prob", "major_at_payment_prob"]),
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers()),
+    )
+    @example("minor_at_payment_prob", 1.5)
+    @example("major_at_payment_prob", -0.2)
+    @example("major_at_payment_prob", 1)
+    @example("minor_at_payment_prob", 0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_probabilities_build_only_inside_the_unit_interval(self, name, value):
+        assert builds_or_config_error(SimConfig, name, value) == (0 <= value <= 1)
 
     @pytest.mark.parametrize("value", ["yes", 1, 0.0, None, math.nan])
     def test_auto_temp_takes_only_a_bool(self, value):
