@@ -271,7 +271,8 @@ def _simulate_claim(config: SimConfig, i: int, k: int, rng: np.random.Generator)
     # One early payment shortly after notification keeps the first
     # development column materially occupied; the rest spread uniformly.
     first = notify + min(config.first_payment_delay * standard_exponential(), 0.9 * duration)
-    mids = [(notify + span * u, 1.0) for u in random(n_extra).tolist()]
+    # An empty draw consumes no bits, so skipping it keeps the stream.
+    mids = [(notify + span * u, 1.0) for u in random(n_extra).tolist()] if n_extra else []
     scheduled = sorted([(first, 1.5)] + mids)
     pay_times = [t for t, _ in scheduled] + [settle]
     shapes = [sh for _, sh in scheduled] + [config.final_payment_shape]
@@ -288,7 +289,7 @@ def _simulate_claim(config: SimConfig, i: int, k: int, rng: np.random.Generator)
         (config.major_revision_rate, "Ma"),
     ):
         n = int(poisson(rate * duration))
-        events += [(notify + span * u, kind) for u in random(n).tolist()]
+        events += [(notify + span * u, kind) for u in random(n).tolist()] if n else []
     events.sort(key=itemgetter(0))
 
     inflated = real_payments  # inflation_index is 1.0 without inflation, and p * 1.0 is p

@@ -103,3 +103,17 @@ def test_a_run_that_reaches_everything_leaves_nothing(tmp_path):
         assert box.doubled == 4 and box.nested()() == 1
 
     assert reach.unreached([path], run) == []
+
+
+def test_reach_runs_the_parity_matrix_less_exactly_the_parity_only_entries(monkeypatch):
+    from microreserve import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "main", lambda argv: ran.append(argv) or 0)
+    assert reach.run_commands() == []
+    full = reach.parity.matrix()
+    skipped = [label for label, argv in full if argv not in ran]
+    assert skipped == [
+        "run_rl_train_2", "run_rl_train_3", "ingest_complexity5", "chain_ladder_simulated",
+    ]
+    assert ran == [argv for label, argv in full if label not in skipped]

@@ -12,7 +12,9 @@ each file that differs and exits 1 on any difference.
 
 The matrix, ``inputs()`` and ``matrix()``, is the repository's one command
 list: ``tools/reach.py`` runs it in process, so each statement that reach
-counts as run is under this comparison. It runs the ``perfbench/workloads.py``
+counts as run is under this comparison. Entries marked ``PARITY_ONLY`` run
+paths that earlier entries already reach, on other seeds or data, so reach
+skips them. It runs the ``perfbench/workloads.py``
 configs (rl_train seeds 1-3, portfolio_fit and ingest_tune seed 1); on a tiny
 portfolio, with each config built from ``TINY``, a run with rl tuning, an
 rl-family ``tune`` on the ``minimal`` state profile, an fnn-family ``tune``, a
@@ -58,6 +60,9 @@ TINY = {
 # Two grid points per family, so rl tuning trains three agents in seconds.
 RL_GRID = [{"sac": {"actor_lr": 0.001}}, {"env": {"c_acc": 2.0}, "sac": {"critic_lr": 0.001}}]
 FNN_GRID = [{"lr": 0.001}, {"lr": 0.01}]
+# Marks a matrix entry whose statements earlier entries already run: parity
+# compares its outputs, and reach skips it.
+PARITY_ONLY = "parity-only"
 
 
 def tiny(name: str, **sections) -> dict:
@@ -104,8 +109,9 @@ def write_inputs(run_dir: Path) -> None:
         (run_dir / rel).write_text(json.dumps(cfg, indent=1, sort_keys=True), encoding="utf-8")
 
 
-def matrix() -> list[tuple[str, list[str]]]:
-    """(label, microreserve arguments) in the order they run."""
+def matrix(reach: bool = False) -> list[tuple[str, list[str]]]:
+    """(label, microreserve arguments) in the order they run; with ``reach``, those
+    not marked ``PARITY_ONLY``."""
     ingest = workloads.WORKLOADS["ingest_tune"]["ingest"]
     cmds = [
         ("simulate_ingest_input", [
@@ -113,7 +119,10 @@ def matrix() -> list[tuple[str, list[str]]]:
             "--claims-per-period", str(ingest["claims_per_period"]), "--out", INGEST_CSV,
         ]),
     ]
-    cmds += [(f"run_{name}_{seed}", ["run", "--config", f"{name}_{seed}.json"]) for name, seed in RUNS]
+    for name, seed in RUNS:
+        entry = (f"run_{name}_{seed}", ["run", "--config", f"{name}_{seed}.json"])
+        # A workload's other seeds reach no statement its first seed does not.
+        cmds.append(entry if seed == 1 else (*entry, PARITY_ONLY))
     sim = ["simulate", "--preset", "complexity1", "--seed", "2", "--claims-per-period", "10"]
     seed_1 = "runs/{}_1/seed_1/{}"
     rl_log = seed_1.format("rl_train", "rl_transitions.csv")
@@ -133,14 +142,16 @@ def matrix() -> list[tuple[str, list[str]]]:
         ("ingest_cas", [
             "ingest", "--path", "sim_cas.csv", "--schema", "cas", "--dev-out", "dev_cas.csv",
         ]),
-        ("ingest_complexity5", ["ingest", "--path", INGEST_CSV, "--dev-out", "dev_complexity5.csv"]),
+        ("ingest_complexity5", [
+            "ingest", "--path", INGEST_CSV, "--dev-out", "dev_complexity5.csv",
+        ], PARITY_ONLY),
         ("run_cas", ["run", "--config", "cas.json"]),
         ("chain_ladder_cas", ["chain-ladder", "--config", "cas.json", "--out", "cl_cas.csv"]),
         ("chain_ladder_tiny", ["chain-ladder", "--config", "tiny.json", "--out", "cl_tiny.csv"]),
         ("chain_ladder_simulated", [
             "chain-ladder", "--preset", "complexity1", "--seeds", "2",
             "--claims-per-period", "40", "--out", "cl_simulated.csv",
-        ]),
+        ], PARITY_ONLY),
         ("evaluate_rl", [
             "evaluate", "--config", "rl_train_1.json", "--output-dir", "runs/evaluate_rl",
             "--rl-checkpoint", seed_1.format("rl_train", "rl_checkpoint"),
@@ -158,7 +169,7 @@ def matrix() -> list[tuple[str, list[str]]]:
         ("report_by_psn", ["report", "--transitions", rl_log, "--by-psn", "--out", "psn_hist.csv"]),
         ("verify", ["verify"]),
     ]
-    return cmds
+    return [(label, args) for label, args, *mark in cmds if not (reach and mark)]
 
 
 def export_revision(rev: str, dest: Path) -> None:

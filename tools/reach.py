@@ -2,7 +2,8 @@
 """Function statements in ``src/`` that no subcommand executes.
 
 Runs the command matrix of ``tools/parity.py`` (its ``inputs()`` and
-``matrix()``, every subcommand included) in-process inside a temporary
+``matrix(reach=True)``: every subcommand, less the entries marked parity-only,
+which reach nothing earlier entries do not) in-process inside a temporary
 directory, with BLAS pinned to one thread and under ``sys.settrace``, and
 prints each statement inside a function of ``src/microreserve`` that none of
 the commands ran, as ``path:line function: source``. Module-level statements
@@ -13,7 +14,7 @@ if any of its lines ran; a compound statement (``if``, ``for``, ``with``
 Each unreached ``raise`` is an error branch no command takes; any other
 unreached statement is code that only tests, or nothing, reach.
 
-    python tools/reach.py        # about 26 s on two cores
+    python tools/reach.py        # about 18 s on two cores
 
 Uses the standard library and the modules ``tools/parity.py`` imports.
 Exits 1 if a command fails, and names it by its matrix label.
@@ -131,7 +132,7 @@ def run_commands() -> list[str]:
         os.chdir(tmp)
         try:
             parity.write_inputs(Path(tmp))
-            for label, argv in parity.matrix():
+            for label, argv in parity.matrix(reach=True):
                 if cli.main(argv) != 0:
                     failed.append(label)
         finally:
