@@ -57,7 +57,7 @@ from .claims import (
     write_table,
     write_transactions,
 )
-from .credibility import InitTables, build_init_tables, write_init_tables
+from .credibility import InitTables, build_init_tables, initial_reserves, write_init_tables
 from .env import (
     EnvConfig,
     ScriptedPolicy,
@@ -179,6 +179,18 @@ def _grid_sections(family: str, point: dict) -> dict:
     return point
 
 
+def _apply_point(cfg: dict, point: dict) -> dict:
+    """A copy of ``cfg`` with a tuning grid point merged into its sections.
+
+    A point key that its section's config class lacks is a ConfigError.
+    """
+    trial = dict(cfg)
+    for section, params in _grid_sections(cfg["tuning"]["family"], point).items():
+        _check_keys(f"{section} tuning grid", params, _fields(section))
+        trial[section] = {**cfg[section], **params}
+    return trial
+
+
 def validate_config(cfg: dict) -> None:
     defaults = default_config()
     for section in ("data", "split", "tuning"):
@@ -220,20 +232,16 @@ def validate_config(cfg: dict) -> None:
     family = cfg["tuning"]["family"]
     if family not in ("fnn", "rl"):
         raise ConfigError(f"unknown tuning family {family!r}")
-    # Constructor validation of the model configs, alone and with each tuning
-    # grid point merged in, before any work.
-    checks = [(section, cfg[section]) for section in MODEL_SECTIONS]
     grid = cfg["tuning"]["grid"]
     if not isinstance(grid, list):
         raise ConfigError(f"tuning.grid must be a list, got {grid!r}")
-    for point in grid:
-        for section, params in _grid_sections(family, point).items():
-            _check_keys(f"{section} tuning grid", params, _fields(section))
-            checks.append((section, {**cfg[section], **params}))
-    for section, params in checks:
-        MODEL_SECTIONS[section](**params)
-        if section == "env":
-            _check_profile(cfg, params.get("state_profile"), "configured")
+    # Constructor validation of the model configs, alone and with each tuning
+    # grid point merged in, before any work.
+    for trial in [cfg] + [_apply_point(cfg, point) for point in grid]:
+        for section, config_class in MODEL_SECTIONS.items():
+            config_class(**trial[section])
+            if section == "env":
+                _check_profile(cfg, trial[section].get("state_profile"), "configured")
 
 
 def _check_profile(cfg: dict, profile: str | None, what: str) -> None:
@@ -319,16 +327,21 @@ def _profile(cfg: dict, dataset: Dataset) -> str:
 
 
 def _fit_rl(cfg: dict, view: Dataset, boundary: int, seed: int, tables: InitTables):
-    """Train SAC on the view and replay it; returns (predictions, replay, agent, log)."""
+    """Train SAC on the view and replay it; returns (predictions, replay, agent).
+
+    The claims' starting reserves are built once, for the scaler probe, the
+    training pass and the replay.
+    """
     env_cfg = EnvConfig(**{**cfg["env"], "state_profile": _profile(cfg, view)})
     sac_cfg = SacConfig(**{**cfg["sac"], "seed": seed})
-    agent, log = train_sac(view, tables, env_cfg, sac_cfg, boundary=boundary)
-    return (*_predict_rl(agent, view, tables, boundary), agent, log)
+    init = initial_reserves(view, tables, env_cfg.k)
+    agent = train_sac(view, init, env_cfg, sac_cfg, boundary=boundary)
+    return (*_predict_rl(agent, view, init, boundary), agent)
 
 
-def _predict_rl(agent, view: Dataset, tables: InitTables, boundary: int):
-    """Leakage-guarded deterministic replay: (final estimate per claim, replay)."""
-    replay = predict_ocl_sac(agent, view, tables, boundary)
+def _predict_rl(agent, view: Dataset, init: dict[str, float], boundary: int):
+    """Leakage-guarded deterministic replay from each claim's OCL_0: (final estimates, replay)."""
+    replay = predict_ocl_sac(agent, view, init, boundary)
     guard_transitions(replay.transitions, view, boundary)
     return replay.reserves, replay
 
@@ -374,13 +387,13 @@ def run_seed(cfg: dict, seed: int, out_dir: str, acquired: tuple | None = None) 
 
     predictions: dict[str, dict[str, float]] = {}
     if "rl" in cfg["models"]:
-        predictions["rl"], replay, agent, log = _fit_rl(cfg, view, boundary, seed, tables)
+        predictions["rl"], replay, agent = _fit_rl(cfg, view, boundary, seed, tables)
         export_transition_log(replay.transitions, output("rl_transitions.csv"))
         counts, edges = action_histogram(replay.transitions, agent.env_cfg.k)
         write_histogram_csv(counts, edges, output("rl_action_hist.csv"))
         facets, edges = action_histogram(replay.transitions, agent.env_cfg.k, by_psn=True)
         write_histogram_csv(facets, edges, output("rl_action_hist_psn.csv"))
-        write_training_log(log, output("rl_training_log.csv"))
+        write_training_log(agent.training_log, output("rl_training_log.csv"))
         save_agent(agent, os.path.join(out_dir, "rl_checkpoint"))
     if "fnn" in cfg["models"]:
         predictions["fnn"], model = _fit_fnn(cfg, view, boundary, seed)
@@ -426,8 +439,7 @@ def run_pipeline(cfg: dict) -> str:
             acquired = _acquire_view(cfg, cfg["seeds"][0], freeze)
             best = tune_from_config(cfg, acquired)
             manifest["tuned_params"] = best
-            for section, params in _grid_sections(cfg["tuning"]["family"], best).items():
-                cfg[section].update(params)
+            cfg.update(_apply_point(cfg, best))  # manifest["config"] is cfg
         for seed in cfg["seeds"]:
             manifest["stage_reached"] = f"seed {seed}"
             acquired = acquired or _acquire_view(cfg, seed, freeze)
@@ -473,8 +485,7 @@ def tune_from_config(cfg: dict, acquired: tuple) -> dict:
     rows_memo: dict = {}  # the folds' fnn rows, for this call only
 
     def family_fn(fold, params):
-        sections = _grid_sections(family, params)
-        trial = {**cfg, **{k: {**cfg[k], **v} for k, v in sections.items()}}
+        trial = _apply_point(cfg, params)
         if family == "fnn":
             return _fit_fnn(trial, fold.train_view, fold.boundary, seed, rows_memo)[0]
         tables = build_init_tables(fold.train_view, fold.boundary)
@@ -503,7 +514,10 @@ def run_verify(
     back-solved actions (|diff| <= 1e-4), the stability rows (1e-3
     against the published 4-decimal values, exact zeros in payment
     periods), the smoothing rows (1e-4) and the terminal accuracy reward
-    (1e-3).
+    (1e-3). Transactions of other than one claim, or an expected table that
+    lacks a column read, holds a cell that does not parse or has no rows,
+    is a ``DataError`` naming the file, raised before the replay; a table
+    that lacks a step's action stops the replay with a ``DataError``.
     """
     txns_path = txns_path or _fixture_path("golden_claim_txns.csv")
     expected_path = expected_path or _fixture_path("golden_claim_expected.csv")
@@ -522,10 +536,14 @@ def run_verify(
     check_number("racc_weighted", g["racc_weighted"], "float")
 
     data = discretize(load_transactions(txns_path, "splice"))
-    with open_csv(expected_path) as fh:
-        rows = list(csv.DictReader(fh))
+    if len(data.claims) != 1:
+        raise DataError(f"golden transactions {txns_path} hold {len(data.claims)} claims, not 1")
+    rows = _read_rows(expected_path, "expected table", {
+        "dev_period": int, "tau": int, "prev_ocl": float, "pred_ocl": float, "action": float,
+        "payment": int, "table_r_stab": float, "table_r_smooth": float,
+    })
     claim_no = data.claims[0].claim_no
-    policy = ScriptedPolicy({(claim_no, int(r["tau"])): float(r["action"]) for r in rows})
+    policy = ScriptedPolicy({(claim_no, r.tau): r.action for r in rows})
     result = rollout_calendar(data, policy, {claim_no: g["ocl0"]}, env_cfg)
 
     ok = True
@@ -540,35 +558,34 @@ def run_verify(
         return False
 
     for txn, row in zip(result.transitions, rows):
-        dp = row["dev_period"]
-        back_solved = math.log(float(row["pred_ocl"]) / float(row["prev_ocl"]))
+        dp = row.dev_period
+        back_solved = math.log(row.pred_ocl / row.prev_ocl)
         check(
             f"action at development period {dp}",
             abs(txn.action - back_solved) <= 1e-4,
             f"{txn.action:.6f} vs {back_solved:.6f}",
         )
-        gated = row["payment"] == "1"
-        if gated:
+        if row.payment == 1:
             check(
                 f"payment gating at development period {dp}",
-                txn.breakdown.r_stab == 0.0 and txn.breakdown.r_smooth == 0.0,
+                txn.r_stab == 0.0 and txn.r_smooth == 0.0,
             )
         else:
             check(
                 f"stability reward at development period {dp}",
-                abs(txn.breakdown.r_stab - float(row["table_r_stab"])) <= 1e-3,
-                f"{txn.breakdown.r_stab:.4f} vs {row['table_r_stab']}",
+                abs(txn.r_stab - row.table_r_stab) <= 1e-3,
+                f"{txn.r_stab:.4f} vs {row.table_r_stab}",
             )
             check(
                 f"smoothing reward at development period {dp}",
-                abs(txn.breakdown.r_smooth - float(row["table_r_smooth"])) <= 1e-4,
-                f"{txn.breakdown.r_smooth:.5f} vs {row['table_r_smooth']}",
+                abs(txn.r_smooth - row.table_r_smooth) <= 1e-4,
+                f"{txn.r_smooth:.5f} vs {row.table_r_smooth}",
             )
     terminal = result.transitions[-1]
     check(
         "terminal accuracy reward",
-        abs(terminal.breakdown.r_acc - g["racc_weighted"]) <= 1e-3,
-        f"{terminal.breakdown.r_acc:.4f} vs {g['racc_weighted']}",
+        abs(terminal.r_acc - g["racc_weighted"]) <= 1e-3,
+        f"{terminal.r_acc:.4f} vs {g['racc_weighted']}",
     )
     return ok
 
@@ -639,8 +656,8 @@ def cmd_evaluate(args) -> int:
     dataset, boundary, view = _acquire_view(cfg, seed)
     predictions: dict[str, dict[str, float]] = {}
     if agent is not None:
-        tables = build_init_tables(view, boundary)
-        predictions["rl"], _ = _predict_rl(agent, view, tables, boundary)
+        init = initial_reserves(view, build_init_tables(view, boundary), agent.env_cfg.k)
+        predictions["rl"], _ = _predict_rl(agent, view, init, boundary)
     if model is not None:
         predictions["fnn"] = predict_ocl_fnn(model, view, boundary)
     os.makedirs(cfg["output_dir"], exist_ok=True)
@@ -657,36 +674,38 @@ def cmd_report(args) -> int:
     EnvConfig(k=args.k)  # the environment's rule for k
     if args.bins < 1:
         raise ConfigError(f"--bins must be >= 1, got {args.bins}")
-    txns = _read_actions(args.transitions)
+    txns = _read_rows(args.transitions, "transition log", {"action": float, "tau": int})
     counts, edges = action_histogram(txns, args.k, bins=args.bins, by_psn=args.by_psn)
     write_histogram_csv(counts, edges, args.out)
     print(f"histogram -> {args.out}")
     return 0
 
 
-def _read_actions(path: str) -> list[SimpleNamespace]:
-    """Each transition-log row's ``action`` (a float) and ``tau`` (an int).
+def _read_rows(path: str, what: str, parsers: dict) -> list[SimpleNamespace]:
+    """Each row of the CSV table ``what`` at ``path``, its ``parsers`` columns parsed.
 
-    A log without those columns, or a row whose cells do not parse, is a
-    ``ParseError`` naming the row (the header is row 1).
+    ``parsers`` maps each column read to its parse function. A table without
+    those columns, a row whose cells do not parse or a table with no rows is
+    a ``ParseError`` or ``DataError`` naming the table, its file and the row
+    (the header is row 1).
     """
     with open_csv(path) as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in ("action", "tau") if c not in (reader.fieldnames or [])]
+        missing = [c for c in parsers if c not in (reader.fieldnames or [])]
         if reader.fieldnames and missing:
-            raise ParseError(f"transition log lacks columns {missing}")
-        txns = []
+            raise ParseError(f"{what} {path} lacks columns {missing}")
+        rows = []
         for row in reader:
-            action, tau = row["action"], row["tau"]
             try:
-                txns.append(SimpleNamespace(action=float(action), tau=int(tau)))
+                rows.append(SimpleNamespace(**{c: parse(row[c]) for c, parse in parsers.items()}))
             except (TypeError, ValueError):
                 raise ParseError(
-                    f"row {reader.line_num}: cannot parse action={action!r}, tau={tau!r}"
+                    f"{what} {path} row {reader.line_num}: cannot parse "
+                    + ", ".join(f"{c}={row[c]!r}" for c in parsers)
                 ) from None
-    if not txns:
-        raise DataError("transition log is empty")
-    return txns
+    if not rows:
+        raise DataError(f"{what} is empty: {path}")
+    return rows
 
 
 def cmd_run(args) -> int:

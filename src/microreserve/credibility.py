@@ -152,6 +152,14 @@ def initialise_claim(
     return ul0, ocl0
 
 
+def initial_reserves(dataset: Dataset, tables: InitTables, k: float) -> dict[str, float]:
+    """Each claim's OCL_0 from ``initialise_claim``, by claim number: the rollout's ``init``."""
+    return {
+        c.claim_no: initialise_claim(c.accident_period, c.dev_records[0].cum_paid, tables, k)[1]
+        for c in dataset.claims
+    }
+
+
 def write_init_tables(tables: InitTables, path: str) -> None:
     """Audit export of the initialisation quantities."""
     header = [

@@ -3,7 +3,9 @@
 Each claim is an episode: from its notification period until one period
 before settlement, the agent revises the outstanding-liability estimate
 multiplicatively, ``OCL_j = OCL_{j-1} * exp(a)`` with the action clipped
-to ``[-ln K, ln K]``. Rewards combine three parts:
+to ``[-ln K, ln K]``. Each claim starts from its ``OCL_0`` in a
+``{claim_no: OCL_0}`` map (``credibility.initial_reserves`` builds it).
+Rewards combine three parts:
 
 * an accuracy score delivered with the final prediction, the discounted
   average of bounded symmetric errors ``h = 1 - sMAPE`` between the
@@ -15,15 +17,18 @@ to ``[-ln K, ln K]``. Rewards combine three parts:
   over the first ``m_warmup`` predictions, also gated by payments.
 
 Rollouts advance all claims in calendar order, so episodes interleave
-exactly as an insurer would see them. A rollout makes one ``Transition``
-per claim and period, so it and the per-claim records are slotted
-dataclasses, without a ``__dict__`` each. A transition's importance weight
-is set when its step is built, so a learner consuming the stream sees the
-transition the log records. The rollout returns each claim's last estimate
-as ``RolloutResult.reserves``. Given a ``scaler`` (a ``FeatureScaler``), it
-scales each state once, where it builds it: the policy acts on that array,
-and the step's ``Transition`` holds it as ``state`` and its predecessor as
-``next_state``. Without one, every state stays raw.
+exactly as an insurer would see them; within a period claims act in
+claim-number order. A rollout makes one ``Transition`` per claim and
+period, so it and the per-claim records are slotted dataclasses, without a
+``__dict__`` each. A transition carries its reward parts and its importance
+weight, all set when its step is built, so a learner consuming the stream
+sees the transition the log records. Each step reads the claim's
+development record once and builds its state from it. The rollout returns
+each claim's last estimate as ``RolloutResult.reserves``. Given a
+``scaler`` (a ``FeatureScaler``), it scales each state once, where it
+builds it: the policy acts on that array, and the step's ``Transition``
+holds it as ``state`` and its predecessor as ``next_state``. Without one,
+every state stays raw.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .claims import Claim, Dataset, DevelopmentRecord, type_set, write_table
-from .credibility import InitTables, initialise_claim
 from .errors import ConfigError, DataError, check_config
 
 PROFILES = ("minimal", "cas", "splice_full")
@@ -89,24 +93,6 @@ def currency_mask(profile: str, n_past: int) -> np.ndarray:
 
 def state_dim(profile: str, n_past: int) -> int:
     return currency_mask(profile, n_past).size
-
-
-def state_features(
-    claim: Claim,
-    t: int,
-    prev_ocl: float,
-    past_preds: list[float],
-    profile: str,
-    n_past: int,
-) -> list[float]:
-    """Observation for one claim at the end of calendar period t.
-
-    The last n_past predictions fill the past-prediction slots, zero-padded
-    on the left while fewer have been made.
-    """
-    last = past_preds[max(len(past_preds) - n_past, 0) :]
-    past = [0.0] * max(n_past - len(past_preds), 0) + last
-    return state_rows(claim, [claim.record_at(t)], t, profile, [prev_ocl], past)
 
 
 def state_rows(
@@ -265,14 +251,6 @@ def mean_training_ocl(dataset: Dataset, boundary: int) -> float:
 
 
 @dataclass(slots=True)
-class RewardBreakdown:
-    r_acc: float = 0.0
-    r_stab: float = 0.0
-    r_smooth: float = 0.0
-    weight: float = 1.0
-
-
-@dataclass(slots=True)
 class Transition:
     claim_no: str
     accident_period: int
@@ -284,7 +262,10 @@ class Transition:
     next_state: np.ndarray | None
     done: bool
     pred_ocl: float
-    breakdown: RewardBreakdown = field(default_factory=RewardBreakdown)
+    r_acc: float = 0.0  # set on a settling claim's last step
+    r_stab: float = 0.0
+    r_smooth: float = 0.0
+    weight: float = 1.0
 
 
 class ZeroPolicy:
@@ -301,13 +282,14 @@ class ScriptedPolicy:
         self.actions = actions
 
     def act(self, state, explore=False, claim_no=None, tau=None, **_):
+        if (claim_no, tau) not in self.actions:
+            raise DataError(f"no scripted action for claim {claim_no} at tau {tau}")
         return self.actions[(claim_no, tau)]
 
 
 @dataclass(slots=True)
 class _Tracker:
     ocl: float
-    ul0: float
     horizon: float  # settlement periods-since-notification; inf while open
     p_last: float | None  # paid at the rollout's last period; None if it settles by then
     preds: list[float] = field(default_factory=list)
@@ -336,21 +318,28 @@ def rollout_calendar(
 ) -> RolloutResult:
     """Advance every claim in calendar order, producing transitions.
 
-    ``init`` is an InitTables or a {claim_no: OCL_0} mapping. Claims
-    settling in their notification period make no predictions and are
-    counted in ``n_skipped``. Open claims at the boundary keep their final
-    prediction but that last step has no observable successor state, so it
-    is not emitted as a transition. Each transition leaves complete: its
-    importance weight is set when its step is built, from the true OCL for
-    a claim settling by the boundary and from the open-claim lower bound
-    otherwise. The result's ``reserves`` holds each claim's last estimate.
+    ``init`` maps each claim number to its positive starting estimate
+    ``OCL_0``. Claims settling in their notification period make no
+    predictions and are counted in ``n_skipped``. Open claims at the
+    boundary keep their final prediction but that last step has no
+    observable successor state, so it is not emitted as a transition. Each
+    step reads the claim's development record once, for its state, its
+    rewards and its weight. Each transition leaves complete: it carries its
+    stability and smoothing rewards and its importance weight, set when its
+    step is built (the weight from the true OCL for a claim settling by the
+    boundary and from the open-claim lower bound otherwise), and a settling
+    claim's last step also its accuracy reward ``r_acc``. The result's
+    ``reserves`` holds each claim's last estimate.
     With ``explore=False`` and a deterministic policy the rollout is a pure
     function of its inputs.
     """
     if cfg.s_scale is None:
         raise ConfigError("s_scale must be resolved before rolling out")
     horizon = boundary if boundary is not None else dataset.max_calendar_period
-    active = [c for c in dataset.claims if c.notification_period <= horizon]
+    # Sorted once, so each period's claims act in claim-number order.
+    active = sorted(
+        (c for c in dataset.claims if c.notification_period <= horizon), key=lambda c: c.claim_no
+    )
     if not active:
         raise DataError("no claims notified inside the rollout window")
 
@@ -375,37 +364,32 @@ def rollout_calendar(
             on_transition(txn)
 
     for t in sorted(schedule):
-        for claim in sorted(schedule[t], key=lambda c: c.claim_no):
+        for claim in schedule[t]:
             tracker = trackers.get(claim.claim_no)
             if claim.settled and t == claim.settlement_period:
                 _finalize_settlement(tracker, cfg, emit)
                 continue
 
             if tracker is None:
-                paid0 = claim.dev_records[0].cum_paid
-                if isinstance(init, InitTables):
-                    _, ocl0 = initialise_claim(claim.accident_period, paid0, init, k=cfg.k)
-                else:
-                    ocl0 = init[claim.claim_no]
+                ocl0 = init[claim.claim_no]
                 if ocl0 <= 0:
                     raise DataError(f"non-positive initial OCL for {claim.claim_no}")
                 settles = claim.settled and claim.settlement_period <= horizon
                 tracker = _Tracker(
                     ocl=ocl0,
-                    ul0=ocl0 + paid0,
                     horizon=claim.psn_at(claim.settlement_period) if claim.settled else math.inf,
                     p_last=None if settles else claim.record_at(horizon).cum_paid,
-                    ul_path=[ocl0 + paid0],
+                    ul_path=[ocl0 + claim.dev_records[0].cum_paid],
                 )
                 trackers[claim.claim_no] = tracker
 
             tau = claim.psn_at(t)
-            state = np.array(
-                state_features(claim, t, tracker.ocl, tracker.preds, cfg.state_profile, cfg.n_past),
-                dtype=np.float64,
-            )
-            if scaler is not None:
-                state = scaler.transform(state)
+            rec = claim.record_at(t)
+            # The last n_past predictions, zero-padded on the left while fewer are made.
+            past = tracker.preds[max(len(tracker.preds) - cfg.n_past, 0) :]
+            past = [0.0] * (cfg.n_past - len(past)) + past
+            row = state_rows(claim, [rec], t, cfg.state_profile, [tracker.ocl], past)
+            state = np.array(row) if scaler is None else scaler.transform(row)
             if tracker.pending is not None:
                 tracker.pending.next_state = state
                 emit(tracker.pending)
@@ -413,7 +397,6 @@ def rollout_calendar(
 
             raw = policy.act(state, explore=explore, claim_no=claim.claim_no, tau=tau)
             new_ocl, action = apply_action(tracker.ocl, float(raw), cfg.k)
-            rec = claim.record_at(t)
             payment = rec.has_payment
 
             tracker.ocl = new_ocl
@@ -424,15 +407,13 @@ def rollout_calendar(
                 tracker.true_ocl.append(rec.true_ocl)
                 tracker.weights.append(weight)
             else:
-                inner = max(tracker.p_last, tracker.ul0) - rec.cum_paid
+                inner = max(tracker.p_last, tracker.ul_path[0]) - rec.cum_paid
                 weight = importance_weight(inner, cfg.alpha_w, cfg.s_scale)
 
             r_stab = reward_stability(
                 tau, tracker.ul_path, action, payment, cfg.gamma, cfg.k, tracker.horizon
             )
             r_smooth = reward_smoothing(action, tau - 1, cfg.m_warmup, cfg.k, payment)
-
-            breakdown = RewardBreakdown(r_stab=r_stab, r_smooth=r_smooth, weight=weight)
             tracker.pending = Transition(
                 claim_no=claim.claim_no,
                 accident_period=claim.accident_period,
@@ -444,7 +425,9 @@ def rollout_calendar(
                 next_state=None,
                 done=False,
                 pred_ocl=new_ocl,
-                breakdown=breakdown,
+                r_stab=r_stab,
+                r_smooth=r_smooth,
+                weight=weight,
             )
 
     reserves = {claim_no: tracker.ocl for claim_no, tracker in trackers.items()}
@@ -459,7 +442,7 @@ def _finalize_settlement(tracker: _Tracker, cfg: EnvConfig, emit):
     """
     pending = tracker.pending
     r_acc = reward_accuracy(tracker.true_ocl, tracker.preds, cfg.gamma, cfg.c_acc, tracker.weights)
-    pending.breakdown.r_acc = r_acc
+    pending.r_acc = r_acc
     pending.reward += r_acc
     pending.done = True
     emit(pending)
@@ -482,7 +465,7 @@ def export_transition_log(transitions: list[Transition], path: str) -> None:
     ]
     rows = (
         [t.claim_no, t.tau, t.accident_period, t.dev_period, t.action, math.exp(t.action)]
-        + [t.breakdown.r_acc, t.breakdown.r_stab, t.breakdown.r_smooth, t.breakdown.weight]
+        + [t.r_acc, t.r_stab, t.r_smooth, t.weight]
         + [t.pred_ocl]
         for t in transitions
     )

@@ -7,10 +7,13 @@ the calendar rollout: every environment transition is appended to the
 buffer and followed by a fixed number of gradient updates, so the agent
 learns while claims are still developing.
 
-``train_sac`` and ``predict_ocl_sac`` pass the agent's scaler to
-``rollout_calendar``, which scales each state once where it builds it, so
-``act`` and ``observe`` take scaled states and the buffer stores them as
-they come. Only the zero-action probe that fits the scaler sees raw states.
+``train_sac``, ``fit_state_scaler`` and ``predict_ocl_sac`` take the
+rollout's ``init``, a ``{claim_no: OCL_0}`` map. ``train_sac`` returns the
+trained agent, whose ``training_log`` holds one row per update. It and
+``predict_ocl_sac`` pass the agent's scaler to ``rollout_calendar``, which
+scales each state once where it builds it, so ``act`` and ``observe`` take
+scaled states and the buffer stores them as they come. Only the
+zero-action probe that fits the scaler sees raw states.
 
 Acting, the Bellman targets and the actor step each draw the pre-squash
 sample through ``squashed_draw``. ``save_agent`` checkpoints the configs as
@@ -412,8 +415,11 @@ def train_sac(
     env_cfg: EnvConfig,
     cfg: SacConfig,
     boundary: int,
-) -> tuple[SacAgent, list[dict]]:
-    """One chronological training pass; returns the frozen agent and log."""
+) -> SacAgent:
+    """One chronological training pass from the ``{claim_no: OCL_0}`` map ``init``.
+
+    Returns the frozen agent; its ``training_log`` holds one row per update.
+    """
     if not view.claims:
         raise DataError("empty training data")
     if env_cfg.s_scale is None:
@@ -433,7 +439,7 @@ def train_sac(
     # The update's network buffers would outlive training.
     for net in (agent.actor, agent.critic1, agent.critic2, agent.target1, agent.target2):
         net.workspaces.clear()
-    return agent, agent.training_log
+    return agent
 
 
 def predict_ocl_sac(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microreserve.claims import censor, discretize, load_transactions
-from microreserve.credibility import build_init_tables, initialise_claim
+from microreserve.credibility import build_init_tables, initial_reserves, initialise_claim
 from microreserve.env import (
     EnvConfig,
     ScriptedPolicy,
@@ -265,21 +265,21 @@ def rollout_with_reference_weights(data, policy, init, cfg, boundary):
     received = []
     result = rollout_calendar(
         data, recorder, init, cfg, boundary=boundary,
-        on_transition=lambda txn: received.append((txn, txn.breakdown.weight)),
+        on_transition=lambda txn: received.append((txn, txn.weight)),
     )
     assert [txn for txn, _ in received] == result.transitions
     want = posthoc_weights(data, init, cfg, boundary, result.transitions, recorder.actions)
     assert [w for _, w in received] == want
     paths: dict[str, list] = {}  # per claim: (true OCL, estimate, weight) per step
     for txn, w in zip(result.transitions, want):
-        assert txn.breakdown.weight == w
+        assert txn.weight == w
         claim = data.by_no(txn.claim_no)
         true_ocl = claim.record_at(claim.notification_period + txn.tau - 1).true_ocl
         paths.setdefault(txn.claim_no, []).append((true_ocl, txn.pred_ocl, w))
         if txn.done:
             ocl_path, preds, weights = zip(*paths[txn.claim_no])
             r_acc = reward_accuracy(ocl_path, preds, cfg.gamma, cfg.c_acc, weights)
-            assert txn.breakdown.r_acc == r_acc
+            assert txn.r_acc == r_acc
     reserves = {}
     for claim_no, actions in recorder.actions.items():
         ocl = init[claim_no]
@@ -310,15 +310,17 @@ class TestRollout:
         assert len(result.transitions) == len(rows)
         for txn, row in zip(result.transitions, rows):
             assert txn.action == pytest.approx(float(row["action"]), abs=1e-12)
-            assert txn.breakdown.r_stab == pytest.approx(float(row["r_stab_exact"]), abs=1e-12)
-            assert txn.breakdown.r_smooth == pytest.approx(float(row["r_smooth_exact"]), abs=1e-12)
+            assert txn.r_stab == pytest.approx(float(row["r_stab_exact"]), abs=1e-12)
+            assert txn.r_smooth == pytest.approx(float(row["r_smooth_exact"]), abs=1e-12)
             if row["payment"] == "1":
-                assert txn.breakdown.r_stab == 0.0
-                assert txn.breakdown.r_smooth == 0.0
-        assert result.transitions[-1].breakdown.r_acc == pytest.approx(3.7502, abs=1e-4)
+                assert txn.r_stab == 0.0
+                assert txn.r_smooth == 0.0
+        assert result.transitions[-1].r_acc == pytest.approx(3.7502, abs=1e-4)
 
-    def test_overlapping_claims_interleave_in_calendar_order(self):
-        # Oracle: manual schedule on a 2-claim fixture.
+    @pytest.mark.parametrize("listed", [["o1", "o2"], ["o2", "o1"]], ids=["o1_first", "o2_first"])
+    def test_overlapping_claims_interleave_in_calendar_order(self, listed):
+        # Oracle: manual schedule on a 2-claim fixture. Claims act in
+        # claim-number order within a period, whatever the dataset's order.
         c1 = build_claim(
             "o1",
             1,
@@ -329,7 +331,8 @@ class TestRollout:
             2,
             [(2.5, "Ma", 0.0, 40.0), (4.5, "PMa", 40.0, 0.0)],
         )
-        data = build_dataset([c1, c2])
+        claims = {"o1": c1, "o2": c2}
+        data = build_dataset([claims[no] for no in listed])
         cfg = EnvConfig(state_profile="minimal", s_scale=10.0)
         result = rollout_calendar(data, ZeroPolicy(), {"o1": 50.0, "o2": 40.0}, cfg)
         order = [(t.claim_no, t.tau) for t in result.transitions]
@@ -370,8 +373,8 @@ class TestRollout:
                 txn.tau - 1
             ]  # records start at notification
             if rec.has_payment:
-                assert txn.breakdown.r_stab == 0.0
-                assert txn.breakdown.r_smooth == 0.0
+                assert txn.r_stab == 0.0
+                assert txn.r_smooth == 0.0
 
     @pytest.mark.parametrize("n_past", [0, 1, 5, 20])
     def test_every_state_has_state_dim_slots(self, golden_config, n_past):
@@ -398,9 +401,9 @@ class TestRollout:
         ul = [80.0] + [t.pred_ocl for t in result.transitions]  # nothing paid yet
         assert [t.tau for t in result.transitions] == [1, 2, 3]
         interior, last = result.transitions[1], result.transitions[2]
-        assert interior.breakdown.r_stab == 0.9 * smape_h(ul[2], ul[1]) - smape_h(ul[1], ul[0])
-        assert last.breakdown.r_stab == -smape_h(ul[2], ul[1])
-        assert last.reward == last.breakdown.r_stab + last.breakdown.r_smooth + last.breakdown.r_acc
+        assert interior.r_stab == 0.9 * smape_h(ul[2], ul[1]) - smape_h(ul[1], ul[0])
+        assert last.r_stab == -smape_h(ul[2], ul[1])
+        assert last.reward == last.r_stab + last.r_smooth + last.r_acc
 
     def test_determinism(self, golden_config):
         data = discretize(load_transactions(fixture_path("golden_claim_txns.csv"), "splice"))
@@ -425,9 +428,9 @@ class TestRollout:
         cfg = EnvConfig(state_profile="minimal", s_scale=25.0, alpha_w=1.0)
         result = rollout_with_reference_weights(data, ZeroPolicy(), {"w1": 80.0}, cfg, 6)
         # P_curr = 50, UL_0 = 80; tau=1 has P_tau=0 -> (80-0)/25
-        assert result.transitions[0].breakdown.weight == pytest.approx(80.0 / 25.0)
+        assert result.transitions[0].weight == pytest.approx(80.0 / 25.0)
         # tau=2 has P_tau=30 -> (80-30)/25 = 2
-        assert result.transitions[1].breakdown.weight == pytest.approx(2.0)
+        assert result.transitions[1].weight == pytest.approx(2.0)
 
     def test_step_weights_equal_the_posthoc_reference(self):
         # A complexity5 portfolio censored at several boundaries, so each rollout
@@ -450,6 +453,7 @@ class TestRollout:
                 )[1]
                 for c in view.claims
             }
+            assert initial_reserves(view, tables, k=2.0) == init
             for alpha_w in (1.0, 0.5):
                 cfg = EnvConfig(s_scale=mean_training_ocl(view, boundary), alpha_w=alpha_w)
                 for dataset in (view, data):

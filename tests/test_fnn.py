@@ -12,7 +12,7 @@ from microreserve.env import (
     PROFILES,
     currency_mask,
     importance_weight,
-    state_features,
+    state_rows,
 )
 from microreserve.errors import ConfigError, DataError
 from microreserve.fnn import (
@@ -107,7 +107,7 @@ class TestRows:
     def test_features_are_env_state_without_previous_estimate(self, profile):
         claim = settled_fixture().by_no("f1")
         for t in range(2, 6):
-            state = state_features(claim, t, 123.0, [], profile, 0)
+            state = state_rows(claim, [claim.record_at(t)], t, profile, [123.0], [])
             assert state[PREV_OCL_SLOT] == 123.0
             assert row_features(claim, t, profile) == state[:PREV_OCL_SLOT] + state[PREV_OCL_SLOT + 1 :]
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from microreserve.claims import Triangle
+from microreserve.claims import Triangle, censor
 from microreserve.credibility import (
     age_to_ultimate,
     build_init_tables,
+    initial_reserves,
     initialise_claim,
     link_ratios,
 )
@@ -52,8 +53,11 @@ class TestAgeToUltimate:
             age_to_ultimate(tri)
 
 
-def two_ap_fixture():
-    """AP 1 fully developed; AP 2's settled claims are quick small settlers."""
+def two_ap_fixture(*extra):
+    """AP 1 fully developed; AP 2's settled claims are quick small settlers.
+
+    ``extra`` claims join the four.
+    """
     claims = [
         # AP 1: one slow large claim and one quick small one, both settled.
         build_claim(
@@ -70,7 +74,7 @@ def two_ap_fixture():
             [(2.5, "Ma", 0.0, 150.0), (4.5, "P", 30.0, 120.0), (9.5, "PMa", 150.0, 0.0)],
         ),
     ]
-    return build_dataset(claims, max_t=10)
+    return build_dataset(claims + list(extra), max_t=10)
 
 
 class TestInitTables:
@@ -163,3 +167,22 @@ class TestInitialiseClaim:
         z = [tables.credibility[i] for i in aps]
         assert all(a >= b - 1e-9 for a, b in zip(z, z[1:]))
         assert all(0.0 < v <= 1.0 for v in z)
+
+
+class TestInitialReserves:
+    def test_each_claim_starts_from_initialise_claim(self):
+        # Beside the fixture's claims: accident period 3 has no claim settled
+        # by period 4, so z1 gets zero credibility, and b1 has paid more at
+        # notification than any mean, so it takes the overall mean / k^2.
+        z1 = build_claim("z1", 3, [(3.5, "Ma", 0.0, 40.0), (6.5, "PMa", 40.0, 0.0)])
+        b1 = build_claim("b1", 1, [(1.5, "P", 500.0, 10.0), (8.5, "PMa", 510.0, 0.0)])
+        view = censor(two_ap_fixture(z1, b1), 4)
+        tables = build_init_tables(view, 4)
+        reserves = initial_reserves(view, tables, 3.0)
+        assert sorted(reserves) == ["b1", "s1", "s2", "s3", "s4", "z1"]
+        for c in view.claims:
+            _, ocl0 = initialise_claim(c.accident_period, c.dev_records[0].cum_paid, tables, 3.0)
+            assert reserves[c.claim_no] == ocl0
+        assert 3 not in tables.credibility
+        assert reserves["z1"] == pytest.approx(tables.overall_adj_mean)
+        assert reserves["b1"] == tables.overall_adj_mean / 9.0

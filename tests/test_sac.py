@@ -291,8 +291,8 @@ class TestTrain:
         def run():
             cfg = SacConfig(seed=11, batch_size=4, warmup_steps=2, hidden=(8, 8))
             init = {c.claim_no: 80.0 for c in data.claims}
-            agent, log = train_sac(data, init, env_cfg, cfg, data.max_calendar_period)
-            return agent, log
+            agent = train_sac(data, init, env_cfg, cfg, data.max_calendar_period)
+            return agent, agent.training_log
 
         agent1, log1 = run()
         agent2, log2 = run()
@@ -307,7 +307,7 @@ class TestTrain:
         env_cfg = EnvConfig(state_profile="minimal", s_scale=50.0)
         cfg = SacConfig(seed=1, batch_size=4, warmup_steps=2, hidden=(8, 8))
         init = {c.claim_no: 80.0 for c in data.claims}
-        agent, _ = train_sac(data, init, env_cfg, cfg, data.max_calendar_period)
+        agent = train_sac(data, init, env_cfg, cfg, data.max_calendar_period)
         assert len(agent.buffer) > 0
         assert agent.buffer.cursor == len(agent.buffer)
         # The update's network buffers go with the training pass.
@@ -321,7 +321,7 @@ class TestPersistence:
         env_cfg = EnvConfig(state_profile="minimal", s_scale=50.0)
         cfg = SacConfig(seed=5, batch_size=4, warmup_steps=2, hidden=(8, 8))
         init = {c.claim_no: 80.0 for c in data.claims}
-        agent, _ = train_sac(data, init, env_cfg, cfg, data.max_calendar_period)
+        agent = train_sac(data, init, env_cfg, cfg, data.max_calendar_period)
         save_agent(agent, str(tmp_path / "ckpt"))
         again = load_agent(str(tmp_path / "ckpt"))
         state = np.array([1.0, 2.0, 50.0, 10.0])
@@ -759,7 +759,7 @@ class TestStateScaling:
         monkeypatch.setattr(FeatureScaler, "transform", counted)
         monkeypatch.setattr(SacAgent, "act", acting)
         monkeypatch.setattr(SacAgent, "observe", recorded)
-        agent, _ = train_sac(data, init, env_cfg, cfg, data.max_calendar_period)
+        agent = train_sac(data, init, env_cfg, cfg, data.max_calendar_period)
         # One transform per state the rollout builds, and the policy acts on that array.
         assert len(scaled) == len(acted) == agent.env_steps > 0
         assert all(s is a for s, a in zip(scaled, acted))

@@ -236,6 +236,34 @@ class TestCli:
         assert err.startswith("config error:"), err
         assert str(path) in err or kind.startswith("bad_"), err
 
+    @pytest.mark.parametrize(
+        "kind",
+        ["bad_cell", "no_action_column", "header_only", "missing_row", "two_claims", "no_claims"],
+    )
+    def test_a_damaged_fixture_table_is_a_data_error(self, tmp_path, capsys, kind):
+        # Each of these crashed with a traceback: ValueError, KeyError 'action',
+        # KeyError ('G1', 1), KeyError ('G1', 12), KeyError 'G2' and IndexError.
+        flag = "--txns" if kind.endswith("claims") else "--expected"
+        source = cli._fixture_path("golden_claim_" + ("txns" if flag == "--txns" else "expected"))
+        with open(source + ".csv", encoding="utf-8") as fh:
+            header, *rows = fh.read().splitlines()
+        if kind == "bad_cell":
+            rows[1] = rows[1].replace("3,2,", "3,two,", 1)  # the tau cell
+        elif kind == "no_action_column":
+            header = header.replace(",action,", ",act,")
+        elif kind == "missing_row":
+            rows.pop()
+        elif kind == "two_claims":
+            rows += [row.replace("G1,", "G2,", 1) for row in rows]
+        else:
+            rows = []
+        path = tmp_path / "damaged.csv"
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        assert cli.main(["verify", flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:"), err
+        assert str(path) in err or "no scripted action for claim G1 at tau 12" in err, err
+
     def test_the_reproduced_fixture_config_crash_names_the_field(self, tmp_path, capsys):
         path = tmp_path / "fixture_config.json"
         path.write_text(json.dumps({"ocl0": 5}), encoding="utf-8")
