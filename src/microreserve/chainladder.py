@@ -190,12 +190,13 @@ def ibnr_strip(
     return ibnr
 
 
-def rbns_ocl(
-    dataset: Dataset,
-    cutoff: int,
-    scaling: DelayScaling | None = None,
-) -> ClResult:
-    """Full pipeline: triangles, CL projection, IBNR strip, open-claim OCL."""
+def rbns_ocl(dataset: Dataset, scaling: DelayScaling | None = None) -> ClResult:
+    """Full pipeline: triangles, CL projection, IBNR strip, open-claim OCL.
+
+    The triangles and the open claims are taken at the dataset's last
+    period, which a censored view holds as its valuation.
+    """
+    cutoff = dataset.max_calendar_period
     paid, counts = build_triangle(dataset, cutoff)
     ult_paid, ult_count, mu = cl_ultimates(paid, counts)
     if scaling is None:

@@ -16,7 +16,10 @@ acquired, and a config file that cannot be read or holds no JSON object is a
 configuration error too.
 
 Every command that models data takes it from one helper: acquire the
-seed's data, resolve the train/test boundary and censor there. The rl
+seed's data, resolve the train/test boundary and censor there. The view
+holds the valuation as its last period, and the model code reads it from
+there; the leakage guards get the boundary the CLI resolved, so they check
+the view on their own. The rl
 and fnn models each have one fit path, shared by ``run``, by tuning and
 (for prediction) by ``evaluate``. Scoring reads the realised outstanding
 amounts once per seed (``true_ocl_map``): each rl or fnn model gets one
@@ -26,9 +29,11 @@ and summary are written, and the chain ladder gets one
 metrics writer. Every CSV is written by ``claims.write_table``, the one
 place a number becomes text.
 
-Exit codes: 0 success, 1 configuration error, 2 data error, 3 numeric
-fault during training or evaluation, 4 any other error (a crash: the
-traceback goes to stderr). ``evaluate`` loads its checkpoints before it
+Exit codes: 0 success, 1 configuration error, 2 data error (a leak, a
+missing file and an output path of the wrong kind count too: a file where
+a directory goes, or a directory where a file goes), 3 numeric fault
+during training or evaluation, 4 any other error (a crash: the traceback
+goes to stderr). ``evaluate`` loads its checkpoints before it
 acquires data, and a damaged checkpoint file is a data error naming it.
 """
 
@@ -330,18 +335,20 @@ def _fit_rl(cfg: dict, view: Dataset, boundary: int, seed: int, tables: InitTabl
     """Train SAC on the view and replay it; returns (predictions, replay, agent).
 
     The claims' starting reserves are built once, for the scaler probe, the
-    training pass and the replay.
+    training pass and the replay. The model code reads the valuation from
+    the view; ``boundary``, resolved where the view was cut, goes only to
+    the leakage guard.
     """
     env_cfg = EnvConfig(**{**cfg["env"], "state_profile": _profile(cfg, view)})
     sac_cfg = SacConfig(**{**cfg["sac"], "seed": seed})
     init = initial_reserves(view, tables, env_cfg.k)
-    agent = train_sac(view, init, env_cfg, sac_cfg, boundary=boundary)
+    agent = train_sac(view, init, env_cfg, sac_cfg)
     return (*_predict_rl(agent, view, init, boundary), agent)
 
 
 def _predict_rl(agent, view: Dataset, init: dict[str, float], boundary: int):
     """Leakage-guarded deterministic replay from each claim's OCL_0: (final estimates, replay)."""
-    replay = predict_ocl_sac(agent, view, init, boundary)
+    replay = predict_ocl_sac(agent, view, init)
     guard_transitions(replay.transitions, view, boundary)
     return replay.reserves, replay
 
@@ -351,17 +358,18 @@ def _fit_fnn(cfg: dict, view: Dataset, boundary: int, seed: int, rows_memo: dict
 
     ``rows_memo`` keeps the rows built for fits on one dataset's views, keyed by
     the boundary and the config fields the rows depend on, so fits that share
-    them build them once.
+    them build them once. As in ``_fit_rl``, the boundary goes to the guard
+    and the key, not to the model code.
     """
     fnn_cfg = FnnConfig(**{**cfg["fnn"], "state_profile": _profile(cfg, view), "seed": seed})
     memo = {} if rows_memo is None else rows_memo
     key = (boundary, fnn_cfg.state_profile, fnn_cfg.alpha_w)
     if key not in memo:
-        rows = build_training_rows(view, boundary, fnn_cfg)
+        rows = build_training_rows(view, fnn_cfg)
         guard_fnn_rows(rows.claim_nos, view, boundary)
         memo[key] = rows
     model = train_fnn(memo[key], fnn_cfg)
-    return predict_ocl_fnn(model, view, boundary), model
+    return predict_ocl_fnn(model, view), model
 
 
 # -- pipeline ----------------------------------------------------------------------
@@ -371,7 +379,7 @@ def run_seed(cfg: dict, seed: int, out_dir: str, acquired: tuple | None = None) 
     """Train every requested model for one seed (``acquired``: its data, if held) and report."""
     os.makedirs(out_dir, exist_ok=True)
     dataset, boundary, view = acquired or _acquire_view(cfg, seed)
-    tables = build_init_tables(view, boundary)
+    tables = build_init_tables(view)
     actuals = true_ocl_map(dataset, boundary)
 
     outputs: list[str] = []
@@ -406,7 +414,7 @@ def run_seed(cfg: dict, seed: int, out_dir: str, acquired: tuple | None = None) 
         summary[f"{name}_rmse"] = report.rmse_overall
 
     if "cl" in cfg["models"]:
-        result = cl.rbns_ocl(view, boundary)
+        result = cl.rbns_ocl(view)
         cl.write_cl_report(result, output("cl_report.csv"))
         report = evaluate_chain_ladder(result, actuals, dataset)
         write_metrics_csv(report, "cl", seed, output("metrics_cl.csv"))
@@ -477,8 +485,8 @@ def _write_terciles(report: MetricsReport, path: str) -> None:
 def tune_from_config(cfg: dict, acquired: tuple) -> dict:
     """Rolling-settlement tuning for the configured family on seed[0]'s acquired data."""
     seed = cfg["seeds"][0]
-    _, boundary, view = acquired
-    folds = rsv_folds(view, cfg["split"]["k_folds"], window_end=boundary)
+    view = acquired[2]
+    folds = rsv_folds(view, cfg["split"]["k_folds"])
     for fold in folds:
         guard_validation(fold.validation_claims, fold.boundary)
     family = cfg["tuning"]["family"]
@@ -488,7 +496,7 @@ def tune_from_config(cfg: dict, acquired: tuple) -> dict:
         trial = _apply_point(cfg, params)
         if family == "fnn":
             return _fit_fnn(trial, fold.train_view, fold.boundary, seed, rows_memo)[0]
-        tables = build_init_tables(fold.train_view, fold.boundary)
+        tables = build_init_tables(fold.train_view)
         return _fit_rl(trial, fold.train_view, fold.boundary, seed, tables)[0]
 
     best, _entries = tune(cfg["tuning"]["grid"], folds, family_fn)
@@ -619,7 +627,7 @@ def cmd_ingest(args) -> int:
 def cmd_chain_ladder(args) -> int:
     cfg = load_config(args.config, _data_overrides(args))
     dataset, boundary, view = _acquire_view(cfg, cfg["seeds"][0])
-    result = cl.rbns_ocl(view, boundary)
+    result = cl.rbns_ocl(view)
     cl.write_cl_report(result, args.out)
     ratio = evaluate_chain_ladder(result, true_ocl_map(dataset, boundary), dataset).overall_ratio
     if ratio is not None:
@@ -656,10 +664,10 @@ def cmd_evaluate(args) -> int:
     dataset, boundary, view = _acquire_view(cfg, seed)
     predictions: dict[str, dict[str, float]] = {}
     if agent is not None:
-        init = initial_reserves(view, build_init_tables(view, boundary), agent.env_cfg.k)
+        init = initial_reserves(view, build_init_tables(view), agent.env_cfg.k)
         predictions["rl"], _ = _predict_rl(agent, view, init, boundary)
     if model is not None:
-        predictions["fnn"] = predict_ocl_fnn(model, view, boundary)
+        predictions["fnn"] = predict_ocl_fnn(model, view)
     os.makedirs(cfg["output_dir"], exist_ok=True)
     actuals = true_ocl_map(dataset, boundary)
     for name, preds in predictions.items():
@@ -841,7 +849,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, LeakageError, FileNotFoundError) as exc:
+    except (DataError, LeakageError, FileNotFoundError, FileExistsError, NotADirectoryError,
+            IsADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericFault as exc:

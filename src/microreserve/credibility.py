@@ -67,7 +67,6 @@ def age_to_ultimate(triangle: Triangle) -> dict[int, float]:
 class InitTables:
     """Per-accident-period quantities backing claim initialisation."""
 
-    valuation: int
     settled_counts: dict[int, int]
     mean_ultimate: dict[int, float]  # settled-claim mean per period
     pi_paid: dict[int, float]  # paid-triangle age-to-ultimate
@@ -77,8 +76,12 @@ class InitTables:
     overall_adj_mean: float
 
 
-def build_init_tables(train: Dataset, valuation: int) -> InitTables:
-    """Build credibility and PPCI tables from claims settled by `valuation`."""
+def build_init_tables(train: Dataset) -> InitTables:
+    """Build credibility and PPCI tables from the view's settled claims.
+
+    The triangles are cut at the view's last period, its valuation.
+    """
+    valuation = train.max_calendar_period
     settled = train.settled_claims(by=valuation)
     if not settled:
         raise InitError("no settled claims available to initialise from")
@@ -119,7 +122,6 @@ def build_init_tables(train: Dataset, valuation: int) -> InitTables:
         raise InitError("overall adjusted mean ultimate is not positive")
 
     return InitTables(
-        valuation=valuation,
         settled_counts=counts,
         mean_ultimate=means,
         pi_paid=pi_paid,

@@ -18,11 +18,13 @@ Rewards combine three parts:
 
 Rollouts advance all claims in calendar order, so episodes interleave
 exactly as an insurer would see them; within a period claims act in
-claim-number order. A rollout makes one ``Transition`` per claim and
-period, so it and the per-claim records are slotted dataclasses, without a
-``__dict__`` each. A transition carries its reward parts and its importance
-weight, all set when its step is built, so a learner consuming the stream
-sees the transition the log records. Each step reads the claim's
+claim-number order. A rollout runs to the dataset's last period: on a
+censored view (``claims.censor``) that is the valuation, and claims open
+at that period end the rollout unsettled. A rollout makes one
+``Transition`` per claim and period, so it and the per-claim records are
+slotted dataclasses, without a ``__dict__`` each. A transition carries its
+reward parts and its importance weight, all set when its step is built, so
+a learner consuming the stream sees the transition the log records. Each step reads the claim's
 development record once and builds its state from it. The rollout returns
 each claim's last estimate as ``RolloutResult.reserves``. Given a
 ``scaler`` (a ``FeatureScaler``), it scales each state once, where it
@@ -235,11 +237,11 @@ def importance_weight(inner: float, alpha: float, s: float) -> float:
     return (inner / s) ** alpha
 
 
-def mean_training_ocl(dataset: Dataset, boundary: int) -> float:
+def mean_training_ocl(dataset: Dataset) -> float:
     """Mean positive outstanding amount over settled claims' prediction periods."""
     total = 0.0
     n = 0
-    for claim in dataset.settled_claims(by=boundary):
+    for claim in dataset.settled_claims(by=dataset.max_calendar_period):
         for t in range(claim.notification_period, claim.settlement_period):
             ocl = claim.record_at(t).true_ocl
             if ocl > 0:
@@ -312,7 +314,6 @@ def rollout_calendar(
     init,
     cfg: EnvConfig,
     explore: bool = False,
-    boundary: int | None = None,
     on_transition=None,
     scaler=None,
 ) -> RolloutResult:
@@ -320,14 +321,16 @@ def rollout_calendar(
 
     ``init`` maps each claim number to its positive starting estimate
     ``OCL_0``. Claims settling in their notification period make no
-    predictions and are counted in ``n_skipped``. Open claims at the
-    boundary keep their final prediction but that last step has no
-    observable successor state, so it is not emitted as a transition. Each
+    predictions and are counted in ``n_skipped``. The rollout runs to the
+    dataset's last period, which a censored view holds as its valuation.
+    Open claims at that period keep their final prediction but that last
+    step has no observable successor state, so it is not emitted as a
+    transition. Each
     step reads the claim's development record once, for its state, its
     rewards and its weight. Each transition leaves complete: it carries its
     stability and smoothing rewards and its importance weight, set when its
     step is built (the weight from the true OCL for a claim settling by the
-    boundary and from the open-claim lower bound otherwise), and a settling
+    last period and from the open-claim lower bound otherwise), and a settling
     claim's last step also its accuracy reward ``r_acc``. The result's
     ``reserves`` holds each claim's last estimate.
     With ``explore=False`` and a deterministic policy the rollout is a pure
@@ -335,7 +338,7 @@ def rollout_calendar(
     """
     if cfg.s_scale is None:
         raise ConfigError("s_scale must be resolved before rolling out")
-    horizon = boundary if boundary is not None else dataset.max_calendar_period
+    horizon = dataset.max_calendar_period
     # Sorted once, so each period's claims act in claim-number order.
     active = sorted(
         (c for c in dataset.claims if c.notification_period <= horizon), key=lambda c: c.claim_no

@@ -1,8 +1,12 @@
 """Exception taxonomy shared across the package, and the one config-number rule.
 
 Exit-code mapping used by the CLI: ConfigError -> 1, DataError (and
-subclasses), LeakageError and FileNotFoundError -> 2, NumericFault -> 3,
-and any other exception -> 4, with its traceback on stderr.
+subclasses), LeakageError, FileNotFoundError, and FileExistsError,
+NotADirectoryError and IsADirectoryError (an output path of the wrong kind)
+-> 2, NumericFault -> 3, and any other exception -> 4, with its traceback
+on stderr. A LeakageError comes from a guard, which checks a censored view
+against the boundary the CLI resolved; the model code reads the valuation
+from the view itself.
 
 ``check_number`` is the rule for every configured number: it has its
 declared kind (an int field takes an int, a float field an int or a float,

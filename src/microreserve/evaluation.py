@@ -60,15 +60,16 @@ class Fold:
     validation_claims: list[Claim]  # settle in (boundary, next_boundary]
 
 
-def rsv_folds(train: Dataset, k: int, window_end: int | None = None) -> list[Fold]:
+def rsv_folds(train: Dataset, k: int) -> list[Fold]:
     """Expanding-window folds over the training window.
 
-    The window [1, M] is cut into k equal-length intervals (floor
-    division, remainder absorbed by the last). Fold i trains on data
-    censored at the end of interval i and validates on claims notified
-    inside the training window that settle in interval i+1.
+    The window [1, M] ends at the view's last period M, its valuation, and
+    is cut into k equal-length intervals (floor division, remainder
+    absorbed by the last). Fold i trains on data censored at the end of
+    interval i and validates on claims notified inside the training window
+    that settle in interval i+1.
     """
-    m = window_end if window_end is not None else train.max_calendar_period
+    m = train.max_calendar_period
     if k < 2:
         raise ConfigError("k must be >= 2")
     width = m // k
@@ -109,7 +110,12 @@ def rsv_folds(train: Dataset, k: int, window_end: int | None = None) -> list[Fol
 def guard_transitions(
     transitions: list[Transition], dataset: Dataset, boundary: int
 ) -> None:
-    """Every training transition must act on information at or before the boundary."""
+    """Every training transition must use information at or before the boundary.
+
+    It must act at or before the boundary, and one that ends its claim's
+    episode must come from a claim settled by the boundary, since its
+    accuracy reward is built from the claim's outcome.
+    """
     for txn in transitions:
         claim = dataset.by_no(txn.claim_no)
         t = claim.notification_period + txn.tau - 1
@@ -117,6 +123,8 @@ def guard_transitions(
             raise LeakageError(
                 f"transition for {txn.claim_no} at period {t} crosses boundary {boundary}"
             )
+        if txn.done and not claim.settled_by(boundary):
+            raise LeakageError(f"claim {txn.claim_no} ends its episode after boundary {boundary}")
 
 
 def guard_fnn_rows(claim_nos: list[str], dataset: Dataset, boundary: int) -> None:
@@ -204,11 +212,18 @@ def action_histogram(
     bins: int = 40,
     by_psn: bool = False,
 ):
-    """Histogram of exp(action) over [1/k, k]; optional per-PSN facets."""
+    """Histogram of exp(action) over [1/k, k]; optional per-PSN facets.
+
+    Every action in [-ln k, ln k] is counted, its bounds included: exp of a
+    bound can round just outside the edges, so each value is clipped to
+    them. An action outside that range is not counted.
+    """
     edges = np.linspace(1.0 / k, k, bins + 1)
+    bound = math.log(k)
 
     def counts(txns):
-        return np.histogram([math.exp(t.action) for t in txns], bins=edges)[0]
+        values = [math.exp(t.action) for t in txns if -bound <= t.action <= bound]
+        return np.histogram(np.clip(values, edges[0], edges[-1]), bins=edges)[0]
 
     if not by_psn:
         return counts(transitions), edges

@@ -97,9 +97,13 @@ class FnnRows:
     claim_nos: list[str]
 
 
-def build_training_rows(train: Dataset, cutoff: int, cfg: FnnConfig) -> FnnRows:
-    """Scaled rows from claims settled by the cutoff, one per development period."""
-    settled = train.settled_claims(by=cutoff)
+def build_training_rows(train: Dataset, cfg: FnnConfig) -> FnnRows:
+    """Scaled rows from claims settled in the view, one per development period.
+
+    A claim counts as settled when it settles by the view's last period, its
+    valuation.
+    """
+    settled = train.settled_claims(by=train.max_calendar_period)
     if not settled:
         raise DataError("no settled claims before the cutoff")
 
@@ -266,12 +270,13 @@ def load_fnn(directory: str) -> FnnModel:
     return FnnModel(net=net, scaler=scaler, cfg=cfg)
 
 
-def predict_ocl_fnn(model: FnnModel, view: Dataset, at: int) -> dict[str, float]:
-    """Predictions for every claim open at the valuation period.
+def predict_ocl_fnn(model: FnnModel, view: Dataset) -> dict[str, float]:
+    """Predictions for every claim open at the view's valuation, its last period.
 
     The rows are built and scaled together, then scored one row per forward:
     a many-row forward can differ from it in the last bits.
     """
+    at = view.max_calendar_period
     claims = view.open_claims(at)
     if not claims:
         return {}

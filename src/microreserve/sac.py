@@ -7,13 +7,14 @@ the calendar rollout: every environment transition is appended to the
 buffer and followed by a fixed number of gradient updates, so the agent
 learns while claims are still developing.
 
-``train_sac``, ``fit_state_scaler`` and ``predict_ocl_sac`` take the
-rollout's ``init``, a ``{claim_no: OCL_0}`` map. ``train_sac`` returns the
-trained agent, whose ``training_log`` holds one row per update. It and
-``predict_ocl_sac`` pass the agent's scaler to ``rollout_calendar``, which
-scales each state once where it builds it, so ``act`` and ``observe`` take
-scaled states and the buffer stores them as they come. Only the
-zero-action probe that fits the scaler sees raw states.
+``train_sac``, ``fit_state_scaler`` and ``predict_ocl_sac`` take a
+censored view and the rollout's ``init``, a ``{claim_no: OCL_0}`` map;
+each rolls out to the view's last period, which is its valuation.
+``train_sac`` returns the trained agent, whose ``training_log`` holds one
+row per update. It and ``predict_ocl_sac`` pass the agent's scaler to
+``rollout_calendar``, which scales each state once where it builds it, so
+``act`` and ``observe`` take scaled states and the buffer stores them as
+they come. Only the zero-action probe that fits the scaler sees raw states.
 
 Acting, the Bellman targets and the actor step each draw the pre-squash
 sample through ``squashed_draw``. ``save_agent`` checkpoints the configs as
@@ -392,16 +393,14 @@ def load_agent(directory: str) -> SacAgent:
     return agent
 
 
-def fit_state_scaler(view: Dataset, init, env_cfg: EnvConfig, boundary: int) -> FeatureScaler:
-    """Fit the feature scaler on a zero-action rollout over the window.
+def fit_state_scaler(view: Dataset, init, env_cfg: EnvConfig) -> FeatureScaler:
+    """Fit the feature scaler on a zero-action rollout over the view.
 
     Deterministic and leakage-safe: the zero policy keeps estimates at
     their initial values, so every visited state is a pure function of
-    the training window.
+    the view, which ends at its valuation.
     """
-    probe = rollout_calendar(
-        view, ZeroPolicy(), init, env_cfg, explore=False, boundary=boundary
-    )
+    probe = rollout_calendar(view, ZeroPolicy(), init, env_cfg, explore=False)
     rows = [txn.state for txn in probe.transitions]
     if not rows:
         raise DataError("no states available to fit the scaler")
@@ -409,32 +408,20 @@ def fit_state_scaler(view: Dataset, init, env_cfg: EnvConfig, boundary: int) -> 
     return FeatureScaler.fit_in_place(np.stack(rows), mask)
 
 
-def train_sac(
-    view: Dataset,
-    init,
-    env_cfg: EnvConfig,
-    cfg: SacConfig,
-    boundary: int,
-) -> SacAgent:
+def train_sac(view: Dataset, init, env_cfg: EnvConfig, cfg: SacConfig) -> SacAgent:
     """One chronological training pass from the ``{claim_no: OCL_0}`` map ``init``.
 
-    Returns the frozen agent; its ``training_log`` holds one row per update.
+    The pass runs to the view's last period, its valuation. Returns the
+    frozen agent; its ``training_log`` holds one row per update.
     """
     if not view.claims:
         raise DataError("empty training data")
     if env_cfg.s_scale is None:
-        env_cfg = replace(env_cfg, s_scale=mean_training_ocl(view, boundary))
-    scaler = fit_state_scaler(view, init, env_cfg, boundary)
+        env_cfg = replace(env_cfg, s_scale=mean_training_ocl(view))
+    scaler = fit_state_scaler(view, init, env_cfg)
     agent = SacAgent(env_cfg, cfg, scaler)
     rollout_calendar(
-        view,
-        agent,
-        init,
-        env_cfg,
-        explore=True,
-        boundary=boundary,
-        on_transition=agent.observe,
-        scaler=agent.scaler,
+        view, agent, init, env_cfg, explore=True, on_transition=agent.observe, scaler=agent.scaler
     )
     # The update's network buffers would outlive training.
     for net in (agent.actor, agent.critic1, agent.critic2, agent.target1, agent.target2):
@@ -442,20 +429,13 @@ def train_sac(
     return agent
 
 
-def predict_ocl_sac(
-    agent: SacAgent,
-    view: Dataset,
-    init,
-    boundary: int,
-):
-    """Deterministic replay over the window; returns the rollout result.
+def predict_ocl_sac(agent: SacAgent, view: Dataset, init):
+    """Deterministic replay over the view; returns the rollout result.
 
     The final prediction per open claim is its reserve estimate at the
-    boundary.
+    view's valuation, its last period.
     """
-    return rollout_calendar(
-        view, agent, init, agent.env_cfg, explore=False, boundary=boundary, scaler=agent.scaler
-    )
+    return rollout_calendar(view, agent, init, agent.env_cfg, explore=False, scaler=agent.scaler)
 
 
 def write_training_log(log: list[dict], path: str) -> None:

@@ -70,7 +70,7 @@ class TestProjection:
         np.testing.assert_allclose(ibnr_strip(count, ult_count, mu, HALF), IBNR, rtol=1e-12)
 
     def test_rbns_ocl(self):
-        result = rbns_ocl(three_by_three(), 3, scaling=HALF)
+        result = rbns_ocl(three_by_three(), scaling=HALF)
         settled = [40.0, 0.0, 0.0]
         open_paid = [10.0, 40.0, 30.0]
         expected = [u - i - s - p for u, i, s, p in zip(ULT_PAID, IBNR, settled, open_paid)]
@@ -81,7 +81,7 @@ class TestProjection:
 
     def test_negative_periods_are_clamped_and_counted(self):
         # Ten times the severity past delay 0 strips more than AP 2 and 3 hold.
-        result = rbns_ocl(three_by_three(), 3, scaling=DelayScaling(values=np.array([1.0, 10.0])))
+        result = rbns_ocl(three_by_three(), scaling=DelayScaling(values=np.array([1.0, 10.0])))
         assert result.n_clamped == 2
         assert list(result.rbns_ocl[1:]) == [0.0, 0.0]
 

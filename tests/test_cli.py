@@ -2,12 +2,14 @@ import csv
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from microreserve import cli
+from microreserve.claims import censor
 from microreserve.errors import NumericFault
 
 # A seeded portfolio small enough for a full rl + fnn + cl run in a few seconds.
@@ -209,6 +211,24 @@ class TestExitCodes:
         assert "Traceback" in err and "TypeError: boom" in err
 
     @pytest.mark.parametrize(
+        "model, message",
+        [
+            ("rl", r"claim c36_1 ends its episode after boundary 40"),
+            # The fnn guard checks the rows' claims as a set, in no fixed order.
+            ("fnn", r"training row from claim c\d+_\d+ not settled by 40"),
+        ],
+    )
+    def test_a_view_past_the_boundary_is_a_leak(
+        self, tmp_path, monkeypatch, capsys, model, message
+    ):
+        # The model code reads the valuation from the view, so a view cut one
+        # period late shows only to the guards, which get the resolved boundary.
+        monkeypatch.setattr(cli, "split", lambda dataset, boundary: censor(dataset, boundary + 1))
+        cfg = {**TINY, "split": {"boundary": 40}, "models": [model], "output_dir": str(tmp_path)}
+        assert cli.main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        assert re.fullmatch(f"data error: {message}\n", capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
         "log, flags, code, message",
         [
             ("claim_no,tau,action\na,1,0.1\nb,2,abc\n", [], 2, "row 3: cannot parse action='abc'"),
@@ -325,9 +345,9 @@ class TestRun:
         def run(name):
             builds, entries = [], []
 
-            def counted(view, boundary, cfg):
-                builds.append(boundary)
-                return build(view, boundary, cfg)
+            def counted(view, cfg):
+                builds.append(view.max_calendar_period)
+                return build(view, cfg)
 
             def recorded(grid, folds, family_fn):
                 best, got = tune(grid, folds, family_fn)
@@ -373,9 +393,9 @@ class TestCollector:
             seen["collector_on"] = gc.isenabled()
             return discretize(dataset)
 
-        def watched_tables(view, boundary):
+        def watched_tables(view):
             seen["frozen"] = gc.get_freeze_count()
-            return build_init_tables(view, boundary)
+            return build_init_tables(view)
 
         monkeypatch.setattr(cli, "discretize", watched_discretize)
         monkeypatch.setattr(cli, "build_init_tables", watched_tables)

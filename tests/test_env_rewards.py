@@ -253,7 +253,7 @@ class RecordingPolicy:
         return action
 
 
-def rollout_with_reference_weights(data, policy, init, cfg, boundary):
+def rollout_with_reference_weights(data, policy, init, cfg):
     """Roll out, checking every transition against the post-hoc reference as it arrives.
 
     The weight each transition carries when ``on_transition`` receives it
@@ -264,11 +264,11 @@ def rollout_with_reference_weights(data, policy, init, cfg, boundary):
     recorder = RecordingPolicy(policy)
     received = []
     result = rollout_calendar(
-        data, recorder, init, cfg, boundary=boundary,
-        on_transition=lambda txn: received.append((txn, txn.weight)),
+        data, recorder, init, cfg, on_transition=lambda txn: received.append((txn, txn.weight))
     )
     assert [txn for txn, _ in received] == result.transitions
-    want = posthoc_weights(data, init, cfg, boundary, result.transitions, recorder.actions)
+    horizon = data.max_calendar_period
+    want = posthoc_weights(data, init, cfg, horizon, result.transitions, recorder.actions)
     assert [w for _, w in received] == want
     paths: dict[str, list] = {}  # per claim: (true OCL, estimate, weight) per step
     for txn, w in zip(result.transitions, want):
@@ -426,7 +426,7 @@ class TestRollout:
         claim.settlement_period = None  # force open
         data = build_dataset([claim], max_t=6)
         cfg = EnvConfig(state_profile="minimal", s_scale=25.0, alpha_w=1.0)
-        result = rollout_with_reference_weights(data, ZeroPolicy(), {"w1": 80.0}, cfg, 6)
+        result = rollout_with_reference_weights(data, ZeroPolicy(), {"w1": 80.0}, cfg)
         # P_curr = 50, UL_0 = 80; tau=1 has P_tau=0 -> (80-0)/25
         assert result.transitions[0].weight == pytest.approx(80.0 / 25.0)
         # tau=2 has P_tau=30 -> (80-30)/25 = 2
@@ -434,8 +434,7 @@ class TestRollout:
 
     def test_step_weights_equal_the_posthoc_reference(self):
         # A complexity5 portfolio censored at several boundaries, so each rollout
-        # has claims settled by the boundary and claims still open there. On the
-        # full data the same boundaries also leave claims that settle later.
+        # has claims settled by the boundary and claims still open there.
         sim = dataclasses.replace(
             with_seed(preset("complexity5"), 3),
             n_accident_periods=12,
@@ -446,7 +445,7 @@ class TestRollout:
         n_open = n_settled = 0
         for boundary in (6, 9, 12, data.max_calendar_period):
             view = censor(data, boundary)
-            tables = build_init_tables(view, boundary)
+            tables = build_init_tables(view)
             init = {
                 c.claim_no: initialise_claim(
                     c.accident_period, c.dev_records[0].cum_paid, tables, k=2.0
@@ -455,12 +454,11 @@ class TestRollout:
             }
             assert initial_reserves(view, tables, k=2.0) == init
             for alpha_w in (1.0, 0.5):
-                cfg = EnvConfig(s_scale=mean_training_ocl(view, boundary), alpha_w=alpha_w)
-                for dataset in (view, data):
-                    result = rollout_with_reference_weights(dataset, None, init, cfg, boundary)
-                    settled = {t.claim_no for t in result.transitions if t.done}
-                    n_settled += len(settled)
-                    n_open += len(result.reserves) - len(settled)
+                cfg = EnvConfig(s_scale=mean_training_ocl(view), alpha_w=alpha_w)
+                result = rollout_with_reference_weights(view, None, init, cfg)
+                settled = {t.claim_no for t in result.transitions if t.done}
+                n_settled += len(settled)
+                n_open += len(result.reserves) - len(settled)
         assert n_open > 100 and n_settled > 100
 
     def test_every_emitted_step_has_a_successor_or_is_done(self):
@@ -474,7 +472,7 @@ class TestRollout:
         init = {c.claim_no: 50.0 + c.dev_records[0].cum_paid for c in view.claims}
         received = []
         result = rollout_calendar(
-            view, RecordingPolicy(seed=5), init, EnvConfig(s_scale=50.0), boundary=7,
+            view, RecordingPolicy(seed=5), init, EnvConfig(s_scale=50.0),
             explore=True, on_transition=received.append,
         )
         assert received == result.transitions
@@ -486,4 +484,4 @@ class TestRollout:
 
     def test_mean_training_ocl(self, three_period_claim):
         # Claim pays 40 at tau=2 out of 100: OCL path is 100, 60.
-        assert mean_training_ocl(three_period_claim, 4) == pytest.approx(80.0)
+        assert mean_training_ocl(three_period_claim) == pytest.approx(80.0)

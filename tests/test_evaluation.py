@@ -6,11 +6,13 @@ import pytest
 
 from microreserve import chainladder, cli
 from microreserve.claims import censor
-from microreserve.env import Transition
+from microreserve.env import Transition, apply_action
 from microreserve.errors import ConfigError, DataError, LeakageError, NumericFault
 from microreserve.evaluation import (
+    MAX_PSN,
     Fold,
     MetricsReport,
+    action_histogram,
     evaluate_chain_ladder,
     evaluate_predictions,
     group_sums,
@@ -155,7 +157,7 @@ class TestRsvFolds:
         ]
 
     def test_window_end_limits_the_window(self):
-        folds = rsv_folds(fold_portfolio(), 2, window_end=6)
+        folds = rsv_folds(censor(fold_portfolio(), 6), 2)
         assert [(f.boundary, f.next_boundary) for f in folds] == [(3, 6)]
 
     def test_empty_interval_is_data_error(self):
@@ -163,23 +165,23 @@ class TestRsvFolds:
         with pytest.raises(DataError, match="interval 4"):
             rsv_folds(fold_portfolio(with_v6=False), 5)
 
-    @pytest.mark.parametrize("k, end", [(1, None), (4, 3)])
+    @pytest.mark.parametrize("k, end", [(1, 10), (4, 3)])
     def test_bad_fold_count_is_config_error(self, k, end):
         with pytest.raises(ConfigError):
-            rsv_folds(fold_portfolio(), k, window_end=end)
+            rsv_folds(censor(fold_portfolio(), end), k)
 
 
-def transition(claim_no, tau):
+def transition(claim_no, tau, done=False, action=0.0):
     return Transition(
         claim_no=claim_no,
         accident_period=1,
         dev_period=tau,
         tau=tau,
         state=np.zeros(1),
-        action=0.0,
+        action=action,
         reward=0.0,
         next_state=None,
-        done=False,
+        done=done,
         pred_ocl=1.0,
     )
 
@@ -191,6 +193,14 @@ class TestGuards:
         guard_transitions([transition("v1", 1), transition("v1", 2)], data, 3)
         with pytest.raises(LeakageError, match="v1"):
             guard_transitions([transition("v1", 1), transition("v1", 3)], data, 3)
+
+    def test_episode_ending_after_the_boundary_leaks(self):
+        data = fold_portfolio()
+        # v4 settles in period 3 and v1 in period 5; each ends its episode
+        # with a step acting at or before the boundary.
+        guard_transitions([transition("v4", 2, done=True), transition("v1", 1)], data, 3)
+        with pytest.raises(LeakageError, match="claim v1 ends its episode after boundary 3"):
+            guard_transitions([transition("v1", 2, done=True)], data, 3)
 
     def test_fnn_row_from_a_claim_open_at_the_boundary_leaks(self):
         data = fold_portfolio()
@@ -209,6 +219,24 @@ class TestGuards:
 
 
 # -- metrics -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [2.0, 2.5, 3.0, 10.0])
+@pytest.mark.parametrize("by_psn", [False, True])
+def test_action_histogram_counts_actions_at_the_bounds(k, by_psn):
+    # exp(+-ln k) rounds just outside [1/k, k] for k = 2.5, 3 and 10. Each
+    # action is clipped as the rollout clips it; one past the bound is not.
+    actions = [apply_action(1.0, a, k)[1] for a in (-math.log(k), 0.0, math.log(k), 9.0)]
+    txns = [transition("c", 1, action=a) for a in actions]
+    txns.append(transition("c", 2, action=1.01 * math.log(k)))
+    counts, edges = action_histogram(txns, k, by_psn=by_psn)
+    assert (edges[0], edges[-1]) == (1.0 / k, k)
+    if by_psn:
+        assert sorted(counts) == list(range(1, MAX_PSN + 1))
+        assert counts[1].sum() == 4 and counts[2].sum() == 0
+        counts = counts[1]
+    assert counts.sum() == 4 and counts[0] == 1 and counts[-1] == 2
+
 
 VALUATION = 3
 
@@ -352,7 +380,7 @@ class TestChainLadderReport:
     def cl_run(self, tmp_path, monkeypatch, data):
         """A cl-only seed run on ``data`` with the chain ladder's output fixed."""
         result = self.fake_result([55.0, 30.0, 7.0])
-        monkeypatch.setattr(chainladder, "rbns_ocl", lambda view, boundary: result)
+        monkeypatch.setattr(chainladder, "rbns_ocl", lambda view: result)
         cfg = {**cli.default_config(), "models": ["cl"]}
         acquired = (data, VALUATION, split(data, VALUATION))
         summary = cli.run_seed(cfg, 1, str(tmp_path), acquired)

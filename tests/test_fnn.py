@@ -60,7 +60,7 @@ class TestRows:
     def test_row_count_is_dev_periods_minus_delay(self):
         data = settled_fixture()
         cfg = FnnConfig(state_profile="minimal", alpha_w=1.0)
-        rows = build_training_rows(data, 5, cfg)
+        rows = build_training_rows(data, cfg)
         # f1: dev 2..5 -> 4 rows (J=5, d=1); f2: dev 2..3 -> 2 rows.
         assert rows.claim_nos.count("f1") == 4
         assert rows.claim_nos.count("f2") == 2
@@ -68,7 +68,7 @@ class TestRows:
     def test_weight_is_target_over_the_mean_positive_target(self):
         data = settled_fixture()
         cfg = FnnConfig(state_profile="minimal", alpha_w=1.0)
-        rows = build_training_rows(data, 5, cfg)
+        rows = build_training_rows(data, cfg)
         # Positive targets 100, 60, 60 (f1) and 10 (f2) have mean 57.5.
         assert sorted(rows.targets.tolist()) == [0.0, 0.0, 10.0, 60.0, 60.0, 100.0]
         assert rows.weights.tolist() == [y / 57.5 for y in rows.targets.tolist()]
@@ -76,14 +76,14 @@ class TestRows:
     def test_zero_ocl_rows_weigh_nothing(self):
         data = settled_fixture()
         cfg = FnnConfig(state_profile="minimal", alpha_w=1.0)
-        rows = build_training_rows(data, 5, cfg)
+        rows = build_training_rows(data, cfg)
         for y, w in zip(rows.targets, rows.weights):
             if y == 0.0:
                 assert w == 0.0
 
     def test_alpha_zero_recovers_unit_weights(self):
         data = settled_fixture()
-        rows = build_training_rows(data, 5, FnnConfig(state_profile="minimal", alpha_w=0.0))
+        rows = build_training_rows(data, FnnConfig(state_profile="minimal", alpha_w=0.0))
         for y, w in zip(rows.targets, rows.weights):
             assert w == (1.0 if y > 0 else 0.0)
 
@@ -93,7 +93,7 @@ class TestRows:
             build_claim("o1", 1, [(1.5, "Ma", 0.0, 50.0), (2.5, "P", 10.0, 40.0)]),
         ]
         data = build_dataset(claims, max_t=3)
-        rows = build_training_rows(data, 3, FnnConfig(state_profile="minimal"))
+        rows = build_training_rows(data, FnnConfig(state_profile="minimal"))
         assert set(rows.claim_nos) == {"s1"}
 
     def test_features_exclude_model_feedback(self):
@@ -147,9 +147,9 @@ def assert_rows_match_reference(data, cutoff, cfg):
         feats, targets, weights, claim_nos = reference_rows(data, cutoff, cfg)
     except DataError:
         with pytest.raises(DataError):
-            build_training_rows(data, cutoff, cfg)
+            build_training_rows(data, cfg)
         return
-    rows = build_training_rows(data, cutoff, cfg)
+    rows = build_training_rows(data, cfg)
     expected = np.array(feats, dtype=np.float64)
     shift, scale, scaled = reference_fit(expected, _layout(cfg)[0])
     assert rows.features.shape == expected.shape
@@ -467,7 +467,7 @@ class TestMemory:
         # its copy into numpy took 2.8 times.
         data = many_settled_claims(400)
         cfg = FnnConfig(state_profile="splice_full")
-        rows, peak = traced_peak(build_training_rows, data, data.max_calendar_period, cfg)
+        rows, peak = traced_peak(build_training_rows, data, cfg)
         kept = rows.features.nbytes + rows.targets.nbytes + rows.weights.nbytes
         assert rows.features.shape[0] > 2000
         assert peak / kept <= 2.0
@@ -480,7 +480,7 @@ class TestMemory:
         # 2.25 times, and separate fit and transform copies 3.1 times.
         data = many_settled_claims(2000)
         cfg = FnnConfig(hidden=(4,), max_epochs=1, seed=2)
-        rows = build_training_rows(data, data.max_calendar_period, cfg)
+        rows = build_training_rows(data, cfg)
         _, peak = traced_peak(train_fnn, rows, cfg)
         assert peak / rows.features.nbytes <= 0.5
 
@@ -493,7 +493,7 @@ class TestWeightScale:
         # cancels up to rounding and the weights need no scale of their own.
         data = many_settled_claims(60)
         cfg = FnnConfig(state_profile="cas", hidden=(8,), max_epochs=max_epochs, patience=3, seed=5)
-        rows = build_training_rows(data, data.max_calendar_period, cfg)
+        rows = build_training_rows(data, cfg)
         assert (rows.weights == 0.0).any() and len(set(rows.weights)) > 10
         base = train_fnn(rows, cfg)
         want = base.predict_scaled(rows.features)
@@ -522,9 +522,9 @@ class TestPredict:
         ]
         data = build_dataset(claims, max_t=3)
         cfg = FnnConfig(state_profile="minimal", max_epochs=2, patience=2, seed=0)
-        rows = build_training_rows(data, 3, cfg)
+        rows = build_training_rows(data, cfg)
         model = train_fnn(rows, cfg)
-        preds = predict_ocl_fnn(model, data, 3)
+        preds = predict_ocl_fnn(model, data)
         assert set(preds) == {"o1"}
         assert preds["o1"] >= 0.0
 
@@ -538,8 +538,8 @@ class TestPredict:
         data = discretize(simulate_portfolio(sim))
         view = censor(data, 8)
         cfg = FnnConfig(state_profile="minimal", max_epochs=2, patience=2, seed=1)
-        model = train_fnn(build_training_rows(view, 8, cfg), cfg)
-        preds = predict_ocl_fnn(model, view, 8)
+        model = train_fnn(build_training_rows(view, cfg), cfg)
+        preds = predict_ocl_fnn(model, view)
         open_claims = view.open_claims(8)
         assert len(preds) == len(open_claims) > 20
         for claim in open_claims:
@@ -549,8 +549,8 @@ class TestPredict:
     def test_no_open_claims_no_predictions(self):
         data = settled_fixture()
         cfg = FnnConfig(state_profile="minimal", max_epochs=1, patience=1, seed=0)
-        model = train_fnn(build_training_rows(data, 5, cfg), cfg)
-        assert predict_ocl_fnn(model, data, 5) == {}
+        model = train_fnn(build_training_rows(data, cfg), cfg)
+        assert predict_ocl_fnn(model, data) == {}
 
 
 class TestPersistence:

@@ -84,7 +84,7 @@ class TestInitTables:
             build_claim("m2", 1, [(1.4, "P", 20.0, 20.0), (2.5, "PMa", 40.0, 0.0)]),
         ]
         data = build_dataset(claims, max_t=3)
-        tables = build_init_tables(data, 3)
+        tables = build_init_tables(data)
         assert tables.credibility[1] == pytest.approx(1.0)
         assert tables.pi_ppci[1] == pytest.approx(1.0)
         assert tables.adj_mean_ultimate[1] == pytest.approx(50.0)
@@ -95,7 +95,7 @@ class TestInitTables:
         # valuation only the quick settler of AP 2 is closed, so its raw
         # mean understates; the PPCI age-to-ultimate must push it up.
         data = two_ap_fixture()
-        tables = build_init_tables(data, 4)
+        tables = build_init_tables(censor(data, 4))
         assert tables.settled_counts == {1: 2, 2: 1}
         assert tables.mean_ultimate[2] == pytest.approx(12.0)
         assert tables.pi_ppci[2] > 1.0
@@ -110,20 +110,20 @@ class TestInitTables:
             build_claim("t2", 2, [(2.5, "PMa", 8.0, 0.0)]),
             build_claim("t3", 3, [(2.5, "PMa", 6.0, 0.0)]),
         ]
-        tables = build_init_tables(build_dataset(claims, max_t=3), 3)
+        tables = build_init_tables(build_dataset(claims, max_t=3))
         assert tables.pi_ppci[3] == pytest.approx(2.3)
 
     def test_no_settled_claims_errors(self):
         claims = [build_claim("o1", 1, [(1.5, "Ma", 0.0, 10.0), (2.5, "P", 3.0, 7.0)])]
         data = build_dataset(claims, max_t=3)
         with pytest.raises(InitError):
-            build_init_tables(data, 3)
+            build_init_tables(data)
 
 
 class TestInitialiseClaim:
     @pytest.fixture
     def tables(self):
-        return build_init_tables(two_ap_fixture(), 4)
+        return build_init_tables(censor(two_ap_fixture(), 4))
 
     def test_full_credibility_uses_period_mean(self, tables):
         forced = {**tables.credibility, 1: 1.0}
@@ -162,7 +162,7 @@ class TestInitialiseClaim:
             mean_claims_per_period=60.0,
         )
         data = censor(discretize(simulate_portfolio(sim)), 12)
-        tables = build_init_tables(data, 12)
+        tables = build_init_tables(data)
         aps = sorted(tables.credibility)
         z = [tables.credibility[i] for i in aps]
         assert all(a >= b - 1e-9 for a, b in zip(z, z[1:]))
@@ -177,7 +177,7 @@ class TestInitialReserves:
         z1 = build_claim("z1", 3, [(3.5, "Ma", 0.0, 40.0), (6.5, "PMa", 40.0, 0.0)])
         b1 = build_claim("b1", 1, [(1.5, "P", 500.0, 10.0), (8.5, "PMa", 510.0, 0.0)])
         view = censor(two_ap_fixture(z1, b1), 4)
-        tables = build_init_tables(view, 4)
+        tables = build_init_tables(view)
         reserves = initial_reserves(view, tables, 3.0)
         assert sorted(reserves) == ["b1", "s1", "s2", "s3", "s4", "z1"]
         for c in view.claims:

@@ -281,7 +281,6 @@ class TestTrain:
                 {},
                 EnvConfig(state_profile="minimal", s_scale=1.0),
                 SacConfig(seed=0),
-                4,
             )
 
     def test_training_log_and_determinism(self):
@@ -291,7 +290,7 @@ class TestTrain:
         def run():
             cfg = SacConfig(seed=11, batch_size=4, warmup_steps=2, hidden=(8, 8))
             init = {c.claim_no: 80.0 for c in data.claims}
-            agent = train_sac(data, init, env_cfg, cfg, data.max_calendar_period)
+            agent = train_sac(data, init, env_cfg, cfg)
             return agent, agent.training_log
 
         agent1, log1 = run()
@@ -307,7 +306,7 @@ class TestTrain:
         env_cfg = EnvConfig(state_profile="minimal", s_scale=50.0)
         cfg = SacConfig(seed=1, batch_size=4, warmup_steps=2, hidden=(8, 8))
         init = {c.claim_no: 80.0 for c in data.claims}
-        agent = train_sac(data, init, env_cfg, cfg, data.max_calendar_period)
+        agent = train_sac(data, init, env_cfg, cfg)
         assert len(agent.buffer) > 0
         assert agent.buffer.cursor == len(agent.buffer)
         # The update's network buffers go with the training pass.
@@ -321,7 +320,7 @@ class TestPersistence:
         env_cfg = EnvConfig(state_profile="minimal", s_scale=50.0)
         cfg = SacConfig(seed=5, batch_size=4, warmup_steps=2, hidden=(8, 8))
         init = {c.claim_no: 80.0 for c in data.claims}
-        agent = train_sac(data, init, env_cfg, cfg, data.max_calendar_period)
+        agent = train_sac(data, init, env_cfg, cfg)
         save_agent(agent, str(tmp_path / "ckpt"))
         again = load_agent(str(tmp_path / "ckpt"))
         state = np.array([1.0, 2.0, 50.0, 10.0])
@@ -726,7 +725,7 @@ class TestStateScaling:
 
     def test_a_rollout_with_a_scaler_holds_the_transforms_of_its_raw_states(self):
         data, env_cfg, init = self.setting()
-        scaler = fit_state_scaler(data, init, env_cfg, data.max_calendar_period)
+        scaler = fit_state_scaler(data, init, env_cfg)
         assert not np.array_equal(scaler.shift, 0.0) and not np.array_equal(scaler.scale, 1.0)
         raw = rollout_calendar(data, ZeroPolicy(), init, env_cfg)
         scaled = rollout_calendar(data, ZeroPolicy(), init, env_cfg, scaler=scaler)
@@ -759,7 +758,7 @@ class TestStateScaling:
         monkeypatch.setattr(FeatureScaler, "transform", counted)
         monkeypatch.setattr(SacAgent, "act", acting)
         monkeypatch.setattr(SacAgent, "observe", recorded)
-        agent = train_sac(data, init, env_cfg, cfg, data.max_calendar_period)
+        agent = train_sac(data, init, env_cfg, cfg)
         # One transform per state the rollout builds, and the policy acts on that array.
         assert len(scaled) == len(acted) == agent.env_steps > 0
         assert all(s is a for s, a in zip(scaled, acted))

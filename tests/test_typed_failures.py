@@ -11,7 +11,9 @@ section. So does a ``verify`` fixture config that cannot be read, holds no
 JSON object, or lacks or mistypes a field. A tiny run's checkpoints, damaged one way at a time (the arrays of
 ``model.npz`` included), make ``evaluate`` exit 2 before it acquires data,
 and so does a checkpoint in the earlier layout. A data file that is a
-directory or not UTF-8 makes ``ingest``, ``run`` and ``report`` exit 2.
+directory or not UTF-8 makes ``ingest``, ``run`` and ``report`` exit 2, and so
+does an output path of the wrong kind: a file where a directory goes, or a
+directory where a file goes.
 """
 
 import dataclasses
@@ -534,24 +536,50 @@ def unreadable(tmp_path, kind) -> str:
     return str(path)
 
 
+def assert_data_error(capsys, argv, path):
+    """``argv`` exits 2 with a one-line data error naming ``path``."""
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and path in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
 class TestDataFiles:
-    def assert_data_error(self, capsys, argv, path):
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error:") and path in err and "Traceback" not in err
-
     def test_ingest(self, tmp_path, capsys, kind):
         path = unreadable(tmp_path, kind)
-        self.assert_data_error(capsys, ["ingest", "--path", path], path)
+        assert_data_error(capsys, ["ingest", "--path", path], path)
 
     def test_run_on_ingested_data(self, tmp_path, capsys, kind):
         path = unreadable(tmp_path, kind)
         cfg = {**TINY, "data": {**CAS_INGEST, "path": path}, "output_dir": str(tmp_path / "out")}
         config = write_config(tmp_path.parent / f"{kind}.json", cfg)
-        self.assert_data_error(capsys, ["run", "--config", config, "--models", "cl"], path)
+        assert_data_error(capsys, ["run", "--config", config, "--models", "cl"], path)
 
     def test_report(self, tmp_path, capsys, kind):
         path = unreadable(tmp_path, kind)
         argv = ["report", "--transitions", path, "--out", str(tmp_path.parent / "h.csv")]
-        self.assert_data_error(capsys, argv, path)
+        assert_data_error(capsys, argv, path)
+
+
+# -- output paths of the wrong kind ---------------------------------------------------
+
+
+class TestOutputPaths:
+    @pytest.fixture
+    def a_file(self, tmp_path):
+        path = tmp_path / "a_file"
+        path.write_text("", encoding="utf-8")
+        return str(path)
+
+    def test_run_with_a_file_as_the_output_directory(self, capsys, a_file):
+        argv = ["run", "--models", "cl", "--claims-per-period", "2", "--output-dir", a_file]
+        assert_data_error(capsys, argv, a_file)
+
+    def test_chain_ladder_report_under_a_file(self, tmp_path, capsys, a_file):
+        config = write_config(tmp_path / "tiny.json", TINY)
+        out = f"{a_file}/x.csv"
+        assert_data_error(capsys, ["chain-ladder", "--config", config, "--out", out], out)
+
+    def test_simulate_into_a_directory(self, tmp_path, capsys):
+        argv = ["simulate", "--claims-per-period", "2", "--out", str(tmp_path)]
+        assert_data_error(capsys, argv, str(tmp_path))
